@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from depthsr.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from depthsr.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _build_parser, _load_pipeline_config, main
 from depthsr.configio import dump_config, load_config
 from depthsr.fileio import read_depth_pfm, read_pfm, read_ppm8, write_depth_pfm, write_ppm8
-from depthsr.fusion import PipelineConfig
+from depthsr.fusion import PipelineConfig, default_fuse_weights, default_head_weights
 from depthsr.grid import DepthMap, FeatureMap
 from depthsr.scenes import value_noise
+from depthsr.structdet import DetectorParams
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +169,67 @@ class TestSr:
         assert subsets == ["none", "z", "f", "s", "zf", "zs", "fs", "zfs"]
         for row in rows:
             assert "rmse_cm=" in row
+
+
+class TestSrConfigOverrides:
+    """`sr` builds its config from a config file plus override flags."""
+
+    @pytest.fixture
+    def weighted(self, tmp_path):
+        # Weights pass through float32 sidecars, so draw float32 values.
+        rng = np.random.default_rng(8)
+        cfg = PipelineConfig(
+            scale=4, channels=2, k=3, moma_iters=2, alpha_loss=0.002,
+            detector_params=DetectorParams(alpha_det=0.5, beta=2.0),
+            w_fuse=rng.normal(size=(2, 8)).astype(np.float32).astype(np.float64),
+            w_head=rng.normal(size=(16, 2)).astype(np.float32).astype(np.float64),
+        )
+        path = tmp_path / "w.cfg"
+        dump_config(cfg, path)
+        return cfg, path
+
+    @staticmethod
+    def sr_argv(scene_dir, out, config, *flags):
+        return [
+            "sr", "--rgb", str(scene_dir / "rgb.ppm"),
+            "--d-lr", str(scene_dir / "d_lr.pfm"),
+            "--d-gt", str(scene_dir / "d_gt.pfm"),
+            "--out", str(out), "--config", str(config), *flags,
+        ]
+
+    def build(self, scene_dir, tmp_path, config, *flags):
+        args = _build_parser().parse_args(self.sr_argv(scene_dir, tmp_path / "sr", config, *flags))
+        return _load_pipeline_config(args)
+
+    def test_flags_override_and_weights_kept(self, scene_dir, tmp_path, weighted):
+        cfg, path = weighted
+        out = self.build(
+            scene_dir, tmp_path, path,
+            "--k", "2", "--iters", "1", "--orders", "zf", "--detector", "off",
+        )
+        assert (out.k, out.moma_iters, out.orders, out.detector) == (
+            2, 1, ("zero", "first"), False
+        )
+        assert (out.scale, out.channels, out.alpha_loss) == (4, 2, 0.002)
+        assert (out.detector_params.alpha_det, out.detector_params.beta) == (0.5, 2.0)
+        np.testing.assert_array_equal(out.w_fuse, cfg.w_fuse)
+        np.testing.assert_array_equal(out.w_head, cfg.w_head)
+
+    def test_scale_change_resets_weights(self, scene_dir, tmp_path, weighted):
+        cfg, path = weighted
+        out = self.build(scene_dir, tmp_path, path, "--scale", "8")
+        assert out.scale == 8
+        assert (out.channels, out.k, out.moma_iters, out.orders, out.detector) == (
+            cfg.channels, cfg.k, cfg.moma_iters, cfg.orders, cfg.detector
+        )
+        assert (out.detector_params.alpha_det, out.detector_params.beta) == (0.5, 2.0)
+        assert out.alpha_loss == cfg.alpha_loss
+        np.testing.assert_array_equal(out.w_fuse, default_fuse_weights(2))
+        np.testing.assert_array_equal(out.w_head, default_head_weights(8, 2))
+
+    def test_zero_k_is_usage_error(self, scene_dir, tmp_path, weighted):
+        _, path = weighted
+        assert main(self.sr_argv(scene_dir, tmp_path / "sr", path, "--k", "0")) == EXIT_USAGE
 
 
 class TestDetect:
