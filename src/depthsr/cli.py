@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -120,41 +121,19 @@ def _load_pipeline_config(args) -> fusion.PipelineConfig:
         cfg = fusion.PipelineConfig.tiny(scale=args.scale or 4)
     else:
         cfg = fusion.PipelineConfig(scale=args.scale or 4)
+    changes = {}
     if args.scale is not None and args.scale != cfg.scale:
-        cfg = fusion.PipelineConfig(
-            scale=args.scale,
-            channels=cfg.channels,
-            k=cfg.k,
-            moma_iters=cfg.moma_iters,
-            orders=cfg.orders,
-            detector=cfg.detector,
-            detector_params=cfg.detector_params,
-            alpha_loss=cfg.alpha_loss,
-        )
+        # Weight shapes depend on the scale: fall back to the defaults.
+        changes.update(scale=args.scale, w_fuse=None, w_head=None)
     if getattr(args, "k", None) is not None:
-        cfg.k = args.k
+        changes["k"] = args.k
     if getattr(args, "iters", None) is not None:
-        cfg.moma_iters = args.iters
+        changes["moma_iters"] = args.iters
     if getattr(args, "orders", None) is not None:
-        cfg.orders = configio.token_to_orders(args.orders)
+        changes["orders"] = configio.token_to_orders(args.orders)
     if getattr(args, "detector", None) is not None:
-        cfg.detector = args.detector == "on"
-    return fusion.PipelineConfig(**_config_fields(cfg))
-
-
-def _config_fields(cfg: fusion.PipelineConfig) -> dict:
-    return dict(
-        scale=cfg.scale,
-        channels=cfg.channels,
-        k=cfg.k,
-        moma_iters=cfg.moma_iters,
-        orders=cfg.orders,
-        detector=cfg.detector,
-        detector_params=cfg.detector_params,
-        w_fuse=cfg.w_fuse,
-        w_head=cfg.w_head,
-        alpha_loss=cfg.alpha_loss,
-    )
+        changes["detector"] = args.detector == "on"
+    return replace(cfg, **changes)
 
 
 def cmd_synth(args) -> int:
@@ -279,8 +258,7 @@ def cmd_sr(args) -> int:
     if args.ablate:
         rows = []
         for token in _ABLATION_ROWS:
-            sub_cfg = fusion.PipelineConfig(**_config_fields(cfg))
-            sub_cfg.orders = configio.token_to_orders(token)
+            sub_cfg = replace(cfg, orders=configio.token_to_orders(token))
             _, sub_stats = _run_sr_once(rgb, d_lr, d_gt, sub_cfg)
             rows.append(f"orders={token} rmse_cm={_fmt(sub_stats['rmse_cm'])}")
         (out / "ablation.txt").write_text("\n".join(rows) + "\n", encoding="ascii")
@@ -303,7 +281,7 @@ def cmd_detect(args) -> int:
     params = structdet.DetectorParams(alpha_det=args.alpha, beta=args.beta)
     f_r = fusion.encode_rgb(rgb, 1, args.channels)
     descriptor = structdet.compute_descriptor(f_r, params)
-    gate = structdet.refine_gate(descriptor, params)
+    gate = structdet.refine_gate(descriptor)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -12,11 +12,11 @@ reproduces bicubic exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DepthMap, FeatureMap, bicubic_resample, conv2d, pixel_shuffle, sigmoid
+from .grid import MIN_DEPTH_M, DepthMap, FeatureMap, bicubic_resample, conv2d, pixel_shuffle, sigmoid
 from .matcher import ORDERS, match_order
 from .structdet import DetectorParams, detect
 
@@ -45,9 +45,14 @@ def filter_bank(channels: int) -> np.ndarray:
     return bank[:channels, None, :, :]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """All pipeline knobs: scale, feature width, matching orders, weights."""
+    """All pipeline knobs: scale, feature width, matching orders, weights.
+
+    A value: every field is checked at construction and none can be
+    assigned afterwards; the weight matrices are read-only float64 copies.
+    Derive a variant with `dataclasses.replace`, which checks it again.
+    """
 
     scale: int = 4
     channels: int = DEFAULT_CHANNELS
@@ -74,18 +79,14 @@ class PipelineConfig:
         unknown = set(self.orders) - set(ORDERS)
         if unknown:
             raise ValueError(f"unknown orders {sorted(unknown)}")
-        self.orders = tuple(o for o in ORDERS if o in self.orders)
+        object.__setattr__(self, "orders", tuple(o for o in ORDERS if o in self.orders))
         c = self.channels
-        if self.w_fuse is None:
-            self.w_fuse = default_fuse_weights(c)
-        self.w_fuse = np.ascontiguousarray(np.asarray(self.w_fuse, dtype=np.float64))
-        if self.w_fuse.shape != (c, 4 * c):
-            raise ValueError(f"w_fuse must have shape {(c, 4 * c)}")
-        if self.w_head is None:
-            self.w_head = default_head_weights(self.scale, c)
-        self.w_head = np.ascontiguousarray(np.asarray(self.w_head, dtype=np.float64))
-        if self.w_head.shape != (self.scale * self.scale, c):
-            raise ValueError(f"w_head must have shape {(self.scale * self.scale, c)}")
+        w_fuse = default_fuse_weights(c) if self.w_fuse is None else self.w_fuse
+        w_head = default_head_weights(self.scale, c) if self.w_head is None else self.w_head
+        object.__setattr__(self, "w_fuse", _weight_matrix(w_fuse, (c, 4 * c), "w_fuse"))
+        object.__setattr__(
+            self, "w_head", _weight_matrix(w_head, (self.scale * self.scale, c), "w_head")
+        )
 
     @classmethod
     def tiny(cls, scale: int = 4, **kwargs) -> "PipelineConfig":
@@ -94,10 +95,14 @@ class PipelineConfig:
         kwargs.setdefault("moma_iters", 2)
         return cls(scale=scale, **kwargs)
 
-    def copy(self) -> "PipelineConfig":
-        return replace(
-            self, w_fuse=self.w_fuse.copy(), w_head=self.w_head.copy()
-        )
+
+def _weight_matrix(value, shape: tuple[int, int], name: str) -> np.ndarray:
+    """A read-only float64 copy of `value`, checked against `shape`."""
+    matrix = np.array(value, dtype=np.float64, order="C")
+    if matrix.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}")
+    matrix.setflags(write=False)
+    return matrix
 
 
 def default_fuse_weights(channels: int) -> np.ndarray:
@@ -110,21 +115,6 @@ def default_fuse_weights(channels: int) -> np.ndarray:
 def default_head_weights(scale: int, channels: int) -> np.ndarray:
     """Zero residual head: the untrained pipeline reproduces bicubic."""
     return np.zeros((scale * scale, channels))
-
-
-@dataclass(frozen=True)
-class FusionState:
-    """Depth features being refined, frozen RGB features, iteration index."""
-
-    f_d: FeatureMap
-    f_r: FeatureMap
-    iteration: int = 0
-
-    def __post_init__(self):
-        if self.f_d.shape != self.f_r.shape:
-            raise ValueError(
-                f"feature shape mismatch: depth {self.f_d.shape}, rgb {self.f_r.shape}"
-            )
 
 
 @dataclass(frozen=True)
@@ -206,11 +196,15 @@ def aggregate(
     return FeatureMap(np.einsum("oc,chw->ohw", cfg.w_fuse, cat))
 
 
-def moma_step(state: FusionState, cfg: PipelineConfig) -> FusionState:
-    """One matching + aggregation iteration; RGB features stay fixed."""
-    matches = order_matches(state.f_r, state.f_d, cfg)
-    fused = aggregate(state.f_d, state.f_r, matches, cfg)
-    return FusionState(fused, state.f_r, state.iteration + 1)
+def moma_step(f_d: FeatureMap, f_r: FeatureMap, cfg: PipelineConfig) -> FeatureMap:
+    """One matching + aggregation iteration; returns the refined depth features.
+
+    The RGB features stay fixed across iterations and must have the depth
+    features' shape, which is checked here even when no order is enabled.
+    """
+    if f_d.shape != f_r.shape:
+        raise ValueError(f"feature shape mismatch: depth {f_d.shape}, rgb {f_r.shape}")
+    return aggregate(f_d, f_r, order_matches(f_r, f_d, cfg), cfg)
 
 
 def reconstruct(f_d: FeatureMap, d_lr: DepthMap, cfg: PipelineConfig) -> DepthMap:
@@ -221,7 +215,7 @@ def reconstruct(f_d: FeatureMap, d_lr: DepthMap, cfg: PipelineConfig) -> DepthMa
     res_hr = pixel_shuffle(FeatureMap(res), cfg.scale).data[0]
     base = bicubic_resample(d_lr, float(cfg.scale))
     depth = base.depth + res_hr
-    depth = np.where(base.valid, np.maximum(depth, 1e-6), depth)
+    depth = np.where(base.valid, np.maximum(depth, MIN_DEPTH_M), depth)
     return DepthMap(depth, base.valid)
 
 
@@ -234,7 +228,6 @@ def run_pipeline(img: FeatureMap, d_lr: DepthMap, cfg: PipelineConfig) -> DepthM
         )
     f_r = encode_rgb(img, cfg.scale, cfg.channels)
     f_d = encode_depth(d_lr, cfg.channels)
-    state = FusionState(f_d, f_r, 0)
     for _ in range(cfg.moma_iters):
-        state = moma_step(state, cfg)
-    return reconstruct(state.f_d, d_lr, cfg)
+        f_d = moma_step(f_d, f_r, cfg)
+    return reconstruct(f_d, d_lr, cfg)

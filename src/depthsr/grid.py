@@ -144,14 +144,13 @@ def extract_patches(f: FeatureMap) -> PatchSet:
     return PatchSet(np.ascontiguousarray(vec), c, h, w)
 
 
-def fold_patches(p: PatchSet, weights_applied: bool = False) -> FeatureMap:
+def fold_patches(p: PatchSet) -> FeatureMap:
     """Overlap-add patches back onto the grid, averaging by contribution count.
 
     Each patch element is accumulated at the pixel it was read from under
     replicate-border geometry, then divided by the per-pixel contribution
-    count, so fold(extract(f)) returns f. ``weights_applied`` marks vectors
-    that already carry selection weights; the count normalization is the
-    same in both modes.
+    count, so fold(extract(f)) returns f. Vectors that already carry
+    selection weights fold the same way.
     """
     c, h, w = p.channels, p.height, p.width
     vec = p.vectors.reshape(h, w, c, PATCH_SIZE, PATCH_SIZE)

@@ -233,7 +233,7 @@ def matching_selection(source: FeatureMap, m: MatchResult) -> FeatureMap:
     gathered = patches.vectors[m.eta]
     mixed = np.einsum("rk,rkd->rd", weights, gathered)
     ps = type(patches)(mixed, patches.channels, patches.height, patches.width)
-    return fold_patches(ps, weights_applied=True)
+    return fold_patches(ps)
 
 
 def order_map(f: FeatureMap, order: str) -> FeatureMap:

@@ -10,12 +10,13 @@ descriptor in [0, 1]:
 
 A small fixed refinement stack (three 3x3 convolutions, widths 1->4->4->1,
 zero biases, sigmoid output) turns S into a gate that multiplies the input
-features. alpha and beta are the trainable scalars.
+features. alpha and beta are the trainable scalars; eps and the refinement
+kernels are module constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,26 +40,21 @@ def default_refine_kernels(width: int = 4) -> tuple[np.ndarray, np.ndarray, np.n
     return k1, k2, k3
 
 
+REFINE_KERNELS = default_refine_kernels()
+
+
 @dataclass(frozen=True)
 class DetectorParams:
-    """Trainable scalars and fixed refinement kernels of the detector."""
+    """The detector's two trainable scalars, both strictly positive."""
 
     alpha_det: float = 1.0
     beta: float = 1.0
-    epsilon: float = EPSILON
-    refine_kernels: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
-        default_factory=default_refine_kernels
-    )
 
     def __post_init__(self):
         if self.alpha_det <= 0:
             raise ValueError("alpha_det must be positive")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
-        if self.epsilon != EPSILON:
-            raise ValueError(f"epsilon is fixed at {EPSILON}")
-        if len(self.refine_kernels) != 3:
-            raise ValueError("refinement stack needs exactly 3 kernel tensors")
 
 
 @dataclass(frozen=True)
@@ -87,8 +83,8 @@ def structure_descriptor(eig: EigenField, p: DetectorParams) -> StructureDescrip
     """Evaluate the triple-constraint descriptor from sorted eigenvalues."""
     l1 = eig.lambda1.data
     l2 = eig.lambda2.data
-    awareness = 1.0 - np.exp(-np.abs(l1) / (p.alpha_det + p.epsilon))
-    suppression = np.exp(-np.abs(l1 * l2) / (p.beta + p.epsilon))
+    awareness = 1.0 - np.exp(-np.abs(l1) / (p.alpha_det + EPSILON))
+    suppression = np.exp(-np.abs(l1 * l2) / (p.beta + EPSILON))
     mask = (l2 < 0.0).astype(np.float64)
     return StructureDescriptor(FeatureMap(awareness * suppression * mask))
 
@@ -99,9 +95,9 @@ def compute_descriptor(f: FeatureMap, p: DetectorParams) -> StructureDescriptor:
     return structure_descriptor(eigenvalues(hessian_field(comp)), p)
 
 
-def refine_gate(descriptor: StructureDescriptor, p: DetectorParams) -> FeatureMap:
+def refine_gate(descriptor: StructureDescriptor) -> FeatureMap:
     """sigmoid(conv3(relu(conv2(relu(conv1(S)))))), a (0, 1) gate map."""
-    k1, k2, k3 = p.refine_kernels
+    k1, k2, k3 = REFINE_KERNELS
     x = np.maximum(conv2d(descriptor.s, k1).data, 0.0)
     x = np.maximum(conv2d(FeatureMap(x), k2).data, 0.0)
     x = conv2d(FeatureMap(x), k3).data
@@ -110,5 +106,5 @@ def refine_gate(descriptor: StructureDescriptor, p: DetectorParams) -> FeatureMa
 
 def detect(f_r: FeatureMap, p: DetectorParams) -> FeatureMap:
     """Gate the input features by the refined structure descriptor."""
-    gate = refine_gate(compute_descriptor(f_r, p), p)
+    gate = refine_gate(compute_descriptor(f_r, p))
     return FeatureMap(gate.data * f_r.data)

@@ -9,11 +9,13 @@ linear, so a fixed raw-gradient step either stalls or diverges). Enabled
 weight matrices start from a seeded fan-in-scaled random init (set
 ``init_scale = 0`` to fit from the config's weights as-is).
 
-Probes are evaluated in stages that mirror the pipeline's real data flow:
-encoders and first-iteration matches depend on no trainable parameter and
-are computed once per scene; head-weight probes reuse the fused features
-of the base point. Staging changes nothing numerically, every probe value
-equals a full pipeline run.
+Probes are evaluated in stages of the real pipeline: encoders and
+first-iteration matches depend on no trainable parameter and are computed
+once per scene; each probe then runs `fusion.aggregate` on those matches,
+`fusion.moma_step` for the remaining iterations, and `fusion.reconstruct`
+with `losses.loss_total` on the result. Head-weight probes reuse the fused
+features of the base point. Staging changes nothing numerically, every
+probe value equals a full pipeline run.
 """
 
 from __future__ import annotations
@@ -23,17 +25,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diffops import gradient_magnitude, hessian_field, hessian_norm
 from .fusion import (
-    FusionState,
     PipelineConfig,
     aggregate,
     encode_depth,
     encode_rgb,
+    moma_step,
     order_matches,
+    reconstruct,
 )
-from .grid import DepthMap, FeatureMap, NonFiniteError, bicubic_resample, pixel_shuffle
-from .losses import LossReport
+from .grid import FeatureMap, NonFiniteError
+from .losses import LossReport, loss_total
 from .scenes import Scene
 
 # Detector scalars stay strictly positive after each descent step.
@@ -50,9 +52,9 @@ class DivergenceError(RuntimeError):
         super().__init__(message or f"non-finite loss at step {step}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Descent settings and the enabled-parameter subset."""
+    """Descent settings and the enabled-parameter subset; a frozen value."""
 
     steps: int = 50
     lr: float = 0.05
@@ -106,84 +108,56 @@ def pack_params(cfg: PipelineConfig, tcfg: TrainConfig) -> np.ndarray:
 
 def unpack_params(vec: np.ndarray, cfg: PipelineConfig, tcfg: TrainConfig) -> PipelineConfig:
     """Rebuild a config with the vector's values on the enabled subset."""
-    out = cfg.copy()
+    changes = {}
     i = 0
     if tcfg.fit_head:
-        n = out.w_head.size
-        out.w_head = vec[i : i + n].reshape(out.w_head.shape).copy()
+        n = cfg.w_head.size
+        changes["w_head"] = vec[i : i + n].reshape(cfg.w_head.shape)
         i += n
     if tcfg.fit_fuse:
-        n = out.w_fuse.size
-        out.w_fuse = vec[i : i + n].reshape(out.w_fuse.shape).copy()
+        n = cfg.w_fuse.size
+        changes["w_fuse"] = vec[i : i + n].reshape(cfg.w_fuse.shape)
         i += n
-    dp = out.detector_params
+    dp = cfg.detector_params
     if tcfg.fit_alpha:
         dp = replace(dp, alpha_det=max(float(vec[i]), _PARAM_FLOOR))
         i += 1
     if tcfg.fit_beta:
         dp = replace(dp, beta=max(float(vec[i]), _PARAM_FLOOR))
         i += 1
-    out.detector_params = dp
     if i != vec.size:
         raise ValueError(f"parameter vector length {vec.size}, consumed {i}")
-    return out
+    return replace(cfg, detector_params=dp, **changes)
 
 
 class SceneLoss:
     """Loss evaluator for one scene with parameter-independent work cached.
 
-    Cached pieces: both encoders, the first iteration's matches (the
-    matching inputs cannot depend on any trainable parameter there), the
-    bicubic base, and the GT-side derivative maps of the loss.
+    Cached pieces: both encoders and the first iteration's matches (the
+    matching inputs cannot depend on any trainable parameter there).
     """
 
     def __init__(self, scene: Scene, cfg: PipelineConfig, tcfg: TrainConfig):
         self.cfg = cfg
         self.tcfg = tcfg
         self.d_lr = scene.d_lr
+        self.d_gt = scene.d_gt
         self.f_r = encode_rgb(scene.rgb, cfg.scale, cfg.channels)
         self.f_d0 = encode_depth(scene.d_lr, cfg.channels)
         self.first_matches = order_matches(self.f_r, self.f_d0, cfg)
-        self.base = bicubic_resample(scene.d_lr, float(cfg.scale))
-        self.mask = scene.d_gt.valid
-        if not self.mask.any():
-            raise ValueError("no valid pixels in GT depth")
-        self.gt = scene.d_gt.depth
-        gt_feature = scene.d_gt.as_feature()
-        self.gt_grad = gradient_magnitude(gt_feature).data[0]
-        self.gt_hes = hessian_norm(hessian_field(gt_feature)).data[0]
-        self.valid_count = int(self.mask.sum())
         # Parameter vector layout, for stage-aware probing.
         self.n_head = cfg.w_head.size if tcfg.fit_head else 0
 
     def fused_features(self, cfg: PipelineConfig) -> FeatureMap:
         """Run the MOMA iterations under a probe config."""
-        state = FusionState(self.f_d0, self.f_r, 0)
-        for i in range(cfg.moma_iters):
-            matches = (
-                self.first_matches if i == 0 else order_matches(self.f_r, state.f_d, cfg)
-            )
-            state = FusionState(aggregate(state.f_d, self.f_r, matches, cfg), self.f_r, i + 1)
-        return state.f_d
+        f_d = aggregate(self.f_d0, self.f_r, self.first_matches, cfg)
+        for _ in range(cfg.moma_iters - 1):
+            f_d = moma_step(f_d, self.f_r, cfg)
+        return f_d
 
     def head_report(self, f_d: FeatureMap, cfg: PipelineConfig) -> LossReport:
         """Reconstruct from fused features and evaluate the loss."""
-        res = np.einsum("qc,chw->qhw", cfg.w_head, f_d.data)
-        res_hr = pixel_shuffle(FeatureMap(res), cfg.scale).data[0]
-        depth = self.base.depth + res_hr
-        depth = np.where(self.base.valid, np.maximum(depth, 1e-6), depth)
-        pred = DepthMap(depth, self.base.valid)
-        pred_feature = pred.as_feature()
-        rec = float(np.abs(self.gt - pred.depth)[self.mask].sum())
-        grad = float(
-            np.abs(self.gt_grad - gradient_magnitude(pred_feature).data[0])[self.mask].sum()
-        )
-        hes = float(
-            np.abs(self.gt_hes - hessian_norm(hessian_field(pred_feature)).data[0])[
-                self.mask
-            ].sum()
-        )
-        return LossReport(rec, grad, hes, rec + grad + cfg.alpha_loss * hes, self.valid_count)
+        return loss_total(self.d_gt, reconstruct(f_d, self.d_lr, cfg), cfg.alpha_loss)
 
     def report(self, vec: np.ndarray) -> LossReport:
         cfg = unpack_params(vec, self.cfg, self.tcfg)
@@ -227,20 +201,12 @@ class SceneLoss:
         return value
 
 
-def scene_loss_fn(scene: Scene, cfg: PipelineConfig, tcfg: TrainConfig) -> SceneLoss:
-    """Build a cached vector -> loss evaluator for a fixed scene."""
-    return SceneLoss(scene, cfg, tcfg)
-
-
 def numeric_grad(
     params: np.ndarray, scene: Scene, cfg: PipelineConfig, tcfg: TrainConfig
 ) -> np.ndarray:
     """Central-difference gradient of the total loss at `params`."""
     loss = SceneLoss(scene, cfg, tcfg)
-    try:
-        return loss.gradient(np.asarray(params, dtype=np.float64), 0)
-    except NonFiniteError as exc:
-        raise DivergenceError(0, f"non-finite probe: {exc}") from exc
+    return _guarded(0, loss.gradient, np.asarray(params, dtype=np.float64), 0)
 
 
 @dataclass(frozen=True)
@@ -287,7 +253,7 @@ def fit(scene: Scene, tcfg: TrainConfig, cfg: PipelineConfig) -> FitResult:
         loss = SceneLoss(scene, cfg, tcfg)
         history = [_evaluate(loss, np.empty(0), 0)]
         _write_log(tcfg, history)
-        return FitResult(cfg.copy(), history)
+        return FitResult(cfg, history)
 
     loss = SceneLoss(scene, cfg, tcfg)
     params = _initial_params(cfg, tcfg)
@@ -297,10 +263,7 @@ def fit(scene: Scene, tcfg: TrainConfig, cfg: PipelineConfig) -> FitResult:
     best_loss = current
 
     for step in range(1, tcfg.steps + 1):
-        try:
-            grad = loss.gradient(params, step)
-        except NonFiniteError as exc:
-            raise DivergenceError(step, str(exc)) from exc
+        grad = _guarded(step, loss.gradient, params, step)
         scale = np.abs(grad).max()
         if scale == 0.0:
             history.append(_evaluate(loss, params, step))
@@ -327,11 +290,18 @@ def fit(scene: Scene, tcfg: TrainConfig, cfg: PipelineConfig) -> FitResult:
     return FitResult(unpack_params(best_params, cfg, tcfg), history)
 
 
-def _evaluate(loss: SceneLoss, params: np.ndarray, step: int) -> LossReport:
+def _guarded(step: int, fn, *args):
+    """fn(*args) with float overflow and invalid operations raising; any
+    non-finite value becomes a DivergenceError carrying `step`."""
     try:
-        report = loss.report(params)
-    except NonFiniteError as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            return fn(*args)
+    except (NonFiniteError, FloatingPointError) as exc:
         raise DivergenceError(step, f"non-finite loss at step {step}: {exc}") from exc
+
+
+def _evaluate(loss: SceneLoss, params: np.ndarray, step: int) -> LossReport:
+    report = _guarded(step, loss.report, params)
     if not np.isfinite(report.l_total):
         raise DivergenceError(step)
     return report

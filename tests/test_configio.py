@@ -30,9 +30,12 @@ class TestConfigRoundTrip:
 
     def test_nondefault_weights_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        cfg = PipelineConfig(scale=4, channels=2)
-        cfg.w_head = rng.normal(size=(16, 2)).astype(np.float32).astype(np.float64)
-        cfg.w_fuse = rng.normal(size=(2, 8)).astype(np.float32).astype(np.float64)
+        cfg = PipelineConfig(
+            scale=4,
+            channels=2,
+            w_head=rng.normal(size=(16, 2)).astype(np.float32).astype(np.float64),
+            w_fuse=rng.normal(size=(2, 8)).astype(np.float32).astype(np.float64),
+        )
         path = tmp_path / "w.cfg"
         dump_config(cfg, path)
         first = path.read_bytes()

@@ -1,8 +1,9 @@
+from dataclasses import FrozenInstanceError, fields, replace
+
 import numpy as np
 import pytest
 
 from depthsr.fusion import (
-    FusionState,
     OrderMatch,
     PipelineConfig,
     aggregate,
@@ -53,6 +54,28 @@ class TestPipelineConfig:
         assert cfg.orders == ("zero", "second")
         with pytest.raises(ValueError):
             PipelineConfig(orders=("zeroth",))
+
+    def test_weights_are_copied_at_construction(self):
+        w = np.zeros((16, 8))
+        cfg = PipelineConfig(w_head=w)
+        w[0, 0] = 1.0
+        assert cfg.w_head[0, 0] == 0.0
+
+    def test_weights_are_read_only(self):
+        cfg = PipelineConfig()
+        for matrix in (cfg.w_head, cfg.w_fuse):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = PipelineConfig()
+        for f in fields(cfg):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
+
+    def test_replace_validates(self):
+        with pytest.raises(ValueError):
+            replace(PipelineConfig(), k=0)
 
 
 class TestEncoders:
@@ -164,20 +187,20 @@ class TestAggregate:
 
 
 class TestMomaStep:
-    def test_shapes_preserved_and_iteration_bumped(self):
+    def test_shapes_preserved_and_rgb_untouched(self):
         d_lr, rgb = render_shifted_pair("boxes", 16, 16, 1, 1)
         cfg = PipelineConfig.tiny(scale=4)
-        state = FusionState(encode_depth(d_lr, cfg.channels), encode_rgb(rgb, 1, cfg.channels), 0)
-        out = moma_step(state, cfg)
-        assert out.f_d.shape == state.f_d.shape
-        assert out.iteration == 1
-        np.testing.assert_array_equal(out.f_r.data, state.f_r.data)
+        f_d, f_r = encode_depth(d_lr, cfg.channels), encode_rgb(rgb, 1, cfg.channels)
+        before = f_r.data.copy()
+        out = moma_step(f_d, f_r, cfg)
+        assert out.shape == f_d.shape
+        np.testing.assert_array_equal(f_r.data, before)
 
     def test_feature_shape_mismatch_rejected(self):
+        # No enabled order, so only moma_step's own check can catch it.
+        cfg = PipelineConfig(channels=2, orders=())
         with pytest.raises(ValueError):
-            FusionState(
-                FeatureMap(np.zeros((2, 4, 4))), FeatureMap(np.zeros((2, 4, 5))), 0
-            )
+            moma_step(FeatureMap(np.zeros((2, 4, 4))), FeatureMap(np.zeros((2, 4, 5))), cfg)
 
 
 class TestReconstruct:
@@ -193,9 +216,8 @@ class TestReconstruct:
 
     def test_constant_features_give_periodic_residual(self):
         d_lr = DepthMap.all_valid(np.full((4, 4), 2.0))
-        cfg = PipelineConfig(scale=4, channels=2)
         rng = np.random.default_rng(5)
-        cfg.w_head = rng.normal(size=(16, 2))
+        cfg = PipelineConfig(scale=4, channels=2, w_head=rng.normal(size=(16, 2)))
         f_d = FeatureMap(np.ones((2, 4, 4)))
         out = reconstruct(f_d, d_lr, cfg)
         residual = out.depth - 2.0
@@ -250,11 +272,13 @@ class TestRunPipeline:
         scene = render_scene(spec)
         cfg = PipelineConfig.tiny(scale=4)
         c = cfg.channels
-        cfg.w_fuse = np.concatenate([0.5 * np.eye(c), 0.5 * np.eye(c), np.zeros((c, 2 * c))], axis=1)
         rng = np.random.default_rng(6)
-        cfg.w_head = 0.01 * rng.normal(size=(16, c))
+        cfg = replace(
+            cfg,
+            w_fuse=np.concatenate([0.5 * np.eye(c), 0.5 * np.eye(c), np.zeros((c, 2 * c))], axis=1),
+            w_head=0.01 * rng.normal(size=(16, c)),
+        )
         mixed = run_pipeline(scene.rgb, scene.d_lr, cfg)
-        cfg_skip = PipelineConfig.tiny(scale=4)
-        cfg_skip.w_head = cfg.w_head
+        cfg_skip = replace(PipelineConfig.tiny(scale=4), w_head=cfg.w_head)
         skip = run_pipeline(scene.rgb, scene.d_lr, cfg_skip)
         assert np.any(mixed.depth != skip.depth)

@@ -31,7 +31,8 @@ class TestDetectorParams:
             DetectorParams(beta=-1.0)
 
     def test_epsilon_fixed(self):
-        with pytest.raises(ValueError):
+        # eps is the module constant EPSILON, not a field.
+        with pytest.raises(TypeError):
             DetectorParams(epsilon=1e-6)
 
 
@@ -105,9 +106,8 @@ class TestStructureDescriptor:
 
 class TestRefineAndDetect:
     def test_zero_descriptor_gives_half_gate(self):
-        p = DetectorParams()
         s = StructureDescriptor(FeatureMap(np.zeros((1, 5, 5))))
-        gate = refine_gate(s, p)
+        gate = refine_gate(s)
         np.testing.assert_array_equal(gate.data, 0.5)
 
     def test_flat_input_gated_at_half(self):
@@ -126,7 +126,7 @@ class TestRefineAndDetect:
         rng = np.random.default_rng(3)
         f = FeatureMap(rng.normal(size=(2, 6, 6)))
         p = DetectorParams()
-        gate = refine_gate(compute_descriptor(f, p), p)
+        gate = refine_gate(compute_descriptor(f, p))
         out = detect(f, p)
         np.testing.assert_allclose(out.data, gate.data * f.data, atol=1e-12)
 

@@ -1,20 +1,22 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
-from depthsr.fusion import PipelineConfig
-from depthsr.losses import add_noise
+from depthsr.fusion import PipelineConfig, default_fuse_weights, run_pipeline
+from depthsr.grid import DepthMap
+from depthsr.losses import add_noise, loss_total
 from depthsr.scenes import SceneSpec, render_scene
 from depthsr.trainer import (
     DivergenceError,
+    SceneLoss,
     TrainConfig,
     central_difference,
     fit,
     numeric_grad,
     pack_params,
-    scene_loss_fn,
     unpack_params,
 )
 
@@ -82,8 +84,7 @@ class TestNumericGrad:
         np.testing.assert_allclose(grad, 0.0, atol=1e-9)
 
     def test_detector_scalars_dead_when_detector_disabled(self, small_scene):
-        cfg = PipelineConfig.tiny(scale=4)
-        cfg.detector = False
+        cfg = PipelineConfig.tiny(scale=4, detector=False)
         tcfg = TrainConfig(fit_head=False, fit_fuse=False, fit_alpha=True, fit_beta=True)
         grad = numeric_grad(pack_params(cfg, tcfg), small_scene, cfg, tcfg)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
@@ -93,10 +94,34 @@ class TestNumericGrad:
         tcfg = TrainConfig(fit_head=True, fit_fuse=True, seed=1)
         rng = np.random.default_rng(0)
         vec = pack_params(cfg, tcfg) + 0.05 * rng.normal(size=pack_params(cfg, tcfg).size)
-        loss = scene_loss_fn(small_scene, cfg, tcfg)
+        loss = SceneLoss(small_scene, cfg, tcfg)
         staged = loss.gradient(vec, 0)
         plain = central_difference(loss, vec, tcfg.fd_epsilon)
         np.testing.assert_allclose(staged, plain, rtol=0, atol=1e-12)
+
+
+class TestTrainerRunsThePipeline:
+    @pytest.mark.parametrize("preset, gt_hole", [("boxes", False), ("ridge", True)])
+    def test_report_equals_pipeline_loss(self, preset, gt_hole):
+        spec = SceneSpec(width=32, height=32, scale=4, dx=2.0, dy=-1.0,
+                         noise_sigma=0.0, preset=preset)
+        scene = render_scene(spec)
+        if gt_hole:
+            valid = scene.d_gt.valid.copy()
+            valid[8:14, 20:30] = False
+            scene = replace(scene, d_gt=DepthMap(scene.d_gt.depth, valid))
+        rng = np.random.default_rng(11)
+        cfg = PipelineConfig.tiny(scale=4)
+        c = cfg.channels
+        cfg = replace(
+            cfg,
+            w_head=0.05 * rng.normal(size=(16, c)),
+            w_fuse=default_fuse_weights(c) + 0.2 * rng.normal(size=(c, 4 * c)),
+        )
+        tcfg = TrainConfig()
+        staged = SceneLoss(scene, cfg, tcfg).report(pack_params(cfg, tcfg))
+        plain = loss_total(scene.d_gt, run_pipeline(scene.rgb, scene.d_lr, cfg), cfg.alpha_loss)
+        assert staged == plain
 
 
 class TestFit:
@@ -120,7 +145,7 @@ class TestFit:
         tcfg = TrainConfig(steps=8, seed=0)
         result = fit(small_scene, tcfg, cfg)
         best = min(r.l_total for r in result.history)
-        refit = scene_loss_fn(small_scene, cfg, TrainConfig(steps=1, init_scale=0.0))
+        refit = SceneLoss(small_scene, cfg, TrainConfig(steps=1, init_scale=0.0))
         achieved = refit.report(pack_params(result.config, tcfg)).l_total
         assert achieved == pytest.approx(best, rel=1e-12)
 
@@ -150,11 +175,22 @@ class TestFit:
 
     def test_divergent_loss_raises_with_step(self, small_scene):
         cfg = PipelineConfig.tiny(scale=4)
-        # A colossal init throws the first loss evaluation into overflow.
+        # A colossal init throws the first loss evaluation into overflow,
+        # which must surface as the typed error, not a numpy warning.
         tcfg = TrainConfig(steps=2, seed=0, init_scale=1e200)
-        with pytest.raises(DivergenceError) as err:
-            fit(small_scene, tcfg, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError) as err:
+                fit(small_scene, tcfg, cfg)
         assert err.value.step == 0
+
+    def test_config_is_frozen(self):
+        tcfg = TrainConfig()
+        for f in fields(tcfg):
+            with pytest.raises(FrozenInstanceError):
+                setattr(tcfg, f.name, getattr(tcfg, f.name))
+        with pytest.raises(ValueError):
+            replace(tcfg, steps=0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
