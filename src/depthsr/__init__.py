@@ -15,7 +15,7 @@ from .grid import (
     pixel_unshuffle,
 )
 from .losses import LossReport, add_noise, loss_grad, loss_hes, loss_rec, loss_total, rmse_cm
-from .matcher import CorrelationSet, MatchResult, correlation_set, correlation_set_naive, match_order, matching_selection, top_k, top_k_naive
+from .matcher import CorrelationSet, MatchResult, correlation_set, correlation_set_naive, match_order, matching_selection, top_k, top_k_naive, top_k_streamed
 from .structdet import DetectorParams, StructureDescriptor, compute_descriptor, detect, normalize_and_compress, structure_descriptor
 from .trainer import DivergenceError, FitResult, TrainConfig, fit, numeric_grad
 from .scenes import Scene, SceneSpec, render_scene
@@ -75,4 +75,5 @@ __all__ = [
     "structure_descriptor",
     "top_k",
     "top_k_naive",
+    "top_k_streamed",
 ]

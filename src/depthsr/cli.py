@@ -117,14 +117,15 @@ def _build_parser() -> _Parser:
 def _load_pipeline_config(args) -> fusion.PipelineConfig:
     if args.config is not None:
         cfg = configio.load_config(args.config)
+        if args.scale is not None and args.scale != cfg.scale:
+            raise _UsageError(
+                f"--scale {args.scale} differs from scale {cfg.scale} of config {args.config}"
+            )
     elif getattr(args, "tiny", False):
         cfg = fusion.PipelineConfig.tiny(scale=args.scale or 4)
     else:
         cfg = fusion.PipelineConfig(scale=args.scale or 4)
     changes = {}
-    if args.scale is not None and args.scale != cfg.scale:
-        # Weight shapes depend on the scale: fall back to the defaults.
-        changes.update(scale=args.scale, w_fuse=None, w_head=None)
     if getattr(args, "k", None) is not None:
         changes["k"] = args.k
     if getattr(args, "iters", None) is not None:
@@ -183,7 +184,7 @@ def cmd_match(args) -> int:
     target = matcher.order_map(f_d, args.order)
     source = matcher.order_map(f_r, args.order)
     cs = matcher.correlation_set(target, source)
-    m = matcher.top_k(cs, args.k, args.order)
+    m = matcher.top_k(cs, args.k)
     matched = matcher.matching_selection(f_r, m)
 
     out = Path(args.out)

@@ -12,7 +12,7 @@ reproduces bicubic exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,6 +25,7 @@ MAX_CHANNELS = 8
 DEFAULT_CHANNELS = 8
 DEFAULT_TOPK = 4
 DEFAULT_ITERS = 3
+_WEIGHTS = ("w_fuse", "w_head")
 
 
 def filter_bank(channels: int) -> np.ndarray:
@@ -52,6 +53,8 @@ class PipelineConfig:
     A value: every field is checked at construction and none can be
     assigned afterwards; the weight matrices are read-only float64 copies.
     Derive a variant with `dataclasses.replace`, which checks it again.
+    Equal configs have equal fields and element-wise equal weights, and
+    hash alike, so a config can key a dict.
     """
 
     scale: int = 4
@@ -87,6 +90,20 @@ class PipelineConfig:
         object.__setattr__(
             self, "w_head", _weight_matrix(w_head, (self.scale * self.scale, c), "w_head")
         )
+
+    def _scalars(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name not in _WEIGHTS)
+
+    def __eq__(self, other):
+        if not isinstance(other, PipelineConfig):
+            return NotImplemented
+        return self._scalars() == other._scalars() and all(
+            np.array_equal(getattr(self, w), getattr(other, w)) for w in _WEIGHTS
+        )
+
+    def __hash__(self):
+        # Weights stay out: configs equal under np.array_equal hash alike.
+        return hash(self._scalars())
 
     @classmethod
     def tiny(cls, scale: int = 4, **kwargs) -> "PipelineConfig":

@@ -1,17 +1,16 @@
 """Cross-modal patch matching: correlation, exact top-k, and selection.
 
 The correlation between two c x h x w maps is an hw x hw matrix of cosine
-similarities over flattened 3x3 patches. The fast path multiplies blocks of
-L2-normalized patch matrices; the naive double-loop oracle lives here too
-and stays in the test suite permanently. Top-k retrieval is exact with a
-deterministic lowest-index tie-break, so results never depend on partition
-order or thread count.
+similarities over flattened, L2-normalized 3x3 patches. Matching streams it
+in row blocks of at most MATCH_BLOCK_BYTES and keeps each block's top-k, so
+it holds a few blocks, never hw^2 floats. The naive double-loop oracles stay
+in the test suite permanently. Top-k is exact with a lowest-index tie-break,
+so results never depend on partition order, block size or thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -22,6 +21,9 @@ ORDERS = ("zero", "first", "second")
 
 # Patches with a smaller L2 norm correlate as 0 instead of dividing by ~0.
 MIN_PATCH_NORM = 1e-12
+
+# Bytes of correlations one streamed block may hold (a row takes 8 * hw).
+MATCH_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,6 @@ class MatchResult:
 
     eta: np.ndarray
     psi: np.ndarray
-    order_tag: str = "zero"
 
     def __post_init__(self):
         eta = np.ascontiguousarray(np.asarray(self.eta, dtype=np.int64))
@@ -66,8 +67,6 @@ class MatchResult:
             raise ValueError("eta and psi must share an (hw, k) shape")
         if np.any(np.diff(psi, axis=1) > 0):
             raise ValueError("scores must be non-increasing per row")
-        if self.order_tag not in ORDERS:
-            raise ValueError(f"unknown order tag {self.order_tag!r}")
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "psi", psi)
 
@@ -93,43 +92,21 @@ def normalized_patch_matrix(f: FeatureMap) -> np.ndarray:
     return unit
 
 
-def iter_correlation_blocks(
-    target: FeatureMap, source: FeatureMap, block_rows: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (row_start, block) slices of the correlation matrix.
-
-    Bounds peak memory at hw * block_rows instead of hw^2; concatenating all
-    blocks reproduces correlation_set exactly.
-    """
-    if block_rows < 1:
-        raise ValueError("block_rows must be positive")
-    _check_same_shape(target, source)
-    t = normalized_patch_matrix(target)
-    s = normalized_patch_matrix(source)
-    n = t.shape[0]
-    for r0 in range(0, n, block_rows):
-        block = np.einsum("id,jd->ij", t[r0 : r0 + block_rows], s)
-        yield r0, np.clip(block, -1.0, 1.0)
+def _cosines(t: np.ndarray, s: np.ndarray) -> CorrelationSet:
+    """Cosines between the rows of two normalized patch matrices."""
+    return CorrelationSet(np.clip(np.einsum("id,jd->ij", t, s), -1.0, 1.0))
 
 
-def correlation_set(
-    target: FeatureMap, source: FeatureMap, block_rows: int | None = None
-) -> CorrelationSet:
+def correlation_set(target: FeatureMap, source: FeatureMap) -> CorrelationSet:
     """Full cosine-similarity matrix between target and source patches."""
     _check_same_shape(target, source)
-    n = target.height * target.width
-    if block_rows is None:
-        block_rows = n
-    out = np.empty((n, n), dtype=np.float64)
-    for r0, block in iter_correlation_blocks(target, source, block_rows):
-        out[r0 : r0 + block.shape[0]] = block
-    return CorrelationSet(out)
+    return _cosines(normalized_patch_matrix(target), normalized_patch_matrix(source))
 
 
 def correlation_set_naive(target: FeatureMap, source: FeatureMap) -> CorrelationSet:
     """Two-loop reference: one cosine per (target, source) patch pair.
 
-    Kept as the permanent oracle for the blocked fast path.
+    Kept as the permanent oracle for the fast path.
     """
     _check_same_shape(target, source)
     t = extract_patches(target).vectors
@@ -158,7 +135,7 @@ def _order_rows_by_score(
     return np.take_along_axis(cols, order, axis=1), np.take_along_axis(psi, order, axis=1)
 
 
-def top_k(cs: CorrelationSet, k: int, order_tag: str = "zero") -> MatchResult:
+def top_k(cs: CorrelationSet, k: int) -> MatchResult:
     """Exact per-row top-k via partial selection plus tie repair.
 
     Matches the full-sort oracle bit for bit: the retained set are the k
@@ -177,37 +154,33 @@ def top_k(cs: CorrelationSet, k: int, order_tag: str = "zero") -> MatchResult:
     sel = above | pick
     cols = np.nonzero(sel)[1].reshape(n, k)
     eta, psi = _order_rows_by_score(vals, cols)
-    return MatchResult(eta, psi, order_tag)
+    return MatchResult(eta, psi)
 
 
-def top_k_naive(cs: CorrelationSet, k: int, order_tag: str = "zero") -> MatchResult:
+def top_k_naive(cs: CorrelationSet, k: int) -> MatchResult:
     """Full-sort reference for top_k (stable sort on negated scores)."""
     n, m = cs.rows, cs.cols
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
     eta = np.argsort(-cs.values, axis=1, kind="stable")[:, :k]
     psi = np.take_along_axis(cs.values, eta, axis=1)
-    return MatchResult(eta, psi, order_tag)
+    return MatchResult(eta, psi)
 
 
-def top_k_streamed(
-    target: FeatureMap,
-    source: FeatureMap,
-    k: int,
-    block_rows: int,
-    order_tag: str = "zero",
-) -> MatchResult:
-    """Top-k over streamed correlation blocks; equals the full-matrix path."""
-    n = target.height * target.width
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    etas = []
-    psis = []
-    for _, block in iter_correlation_blocks(target, source, block_rows):
-        part = top_k(CorrelationSet(block), k, order_tag)
-        etas.append(part.eta)
-        psis.append(part.psi)
-    return MatchResult(np.concatenate(etas), np.concatenate(psis), order_tag)
+def top_k_streamed(target: FeatureMap, source: FeatureMap, k: int) -> MatchResult:
+    """top_k(correlation_set(target, source), k), one row block at a time.
+
+    A block holds at most MATCH_BLOCK_BYTES of correlations (at least one row).
+    Rows are independent, so every block size gives a bit-identical result.
+    """
+    _check_same_shape(target, source)
+    t, s = normalized_patch_matrix(target), normalized_patch_matrix(source)
+    n = t.shape[0]
+    rows = max(1, MATCH_BLOCK_BYTES // (8 * n))
+    parts = [top_k(_cosines(t[r0 : r0 + rows], s), k) for r0 in range(0, n, rows)]
+    return MatchResult(
+        np.concatenate([p.eta for p in parts]), np.concatenate([p.psi for p in parts])
+    )
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -261,7 +234,7 @@ def match_order(
     _check_same_shape(rgb, depth)
     target = order_map(depth, order)
     source = order_map(rgb, order)
-    m = top_k(correlation_set(target, source), k, order)
+    m = top_k_streamed(target, source, k)
     matched_rgb = matching_selection(rgb, m)
     matched_prior = None if order == "zero" else matching_selection(source, m)
     return matched_rgb, matched_prior

@@ -4,7 +4,7 @@ import pytest
 from depthsr.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _build_parser, _load_pipeline_config, main
 from depthsr.configio import dump_config, load_config
 from depthsr.fileio import read_depth_pfm, read_pfm, read_ppm8, write_depth_pfm, write_ppm8
-from depthsr.fusion import PipelineConfig, default_fuse_weights, default_head_weights
+from depthsr.fusion import PipelineConfig
 from depthsr.grid import DepthMap, FeatureMap
 from depthsr.scenes import value_noise
 from depthsr.structdet import DetectorParams
@@ -215,17 +215,17 @@ class TestSrConfigOverrides:
         np.testing.assert_array_equal(out.w_fuse, cfg.w_fuse)
         np.testing.assert_array_equal(out.w_head, cfg.w_head)
 
-    def test_scale_change_resets_weights(self, scene_dir, tmp_path, weighted):
+    def test_scale_change_with_config_is_usage_error(self, scene_dir, tmp_path, weighted, capsys):
+        # The fitted weights belong to the config's scale; dropping them would
+        # silently turn the run into plain bicubic.
         cfg, path = weighted
-        out = self.build(scene_dir, tmp_path, path, "--scale", "8")
-        assert out.scale == 8
-        assert (out.channels, out.k, out.moma_iters, out.orders, out.detector) == (
-            cfg.channels, cfg.k, cfg.moma_iters, cfg.orders, cfg.detector
-        )
-        assert (out.detector_params.alpha_det, out.detector_params.beta) == (0.5, 2.0)
-        assert out.alpha_loss == cfg.alpha_loss
-        np.testing.assert_array_equal(out.w_fuse, default_fuse_weights(2))
-        np.testing.assert_array_equal(out.w_head, default_head_weights(8, 2))
+        out = tmp_path / "sr"
+        assert main(self.sr_argv(scene_dir, out, path, "--scale", "8")) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--scale 8" in err and "scale 4" in err
+        assert not out.exists()
+        same = self.build(scene_dir, tmp_path, path, "--scale", "4")
+        np.testing.assert_array_equal(same.w_head, cfg.w_head)
 
     def test_zero_k_is_usage_error(self, scene_dir, tmp_path, weighted):
         _, path = weighted

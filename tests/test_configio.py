@@ -45,6 +45,17 @@ class TestConfigRoundTrip:
         dump_config(loaded, path)
         assert path.read_bytes() == first
 
+    def test_loaded_config_equals_dumped(self, tmp_path):
+        rng = np.random.default_rng(1)
+        weighted = PipelineConfig(
+            scale=8, channels=2, k=3, orders=("first",), alpha_loss=0.25,
+            w_head=rng.normal(size=(64, 2)).astype(np.float32).astype(np.float64),
+        )
+        for i, cfg in enumerate((PipelineConfig(), weighted)):
+            path = tmp_path / f"c{i}.cfg"
+            dump_config(cfg, path)
+            assert load_config(path) == cfg
+
     def test_scalar_fields_survive(self, tmp_path):
         from depthsr.structdet import DetectorParams
 

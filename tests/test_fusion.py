@@ -77,6 +77,15 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             replace(PipelineConfig(), k=0)
 
+    def test_equal_configs_compare_and_hash_alike(self):
+        cfg = PipelineConfig()
+        same = PipelineConfig(w_head=np.zeros((16, 8)))
+        assert cfg == same and hash(cfg) == hash(same)
+        assert {cfg: "entry"}[same] == "entry"
+        assert replace(cfg, k=2) != cfg
+        assert replace(cfg, w_head=np.ones((16, 8))) != cfg
+        assert cfg != "not a config"
+
 
 class TestEncoders:
     def test_constant_image_gives_flat_features(self):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from depthsr import matcher
 from depthsr.grid import DepthMap, FeatureMap, extract_patches, fold_patches
 from depthsr.matcher import (
     CorrelationSet,
@@ -64,14 +67,6 @@ class TestCorrelationSet:
             naive = correlation_set_naive(t, s).values
             assert np.abs(fast - naive).max() <= 1e-6
 
-    def test_blocked_equals_full(self):
-        rng = np.random.default_rng(6)
-        t = FeatureMap(rng.normal(size=(1, 6, 7)))
-        s = FeatureMap(rng.normal(size=(1, 6, 7)))
-        full = correlation_set(t, s).values
-        blocked = correlation_set(t, s, block_rows=5).values
-        np.testing.assert_array_equal(full, blocked)
-
     def test_scale_invariance_of_source(self):
         rng = np.random.default_rng(7)
         t = FeatureMap(rng.normal(size=(1, 5, 5)))
@@ -124,20 +119,34 @@ class TestTopK:
             np.testing.assert_array_equal(fast.psi, ref.psi)
 
     def test_k_out_of_range(self):
-        cs = correlation_set(textured_map(3, 3), textured_map(3, 3))
-        with pytest.raises(ValueError):
-            top_k(cs, 10)
-        with pytest.raises(ValueError):
-            top_k(cs, 0)
+        f = textured_map(3, 3)
+        cs = correlation_set(f, f)
+        for k in (0, 10):
+            with pytest.raises(ValueError):
+                top_k(cs, k)
+            with pytest.raises(ValueError):
+                top_k_streamed(f, f, k)
 
-    def test_streamed_equals_full(self):
+    def test_streamed_equals_full(self, monkeypatch):
+        # 5 x 6 maps: 30 rows of 240 bytes each. Budgets below one row still
+        # give 1-row blocks; 7 rows leave a short last block. The quantized
+        # pair has values in {-1, 0, 1}, so many cosines tie exactly.
         rng = np.random.default_rng(10)
-        t = FeatureMap(rng.normal(size=(1, 5, 6)))
-        s = FeatureMap(rng.normal(size=(1, 5, 6)))
-        full = top_k(correlation_set(t, s), 3)
-        streamed = top_k_streamed(t, s, 3, block_rows=7)
-        np.testing.assert_array_equal(full.eta, streamed.eta)
-        np.testing.assert_array_equal(full.psi, streamed.psi)
+        normal = [FeatureMap(rng.normal(size=(1, 5, 6))) for _ in range(2)]
+        quantized = [
+            FeatureMap(rng.integers(-1, 2, size=(1, 5, 6)).astype(np.float64)) for _ in range(2)
+        ]
+        for t, s in (normal, quantized):
+            cs = correlation_set(t, s)
+            for k in (1, 3, 30):
+                full = top_k(cs, k)
+                naive = top_k_naive(cs, k)
+                for budget in (1, 240, 4 * 240, 7 * 240, 30 * 240):
+                    monkeypatch.setattr(matcher, "MATCH_BLOCK_BYTES", budget)
+                    streamed = top_k_streamed(t, s, k)
+                    for ref in (full, naive):
+                        np.testing.assert_array_equal(streamed.eta, ref.eta)
+                        np.testing.assert_array_equal(streamed.psi, ref.psi)
 
     def test_rerun_bit_identical(self):
         t = textured_map(6, 6, seed=1)
@@ -224,7 +233,7 @@ class TestMatchOrder:
 
         target = hessian_norm(hessian_field(depth))
         source = hessian_norm(hessian_field(rgb))
-        m = top_k(cset(target, source), 1, "second")
+        m = top_k(cset(target, source), 1)
         idx = np.arange(h * w)
         expected = np.clip(idx // w + 3, 0, h - 1) * w + np.clip(idx % w + 4, 0, w - 1)
         hn = target.data[0].ravel()
@@ -236,3 +245,18 @@ class TestMatchOrder:
         f = textured_map(3, 3)
         with pytest.raises(ValueError):
             match_order(f, f, "third", 1)
+
+    def test_peak_memory_stays_below_one_dense_matrix(self, monkeypatch):
+        # hw = 1024: one dense correlation matrix takes 8 MiB; a 64 KiB
+        # budget streams it in 8-row blocks.
+        monkeypatch.setattr(matcher, "MATCH_BLOCK_BYTES", 64 << 10)
+        rgb = textured_map(32, 32, c=2, seed=1)
+        depth = textured_map(32, 32, c=2, seed=3)
+        match_order(rgb, depth, "first", 4)  # warm up lazy allocations
+        tracemalloc.start()
+        try:
+            match_order(rgb, depth, "first", 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024 * 8

@@ -1,0 +1,51 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import depthsr
+
+# Prints a digest of the streamed matches on an LR 32^2 scene (hw = 1024 in
+# 100-row blocks, the last one short) and of a weighted LR 16^2 pipeline run.
+_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from depthsr import fusion, matcher, scenes
+
+matcher.MATCH_BLOCK_BYTES = 100 * 8 * 1024
+big = scenes.render_scene(scenes.SceneSpec(width=128, height=128))
+m = matcher.top_k_streamed(
+    fusion.encode_depth(big.d_lr, 8), fusion.encode_rgb(big.rgb, 4, 8), 4
+)
+rng = np.random.default_rng(0)
+cfg = fusion.PipelineConfig(
+    w_fuse=fusion.default_fuse_weights(8) + 0.1 * rng.normal(size=(8, 32)),
+    w_head=0.01 * rng.normal(size=(16, 8)),
+)
+small = scenes.render_scene(scenes.SceneSpec())
+pred = fusion.run_pipeline(small.rgb, small.d_lr, cfg)
+for arr in (m.eta, m.psi, pred.depth):
+    print(hashlib.sha256(arr.tobytes()).hexdigest())
+"""
+
+
+def test_all_names_resolve_unique_and_sorted():
+    names = depthsr.__all__
+    assert all(hasattr(depthsr, name) for name in names)
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)
+
+
+def test_outputs_do_not_depend_on_thread_count():
+    src = str(Path(depthsr.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        run = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        digests.append(run.stdout.split())
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]
