@@ -15,7 +15,7 @@ from .grid import (
     pixel_unshuffle,
 )
 from .losses import LossReport, add_noise, loss_grad, loss_hes, loss_rec, loss_total, rmse_cm
-from .matcher import CorrelationSet, MatchResult, correlation_set, correlation_set_naive, match_order, matching_selection, top_k, top_k_naive, top_k_streamed
+from .matcher import MatchResult, match_order, matching_selection, top_k, top_k_streamed
 from .structdet import DetectorParams, StructureDescriptor, compute_descriptor, detect, normalize_and_compress, structure_descriptor
 from .trainer import DivergenceError, FitResult, TrainConfig, fit, numeric_grad
 from .scenes import Scene, SceneSpec, render_scene
@@ -23,7 +23,6 @@ from .scenes import Scene, SceneSpec, render_scene
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorrelationSet",
     "DepthMap",
     "DetectorParams",
     "DivergenceError",
@@ -45,8 +44,6 @@ __all__ = [
     "bicubic_resample",
     "compute_descriptor",
     "conv2d",
-    "correlation_set",
-    "correlation_set_naive",
     "detect",
     "eigenvalues",
     "encode_depth",
@@ -74,6 +71,5 @@ __all__ = [
     "run_pipeline",
     "structure_descriptor",
     "top_k",
-    "top_k_naive",
     "top_k_streamed",
 ]

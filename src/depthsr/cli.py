@@ -179,19 +179,21 @@ def cmd_match(args) -> int:
     f_r = fusion.encode_rgb(rgb, args.scale, args.channels)
     f_d = fusion.encode_depth(d_lr, args.channels)
     hw = f_d.height * f_d.width
-    if args.k > hw:
-        raise ValueError(f"k = {args.k} exceeds patch count {hw}")
+    if not 1 <= args.k <= hw:
+        raise ValueError(f"k must be in [1, {hw}], got {args.k}")
     target = matcher.order_map(f_d, args.order)
     source = matcher.order_map(f_r, args.order)
-    cs = matcher.correlation_set(target, source)
-    m = matcher.top_k(cs, args.k)
+    # Top-k is prefix-consistent, so the first k columns are top_k at k; the
+    # second column tells self_match_stats whether a row's maximum is unique.
+    wide = matcher.top_k_streamed(target, source, min(max(args.k, 2), hw))
+    m = matcher.MatchResult(wide.eta[:, : args.k], wide.psi[:, : args.k])
     matched = matcher.matching_selection(f_r, m)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_pfm(out / "eta.pfm", FeatureMap(m.eta.astype(np.float64)[None]))
     write_pfm(out / "psi.pfm", FeatureMap(m.psi[None]))
-    unique, hits = matcher.self_match_stats(cs, m)
+    unique, hits = matcher.self_match_stats(wide)
     matched_dist = float(np.mean(np.abs(matched.data - f_d.data)))
     unmatched_dist = float(np.mean(np.abs(f_r.data - f_d.data)))
     stats = [

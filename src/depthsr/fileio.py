@@ -204,20 +204,3 @@ def write_depth_pfm(path, d: DepthMap) -> None:
     plane = np.where(d.valid, d.depth, 0.0)
     write_pfm(path, FeatureMap.from_plane(plane))
 
-
-_READERS = {"pgm16": read_pgm16, "ppm8": read_ppm8, "pfm": read_pfm}
-_WRITERS = {"pgm16": write_pgm16, "ppm8": write_ppm8, "pfm": write_pfm}
-
-
-def read_image(path, kind: str):
-    """Dispatching reader; kind is one of pgm16 | ppm8 | pfm."""
-    if kind not in _READERS:
-        raise ValueError(f"unknown image kind {kind!r}")
-    return _READERS[kind](path)
-
-
-def write_image(path, image, kind: str) -> None:
-    """Dispatching writer; kind is one of pgm16 | ppm8 | pfm."""
-    if kind not in _WRITERS:
-        raise ValueError(f"unknown image kind {kind!r}")
-    _WRITERS[kind](path, image)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .grid import MIN_DEPTH_M, DepthMap, FeatureMap, bicubic_resample, conv2d, pixel_shuffle, sigmoid
+from .grid import MIN_DEPTH_M, DepthMap, FeatureMap, bicubic_resample, check_finite_settings, conv2d, pixel_shuffle, sigmoid
 from .matcher import ORDERS, match_order
 from .structdet import DetectorParams, detect
 
@@ -77,6 +77,7 @@ class PipelineConfig:
             raise ValueError("k must be positive")
         if self.moma_iters < 1:
             raise ValueError("moma_iters must be at least 1")
+        check_finite_settings(self, "alpha_loss")
         if self.alpha_loss < 0:
             raise ValueError("alpha_loss must be non-negative")
         unknown = set(self.orders) - set(ORDERS)

@@ -25,6 +25,14 @@ class NonFiniteError(ValueError):
     """Raised when NaN or Inf values would enter a grid container."""
 
 
+def check_finite_settings(settings, *names: str) -> None:
+    """Reject a NaN or +-Inf setting with ValueError, before any range check."""
+    for name in names:
+        value = getattr(settings, name)
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _finite_array(data, what: str, dtype=np.float64) -> np.ndarray:
     arr = np.ascontiguousarray(np.asarray(data, dtype=dtype))
     if not np.isfinite(arr).all():

@@ -3,9 +3,10 @@
 The correlation between two c x h x w maps is an hw x hw matrix of cosine
 similarities over flattened, L2-normalized 3x3 patches. Matching streams it
 in row blocks of at most MATCH_BLOCK_BYTES and keeps each block's top-k, so
-it holds a few blocks, never hw^2 floats. The naive double-loop oracles stay
-in the test suite permanently. Top-k is exact with a lowest-index tie-break,
-so results never depend on partition order, block size or thread count.
+it holds a few blocks, never hw^2 floats. The naive double-loop oracles live
+permanently in tests/oracles.py. Top-k is exact with a lowest-index
+tie-break, so results never depend on partition order, block size or thread
+count, and the first k columns of a top-k' result (k' > k) equal top-k.
 """
 
 from __future__ import annotations
@@ -24,29 +25,6 @@ MIN_PATCH_NORM = 1e-12
 
 # Bytes of correlations one streamed block may hold (a row takes 8 * hw).
 MATCH_BLOCK_BYTES = 2 << 20
-
-
-@dataclass(frozen=True)
-class CorrelationSet:
-    """hw x hw cosine similarities; row = target patch, col = source patch."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if vals.ndim != 2:
-            raise ValueError("CorrelationSet expects a 2d matrix")
-        if vals.size and (vals.min() < -1.0 or vals.max() > 1.0):
-            raise ValueError("correlations must lie in [-1, 1]")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -92,37 +70,9 @@ def normalized_patch_matrix(f: FeatureMap) -> np.ndarray:
     return unit
 
 
-def _cosines(t: np.ndarray, s: np.ndarray) -> CorrelationSet:
+def _cosines(t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Cosines between the rows of two normalized patch matrices."""
-    return CorrelationSet(np.clip(np.einsum("id,jd->ij", t, s), -1.0, 1.0))
-
-
-def correlation_set(target: FeatureMap, source: FeatureMap) -> CorrelationSet:
-    """Full cosine-similarity matrix between target and source patches."""
-    _check_same_shape(target, source)
-    return _cosines(normalized_patch_matrix(target), normalized_patch_matrix(source))
-
-
-def correlation_set_naive(target: FeatureMap, source: FeatureMap) -> CorrelationSet:
-    """Two-loop reference: one cosine per (target, source) patch pair.
-
-    Kept as the permanent oracle for the fast path.
-    """
-    _check_same_shape(target, source)
-    t = extract_patches(target).vectors
-    s = extract_patches(source).vectors
-    n = t.shape[0]
-    t_norm = [float(np.sqrt(np.dot(row, row))) for row in t]
-    s_norm = [float(np.sqrt(np.dot(row, row))) for row in s]
-    out = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        if t_norm[i] < MIN_PATCH_NORM:
-            continue
-        for j in range(n):
-            if s_norm[j] < MIN_PATCH_NORM:
-                continue
-            out[i, j] = float(np.dot(t[i], s[j])) / (t_norm[i] * s_norm[j])
-    return CorrelationSet(np.clip(out, -1.0, 1.0))
+    return np.clip(np.einsum("id,jd->ij", t, s), -1.0, 1.0)
 
 
 def _order_rows_by_score(
@@ -135,40 +85,29 @@ def _order_rows_by_score(
     return np.take_along_axis(cols, order, axis=1), np.take_along_axis(psi, order, axis=1)
 
 
-def top_k(cs: CorrelationSet, k: int) -> MatchResult:
-    """Exact per-row top-k via partial selection plus tie repair.
+def top_k(values: np.ndarray, k: int) -> MatchResult:
+    """Exact per-row top-k of a cosine block via partial selection plus tie repair.
 
     Matches the full-sort oracle bit for bit: the retained set are the k
     largest values, tied boundary values resolve to the lowest source
     indices, and rows come back score-descending.
     """
-    n, m = cs.rows, cs.cols
+    n, m = values.shape
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
-    vals = cs.values
-    kth = np.partition(vals, m - k, axis=1)[:, m - k]
-    above = vals > kth[:, None]
+    kth = np.partition(values, m - k, axis=1)[:, m - k]
+    above = values > kth[:, None]
     need = k - above.sum(axis=1)
-    at_kth = vals == kth[:, None]
+    at_kth = values == kth[:, None]
     pick = at_kth & (np.cumsum(at_kth, axis=1) <= need[:, None])
     sel = above | pick
     cols = np.nonzero(sel)[1].reshape(n, k)
-    eta, psi = _order_rows_by_score(vals, cols)
-    return MatchResult(eta, psi)
-
-
-def top_k_naive(cs: CorrelationSet, k: int) -> MatchResult:
-    """Full-sort reference for top_k (stable sort on negated scores)."""
-    n, m = cs.rows, cs.cols
-    if not 1 <= k <= m:
-        raise ValueError(f"k must be in [1, {m}], got {k}")
-    eta = np.argsort(-cs.values, axis=1, kind="stable")[:, :k]
-    psi = np.take_along_axis(cs.values, eta, axis=1)
+    eta, psi = _order_rows_by_score(values, cols)
     return MatchResult(eta, psi)
 
 
 def top_k_streamed(target: FeatureMap, source: FeatureMap, k: int) -> MatchResult:
-    """top_k(correlation_set(target, source), k), one row block at a time.
+    """Top-k source patches per target patch, one row block of cosines at a time.
 
     A block holds at most MATCH_BLOCK_BYTES of correlations (at least one row).
     Rows are independent, so every block size gives a bit-identical result.
@@ -240,10 +179,15 @@ def match_order(
     return matched_rgb, matched_prior
 
 
-def self_match_stats(cs: CorrelationSet, m: MatchResult) -> tuple[int, int]:
-    """(# rows with a unique maximum, # of those whose top-1 is the self index)."""
-    vals = cs.values
-    row_max = vals.max(axis=1)
-    unique = (vals == row_max[:, None]).sum(axis=1) == 1
-    hits = m.eta[:, 0] == np.arange(cs.rows)
+def self_match_stats(m: MatchResult) -> tuple[int, int]:
+    """(# rows with a unique maximum, # of those whose top-1 is the self index).
+
+    m holds each row's top min(2, hw) scores of a square correlation: a row's
+    maximum is unique when its best score beats its second one.
+    """
+    n = m.eta.shape[0]
+    if m.k < min(2, n):
+        raise ValueError("self_match_stats needs the top 2 scores of each row")
+    unique = m.psi[:, 0] > m.psi[:, 1] if m.k > 1 else np.ones(n, dtype=bool)
+    hits = m.eta[:, 0] == np.arange(n)
     return int(unique.sum()), int((unique & hits).sum())

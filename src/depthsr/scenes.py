@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DepthMap, FeatureMap, bicubic_resample, conv2d, _cubic_weights
+from .grid import DepthMap, FeatureMap, bicubic_resample, check_finite_settings, conv2d, _cubic_weights
 from .losses import add_noise
 
 PRESETS = ("planes", "boxes", "ridge", "checker")
@@ -42,6 +42,7 @@ class SceneSpec:
     preset: str = "boxes"
 
     def __post_init__(self):
+        check_finite_settings(self, "dx", "dy", "rotation_deg", "noise_sigma")
         if self.width < 1 or self.height < 1:
             raise ValueError("scene dimensions must be positive")
         if self.scale < 1:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffops import EigenField, eigenvalues, hessian_field
-from .grid import FeatureMap, conv2d, sigmoid
+from .grid import FeatureMap, check_finite_settings, conv2d, sigmoid
 
 EPSILON = 1e-8
 _STD_GUARD = 1e-8
@@ -51,6 +51,7 @@ class DetectorParams:
     beta: float = 1.0
 
     def __post_init__(self):
+        check_finite_settings(self, "alpha_det", "beta")
         if self.alpha_det <= 0:
             raise ValueError("alpha_det must be positive")
         if self.beta <= 0:

@@ -34,7 +34,7 @@ from .fusion import (
     order_matches,
     reconstruct,
 )
-from .grid import FeatureMap, NonFiniteError
+from .grid import FeatureMap, NonFiniteError, check_finite_settings
 from .losses import LossReport, loss_total
 from .scenes import Scene
 
@@ -68,26 +68,15 @@ class TrainConfig:
     log_path: str | None = None
 
     def __post_init__(self):
+        check_finite_settings(self, "lr", "fd_epsilon", "init_scale")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
+        if self.lr < 0:
+            raise ValueError("lr must be non-negative")
         if self.fd_epsilon <= 0:
             raise ValueError("fd_epsilon must be positive")
         if self.init_scale < 0:
             raise ValueError("init_scale must be non-negative")
-
-
-def central_difference(fn, x: np.ndarray, eps: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function at x."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        probe = x.copy()
-        probe[i] = x[i] + eps
-        hi = fn(probe)
-        probe[i] = x[i] - eps
-        lo = fn(probe)
-        grad[i] = (hi - lo) / (2.0 * eps)
-    return grad
 
 
 def pack_params(cfg: PipelineConfig, tcfg: TrainConfig) -> np.ndarray:

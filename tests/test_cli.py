@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from depthsr import matcher
 from depthsr.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _build_parser, _load_pipeline_config, main
 from depthsr.configio import dump_config, load_config
 from depthsr.fileio import read_depth_pfm, read_pfm, read_ppm8, write_depth_pfm, write_ppm8
@@ -106,6 +109,35 @@ class TestMatch:
         assert float(stats["matched_mean_abs_distance"]) < float(
             stats["unmatched_mean_abs_distance"]
         )
+
+    def test_zero_k_is_usage_error_before_writing(self, scene_dir, tmp_path, capsys):
+        # The second score column requested for the stats must not let k = 0
+        # through to the selection.
+        out = tmp_path / "m"
+        code = main(
+            ["match", "--rgb", str(scene_dir / "rgb.ppm"),
+             "--depth", str(scene_dir / "d_lr.pfm"), "--out", str(out), "--k", "0"]
+        )
+        assert code == EXIT_USAGE
+        assert "k must be in [1, 64], got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_peak_memory_stays_below_one_dense_matrix(self, tmp_path, monkeypatch):
+        # LR 32^2: hw = 1024, so one dense correlation matrix takes 8 MiB; a
+        # 64 KiB budget streams it in 8-row blocks.
+        scene = tmp_path / "scene"
+        assert main(["synth", "--out", str(scene), "--width", "128", "--height", "128"]) == EXIT_OK
+        monkeypatch.setattr(matcher, "MATCH_BLOCK_BYTES", 64 << 10)
+        argv = ["match", "--rgb", str(scene / "rgb.ppm"), "--depth", str(scene / "d_lr.pfm")]
+        assert main(argv + ["--out", str(tmp_path / "warm")]) == EXIT_OK
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--out", str(tmp_path / "m")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 1024 * 1024 * 8
 
 
 class TestSr:
@@ -322,6 +354,58 @@ class TestFitCommand:
              "--out-config", str(tmp_path / "x.cfg"), "--fit-params", "head,gamma"]
         )
         assert code == EXIT_USAGE
+
+
+class TestNonFiniteSettings:
+    """NaN, Inf or a negative learning rate is a usage error before any output."""
+
+    @pytest.mark.parametrize("flag", ["--dx", "--dy", "--rot", "--sigma"])
+    def test_synth(self, tmp_path, capsys, flag):
+        out = tmp_path / "s"
+        code = main(["synth", "--out", str(out), "--width", "16", "--height", "16", flag, "nan"])
+        assert code == EXIT_USAGE
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("alpha_det", "nan"), ("beta", "inf"), ("alpha_loss", "inf")]
+    )
+    def test_config_file(self, scene_dir, tmp_path, capsys, key, value):
+        path = tmp_path / "c.cfg"
+        dump_config(PipelineConfig(), path)
+        lines = path.read_text().splitlines()
+        path.write_text("".join(
+            f"{key} = {value}\n" if line.startswith(f"{key} =") else line + "\n"
+            for line in lines
+        ))
+        out = tmp_path / "sr"
+        code = main(
+            ["sr", "--rgb", str(scene_dir / "rgb.ppm"), "--d-lr", str(scene_dir / "d_lr.pfm"),
+             "--d-gt", str(scene_dir / "d_gt.pfm"), "--out", str(out), "--config", str(path)]
+        )
+        assert code == EXIT_USAGE
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--lr", "-0.05"], ["--lr", "nan"], ["--lr", "inf"], ["--fd-eps", "nan"]]
+    )
+    def test_fit(self, scene_dir, tmp_path, flags):
+        out_cfg = tmp_path / "fit.cfg"
+        code = main(
+            ["fit", "--rgb", str(scene_dir / "rgb.ppm"), "--d-lr", str(scene_dir / "d_lr.pfm"),
+             "--d-gt", str(scene_dir / "d_gt.pfm"), "--out-config", str(out_cfg),
+             "--tiny", "--steps", "1", *flags]
+        )
+        assert code == EXIT_USAGE
+        assert not out_cfg.exists()
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_detect(self, scene_dir, tmp_path, flag):
+        out = tmp_path / "d"
+        code = main(["detect", "--rgb", str(scene_dir / "rgb.ppm"), "--out", str(out), flag, "nan"])
+        assert code == EXIT_USAGE
+        assert not out.exists()
 
 
 class TestParser:

@@ -7,12 +7,10 @@ from depthsr.fileio import (
     TruncatedPayloadError,
     UnsupportedMaxvalError,
     read_depth_pfm,
-    read_image,
     read_pfm,
     read_pgm16,
     read_ppm8,
     write_depth_pfm,
-    write_image,
     write_pfm,
     write_pgm16,
     write_ppm8,
@@ -140,13 +138,3 @@ class TestPpm8:
     def test_wrong_channels_on_write(self, tmp_path):
         with pytest.raises(ValueError):
             write_ppm8(tmp_path / "x.ppm", FeatureMap(np.zeros((1, 2, 2))))
-
-
-class TestDispatch:
-    def test_read_write_image_kinds(self, tmp_path):
-        f = FeatureMap(np.zeros((3, 2, 2)))
-        write_image(tmp_path / "x.ppm", f, "ppm8")
-        out = read_image(tmp_path / "x.ppm", "ppm8")
-        assert out.shape == (3, 2, 2)
-        with pytest.raises(ValueError):
-            read_image(tmp_path / "x.ppm", "bmp")

@@ -34,6 +34,11 @@ class TestPipelineConfig:
         assert cfg.alpha_loss == 0.001
         assert cfg.orders == ("zero", "first", "second")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_alpha_loss_rejected(self, value):
+        with pytest.raises(ValueError, match="alpha_loss must be finite"):
+            PipelineConfig(alpha_loss=value)
+
     def test_tiny_profile(self):
         cfg = PipelineConfig.tiny(scale=8)
         assert cfg.channels == 2

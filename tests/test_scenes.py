@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from depthsr.grid import FeatureMap
-from depthsr.matcher import correlation_set, top_k
+from depthsr.matcher import top_k_streamed
 from depthsr.scenes import (
     PRESETS,
     Scene,
@@ -35,6 +35,12 @@ class TestSceneSpec:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             SceneSpec(preset="spheres")
+
+    @pytest.mark.parametrize("name", ["dx", "dy", "rotation_deg", "noise_sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_settings_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SceneSpec(**{name: value})
 
 
 class TestRenderDepth:
@@ -107,7 +113,7 @@ class TestRenderScene:
         # With no misalignment the depth-vs-depth match oracle reports (0,0).
         d_lr, _rgb = render_shifted_pair("boxes", 32, 32, 0, 0)
         f = FeatureMap.from_plane(d_lr.depth)
-        m = top_k(correlation_set(f, f), 1)
+        m = top_k_streamed(f, f, 1)
         unique_rows = np.arange(32 * 32)
         assert (m.eta[:, 0] == unique_rows).mean() > 0.95
 

@@ -30,6 +30,12 @@ class TestDetectorParams:
         with pytest.raises(ValueError):
             DetectorParams(beta=-1.0)
 
+    @pytest.mark.parametrize("name", ["alpha_det", "beta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scalars_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DetectorParams(**{name: value})
+
     def test_epsilon_fixed(self):
         # eps is the module constant EPSILON, not a field.
         with pytest.raises(TypeError):

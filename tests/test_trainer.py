@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from dataclasses import FrozenInstanceError, fields, replace
+from oracles import central_difference
 
 from depthsr.fusion import PipelineConfig, default_fuse_weights, run_pipeline
 from depthsr.grid import DepthMap
@@ -13,7 +14,6 @@ from depthsr.trainer import (
     DivergenceError,
     SceneLoss,
     TrainConfig,
-    central_difference,
     fit,
     numeric_grad,
     pack_params,
@@ -199,3 +199,14 @@ class TestFit:
             TrainConfig(fd_epsilon=0.0)
         with pytest.raises(ValueError):
             TrainConfig(init_scale=-0.1)
+
+    def test_negative_lr_rejected_and_zero_allowed(self):
+        with pytest.raises(ValueError, match="lr must be non-negative"):
+            TrainConfig(lr=-0.05)
+        assert TrainConfig(lr=0.0).lr == 0.0
+
+    @pytest.mark.parametrize("name", ["lr", "fd_epsilon", "init_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_settings_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value})
