@@ -1,7 +1,7 @@
 """Alignment-free guided depth super-resolution via multi-order matching."""
 
 from .diffops import EigenField, HessianField, eigenvalues, gradient_magnitude, hessian_field, hessian_norm
-from .fusion import OrderMatch, PipelineConfig, encode_depth, encode_rgb, moma_step, reconstruct, run_pipeline
+from .fusion import PipelineConfig, encode_depth, encode_rgb, moma_step, reconstruct, run_pipeline
 from .grid import (
     DepthMap,
     FeatureMap,
@@ -33,7 +33,6 @@ __all__ = [
     "LossReport",
     "MatchResult",
     "NonFiniteError",
-    "OrderMatch",
     "PatchSet",
     "PipelineConfig",
     "Scene",

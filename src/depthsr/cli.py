@@ -245,10 +245,15 @@ def cmd_sr(args) -> int:
     rgb = read_ppm8(args.rgb)
     d_lr = read_depth_pfm(args.d_lr)
     d_gt = read_depth_pfm(args.d_gt)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if (d_gt.height, d_gt.width) != (cfg.scale * d_lr.height, cfg.scale * d_lr.width):
+        raise _UsageError(
+            f"GT depth {d_gt.height}x{d_gt.width} is not {cfg.scale}x the "
+            f"LR depth {d_lr.height}x{d_lr.width}"
+        )
 
     pred, stats = _run_sr_once(rgb, d_lr, d_gt, cfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_depth_pfm(out / "d_hr.pfm", pred)
     write_ppm8(out / "error_map.ppm", _error_map(pred, d_gt))
     lines = [
@@ -283,6 +288,14 @@ def cmd_detect(args) -> int:
     rgb = read_ppm8(args.rgb)
     params = structdet.DetectorParams(alpha_det=args.alpha, beta=args.beta)
     f_r = fusion.encode_rgb(rgb, 1, args.channels)
+    ridge = args.meta is not None and _read_meta(args.meta).get("preset") == "ridge"
+    if ridge:
+        crest, flat = scenes.ridge_masks(f_r.height, f_r.width)
+        if not (crest.any() and flat.any()):
+            raise _UsageError(
+                f"ridge image {f_r.height}x{f_r.width} is too small for the "
+                "--meta crest and flat statistics"
+            )
     descriptor = structdet.compute_descriptor(f_r, params)
     gate = structdet.refine_gate(descriptor)
 
@@ -293,18 +306,15 @@ def cmd_detect(args) -> int:
 
     s = descriptor.s.data[0]
     lines = [f"s_mean={_fmt(float(s.mean()))}", f"s_max={_fmt(float(s.max()))}"]
-    if args.meta is not None:
-        meta = _read_meta(args.meta)
-        if meta.get("preset") == "ridge":
-            crest, flat = scenes.ridge_masks(f_r.height, f_r.width)
-            crest_mean = float(s[crest].mean())
-            flat_mean = float(s[flat].mean())
-            ratio = crest_mean / flat_mean if flat_mean > 0 else float("inf")
-            lines += [
-                f"crest_mean={_fmt(crest_mean)}",
-                f"flat_mean={_fmt(flat_mean)}",
-                f"crest_to_flat_ratio={_fmt(ratio)}",
-            ]
+    if ridge:
+        crest_mean = float(s[crest].mean())
+        flat_mean = float(s[flat].mean())
+        ratio = crest_mean / flat_mean if flat_mean > 0 else float("inf")
+        lines += [
+            f"crest_mean={_fmt(crest_mean)}",
+            f"flat_mean={_fmt(flat_mean)}",
+            f"crest_to_flat_ratio={_fmt(ratio)}",
+        ]
     print("\n".join(lines))
     return EXIT_OK
 

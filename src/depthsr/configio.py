@@ -3,6 +3,8 @@
 Lines starting with '#' are comments; unknown or duplicate keys are
 rejected. Weight matrices live in PFM sidecars referenced by relative path
 (or the literal `default`), so dump -> load -> dump is byte-identical.
+The sidecars are `<f4`, so weights round-trip at float32 precision: a
+loaded fitted config reproduces the fit's loss only to about 1e-7 relative.
 """
 
 from __future__ import annotations

@@ -15,6 +15,8 @@ module wrote byte for byte.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from .grid import DepthMap, FeatureMap
@@ -91,7 +93,7 @@ def _payload(buf: bytes, start: int, nbytes: int, what: str) -> bytes:
 
 def read_pgm16(path) -> DepthMap:
     """Read 16-bit big-endian PGM depth; millimeters, 0 = invalid."""
-    buf = open(path, "rb").read()
+    buf = Path(path).read_bytes()
     tokens, start = _read_tokens(buf, 4, "PGM")
     if tokens[0] != b"P5":
         raise MalformedHeaderError(f"PGM: bad magic {tokens[0]!r}")
@@ -125,7 +127,7 @@ def write_pgm16(path, d: DepthMap) -> None:
 
 def read_ppm8(path) -> FeatureMap:
     """Read 8-bit PPM into a 3 x h x w map scaled to [0, 1]."""
-    buf = open(path, "rb").read()
+    buf = Path(path).read_bytes()
     tokens, start = _read_tokens(buf, 4, "PPM")
     if tokens[0] != b"P6":
         raise MalformedHeaderError(f"PPM: bad magic {tokens[0]!r}")
@@ -154,7 +156,7 @@ def write_ppm8(path, f: FeatureMap) -> None:
 
 def read_pfm(path) -> FeatureMap:
     """Read little-endian PFM (Pf = 1 channel, PF = 3 channels)."""
-    buf = open(path, "rb").read()
+    buf = Path(path).read_bytes()
     tokens, start = _read_tokens(buf, 4, "PFM")
     if tokens[0] == b"Pf":
         channels = 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .grid import MIN_DEPTH_M, DepthMap, FeatureMap, bicubic_resample, check_finite_settings, conv2d, pixel_shuffle, sigmoid
+from .grid import GAUSS_3X3, MIN_DEPTH_M, DepthMap, FeatureMap, bicubic_resample, check_finite_settings, conv2d, pixel_shuffle, sigmoid
 from .matcher import ORDERS, match_order
 from .structdet import DetectorParams, detect
 
@@ -35,14 +35,13 @@ def filter_bank(channels: int) -> np.ndarray:
         raise ValueError(f"filter bank provides 1..{MAX_CHANNELS} channels")
     ident = np.zeros((3, 3))
     ident[1, 1] = 1.0
-    gauss = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]) / 16.0
     sobel_x = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]]) / 8.0
     sobel_y = sobel_x.T.copy()
     laplace = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
     diag_a = np.array([[2.0, 1.0, 0.0], [1.0, 0.0, -1.0], [0.0, -1.0, -2.0]]) / 8.0
     diag_b = np.array([[0.0, 1.0, 2.0], [-1.0, 0.0, 1.0], [-2.0, -1.0, 0.0]]) / 8.0
     box = np.ones((3, 3)) / 9.0
-    bank = np.stack((ident, gauss, sobel_x, sobel_y, laplace, diag_a, diag_b, box))
+    bank = np.stack((ident, GAUSS_3X3, sobel_x, sobel_y, laplace, diag_a, diag_b, box))
     return bank[:channels, None, :, :]
 
 
@@ -135,14 +134,6 @@ def default_head_weights(scale: int, channels: int) -> np.ndarray:
     return np.zeros((scale * scale, channels))
 
 
-@dataclass(frozen=True)
-class OrderMatch:
-    """Matched RGB features plus the matched prior map (None at zero order)."""
-
-    matched_rgb: FeatureMap
-    matched_prior: FeatureMap | None
-
-
 def _standardize_plane(plane: np.ndarray) -> np.ndarray:
     return (plane - plane.mean()) / (plane.std() + 1e-8)
 
@@ -176,19 +167,15 @@ def encode_depth(d: DepthMap, channels: int) -> FeatureMap:
 
 def order_matches(
     f_r: FeatureMap, f_d: FeatureMap, cfg: PipelineConfig
-) -> dict[str, OrderMatch]:
-    """Run every enabled matching order against the current depth features."""
-    out: dict[str, OrderMatch] = {}
-    for order in cfg.orders:
-        matched_rgb, matched_prior = match_order(f_r, f_d, order, cfg.k)
-        out[order] = OrderMatch(matched_rgb, matched_prior)
-    return out
+) -> dict[str, tuple[FeatureMap, FeatureMap | None]]:
+    """(matched RGB, matched prior) of every enabled order, as `match_order`
+    returns them; the prior is None at zero order."""
+    return {order: match_order(f_r, f_d, order, cfg.k) for order in cfg.orders}
 
 
 def aggregate(
     f_d: FeatureMap,
-    f_r: FeatureMap,
-    matches: dict[str, OrderMatch],
+    matches: dict[str, tuple[FeatureMap, FeatureMap | None]],
     cfg: PipelineConfig,
 ) -> FeatureMap:
     """Fuse depth features with gated matched RGB features.
@@ -199,16 +186,16 @@ def aggregate(
     """
     blocks = [f_d.data]
     for order in ORDERS:
-        om = matches.get(order)
-        if om is None:
+        if order not in matches:
             blocks.append(np.zeros_like(f_d.data))
             continue
-        feat = detect(om.matched_rgb, cfg.detector_params) if cfg.detector else om.matched_rgb
+        matched_rgb, matched_prior = matches[order]
+        feat = detect(matched_rgb, cfg.detector_params) if cfg.detector else matched_rgb
         if feat.shape != f_d.shape:
             raise ValueError(f"{order}-order block shape {feat.shape} != {f_d.shape}")
         block = feat.data
-        if om.matched_prior is not None:
-            block = sigmoid(om.matched_prior.data) * block
+        if matched_prior is not None:
+            block = sigmoid(matched_prior.data) * block
         blocks.append(block)
     cat = np.concatenate(blocks, axis=0)
     return FeatureMap(np.einsum("oc,chw->ohw", cfg.w_fuse, cat))
@@ -222,7 +209,7 @@ def moma_step(f_d: FeatureMap, f_r: FeatureMap, cfg: PipelineConfig) -> FeatureM
     """
     if f_d.shape != f_r.shape:
         raise ValueError(f"feature shape mismatch: depth {f_d.shape}, rgb {f_r.shape}")
-    return aggregate(f_d, f_r, order_matches(f_r, f_d, cfg), cfg)
+    return aggregate(f_d, order_matches(f_r, f_d, cfg), cfg)
 
 
 def reconstruct(f_d: FeatureMap, d_lr: DepthMap, cfg: PipelineConfig) -> DepthMap:

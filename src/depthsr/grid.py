@@ -20,6 +20,10 @@ PATCH_SIZE = 3
 # inputs are clamped here so validity always implies a positive depth.
 MIN_DEPTH_M = 1e-6
 
+# Read-only 3x3 Gaussian of the filter bank, the checker preset and the gate.
+GAUSS_3X3 = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]) / 16.0
+GAUSS_3X3.setflags(write=False)
+
 
 class NonFiniteError(ValueError):
     """Raised when NaN or Inf values would enter a grid container."""

@@ -53,13 +53,6 @@ class MatchResult:
         return self.eta.shape[1]
 
 
-def _check_same_shape(target: FeatureMap, source: FeatureMap) -> None:
-    if target.shape != source.shape:
-        raise ValueError(
-            f"target shape {target.shape} != source shape {source.shape}"
-        )
-
-
 def normalized_patch_matrix(f: FeatureMap) -> np.ndarray:
     """L2-normalized patch rows; rows below MIN_PATCH_NORM become zero."""
     vec = extract_patches(f).vectors
@@ -112,7 +105,8 @@ def top_k_streamed(target: FeatureMap, source: FeatureMap, k: int) -> MatchResul
     A block holds at most MATCH_BLOCK_BYTES of correlations (at least one row).
     Rows are independent, so every block size gives a bit-identical result.
     """
-    _check_same_shape(target, source)
+    if target.shape != source.shape:
+        raise ValueError(f"target shape {target.shape} != source shape {source.shape}")
     t, s = normalized_patch_matrix(target), normalized_patch_matrix(source)
     n = t.shape[0]
     rows = max(1, MATCH_BLOCK_BYTES // (8 * n))
@@ -170,7 +164,6 @@ def match_order(
     second: correlate Hessian-norm maps, select from RGB and from the RGB
             Hessian norm -> (matched RGB, matched Hessian)
     """
-    _check_same_shape(rgb, depth)
     target = order_map(depth, order)
     source = order_map(rgb, order)
     m = top_k_streamed(target, source, k)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DepthMap, FeatureMap, bicubic_resample, check_finite_settings, conv2d, _cubic_weights
+from .grid import GAUSS_3X3, DepthMap, FeatureMap, bicubic_resample, check_finite_settings, conv2d, _cubic_weights
 from .losses import add_noise
 
 PRESETS = ("planes", "boxes", "ridge", "checker")
@@ -124,8 +124,7 @@ def render_depth(preset: str, height: int, width: int) -> np.ndarray:
     cell_v = np.floor(v * _CHECKER_CELLS).astype(int)
     pattern = ((cell_u + cell_v) % 2).astype(np.float64)
     depth = 2.0 + 0.3 * (2.0 * pattern - 1.0)
-    gauss = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]) / 16.0
-    return conv2d(FeatureMap.from_plane(depth), gauss[None, None]).data[0]
+    return conv2d(FeatureMap.from_plane(depth), GAUSS_3X3[None, None]).data[0]
 
 
 def sample_bicubic(plane: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -153,14 +152,6 @@ def value_noise(height: int, width: int, cell: int, seed: int) -> np.ndarray:
     xs = (np.arange(width, dtype=np.float64)[None, :] + 0.5) / cell + 0.5
     ys, xs = np.broadcast_arrays(ys, xs)
     return np.clip(sample_bicubic(grid, ys, xs), 0.0, 1.0)
-
-
-def shift_plane(plane: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Shift content by (+dy, +dx) pixels with replicate borders."""
-    h, w = plane.shape
-    ys = np.clip(np.arange(h) - dy, 0, h - 1)
-    xs = np.clip(np.arange(w) - dx, 0, w - 1)
-    return plane[np.ix_(ys, xs)]
 
 
 def shade(depth: np.ndarray, d_min: float, d_max: float) -> np.ndarray:
@@ -212,30 +203,6 @@ def render_scene(spec: SceneSpec) -> Scene:
     return Scene(rgb=rgb, d_gt=d_gt, d_lr=d_lr, d_lr_noisy=noisy, spec=spec)
 
 
-def render_shifted_pair(
-    preset: str,
-    height: int,
-    width: int,
-    dy: int,
-    dx: int,
-    texture_weight: float = 0.15,
-    seed: int = 11,
-) -> tuple[DepthMap, FeatureMap]:
-    """LR-resolution depth plus an RGB view of the same scene shifted by
-    (+dy, +dx) integer pixels; the shift is the ground-truth misalignment."""
-    depth = render_depth(preset, height, width)
-    view = shift_plane(depth, dy, dx)
-    tex = value_noise(height, width, max(4, width // 6), seed)
-    gray = np.clip(
-        (1.0 - texture_weight) * shade(view, float(depth.min()), float(depth.max()))
-        + texture_weight * tex,
-        0.0,
-        1.0,
-    )
-    rgb = FeatureMap(np.clip(np.stack((gray, 0.94 * gray + 0.03, 0.88 * gray + 0.02)), 0.0, 1.0))
-    return DepthMap.all_valid(depth), rgb
-
-
 def ridge_masks(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """(crest, flat-background) masks for the ridge preset geometry."""
     v, u = _unit_grid(height, width)
@@ -246,16 +213,3 @@ def ridge_masks(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     interior[border:-border, border:-border] = True
     flat = (dist_px >= 10.0) & interior
     return crest, flat
-
-
-def checker_corner_mask(height: int, width: int) -> np.ndarray:
-    """Pixels near the cell junctions of the checker preset."""
-    v, u = _unit_grid(height, width)
-    fu = u * _CHECKER_CELLS
-    fv = v * _CHECKER_CELLS
-    du = np.abs(fu - np.rint(fu)) * (width / _CHECKER_CELLS)
-    dv = np.abs(fv - np.rint(fv)) * (height / _CHECKER_CELLS)
-    corners = (du <= 1.5) & (dv <= 1.5)
-    # Junctions on the image border are not proper corners.
-    inner = (fu > 0.5) & (fu < _CHECKER_CELLS - 0.5) & (fv > 0.5) & (fv < _CHECKER_CELLS - 0.5)
-    return corners & inner

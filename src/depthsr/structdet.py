@@ -8,10 +8,11 @@ descriptor in [0, 1]:
         * exp(-|l1 * l2| / (beta + eps))        # texture suppression
         * [l2 < 0]                              # geometric mask (hard)
 
-A small fixed refinement stack (three 3x3 convolutions, widths 1->4->4->1,
-zero biases, sigmoid output) turns S into a gate that multiplies the input
-features. alpha and beta are the trainable scalars; eps and the refinement
-kernels are module constants.
+The gate sigmoid(G * S), G the 3x3 Gaussian `grid.GAUSS_3X3`, multiplies
+the input features. It is the closed form of a fixed 1->4->4->1 stack of
+3x3 convolutions with ReLUs: on S >= 0 no ReLU clips, the middle kernel is
+the identity and the last averages four equal channels. alpha and beta are
+the trainable scalars; eps is a module constant.
 """
 
 from __future__ import annotations
@@ -21,26 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffops import EigenField, eigenvalues, hessian_field
-from .grid import FeatureMap, check_finite_settings, conv2d, sigmoid
+from .grid import GAUSS_3X3, FeatureMap, check_finite_settings, conv2d, sigmoid
 
 EPSILON = 1e-8
 _STD_GUARD = 1e-8
-
-
-def default_refine_kernels(width: int = 4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed refinement kernels: Gaussian spread, identity, channel average."""
-    gauss = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]) / 16.0
-    k1 = np.zeros((width, 1, 3, 3))
-    k1[:, 0] = gauss
-    k2 = np.zeros((width, width, 3, 3))
-    for i in range(width):
-        k2[i, i, 1, 1] = 1.0
-    k3 = np.zeros((1, width, 3, 3))
-    k3[0, :, 1, 1] = 1.0 / width
-    return k1, k2, k3
-
-
-REFINE_KERNELS = default_refine_kernels()
 
 
 @dataclass(frozen=True)
@@ -97,12 +82,8 @@ def compute_descriptor(f: FeatureMap, p: DetectorParams) -> StructureDescriptor:
 
 
 def refine_gate(descriptor: StructureDescriptor) -> FeatureMap:
-    """sigmoid(conv3(relu(conv2(relu(conv1(S)))))), a (0, 1) gate map."""
-    k1, k2, k3 = REFINE_KERNELS
-    x = np.maximum(conv2d(descriptor.s, k1).data, 0.0)
-    x = np.maximum(conv2d(FeatureMap(x), k2).data, 0.0)
-    x = conv2d(FeatureMap(x), k3).data
-    return FeatureMap(sigmoid(x))
+    """sigmoid(G * S) with G the 3x3 Gaussian, a (0, 1) gate map."""
+    return FeatureMap(sigmoid(conv2d(descriptor.s, GAUSS_3X3[None, None]).data))
 
 
 def detect(f_r: FeatureMap, p: DetectorParams) -> FeatureMap:

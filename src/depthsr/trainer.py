@@ -79,44 +79,42 @@ class TrainConfig:
             raise ValueError("init_scale must be non-negative")
 
 
+def _layout(cfg: PipelineConfig, tcfg: TrainConfig) -> list[tuple[str, np.ndarray, int]]:
+    """The enabled parameter blocks in vector order: (name, value, init fan-in).
+
+    A fan-in of 0 marks a detector scalar: it starts at its configured value
+    and stays at least _PARAM_FLOOR. `w_head` always comes first.
+    """
+    dp = cfg.detector_params
+    blocks = (
+        (tcfg.fit_head, "w_head", cfg.w_head, cfg.channels),
+        (tcfg.fit_fuse, "w_fuse", cfg.w_fuse, 4 * cfg.channels),
+        (tcfg.fit_alpha, "alpha_det", np.array([dp.alpha_det]), 0),
+        (tcfg.fit_beta, "beta", np.array([dp.beta]), 0),
+    )
+    return [(name, value, fan_in) for enabled, name, value, fan_in in blocks if enabled]
+
+
 def pack_params(cfg: PipelineConfig, tcfg: TrainConfig) -> np.ndarray:
     """Flatten the enabled parameter subset into one vector."""
-    parts = []
-    if tcfg.fit_head:
-        parts.append(cfg.w_head.ravel())
-    if tcfg.fit_fuse:
-        parts.append(cfg.w_fuse.ravel())
-    if tcfg.fit_alpha:
-        parts.append(np.array([cfg.detector_params.alpha_det]))
-    if tcfg.fit_beta:
-        parts.append(np.array([cfg.detector_params.beta]))
-    if not parts:
-        return np.empty(0)
-    return np.concatenate(parts)
+    parts = [value.ravel() for _, value, _ in _layout(cfg, tcfg)]
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def unpack_params(vec: np.ndarray, cfg: PipelineConfig, tcfg: TrainConfig) -> PipelineConfig:
     """Rebuild a config with the vector's values on the enabled subset."""
-    changes = {}
+    weights, scalars = {}, {}
     i = 0
-    if tcfg.fit_head:
-        n = cfg.w_head.size
-        changes["w_head"] = vec[i : i + n].reshape(cfg.w_head.shape)
-        i += n
-    if tcfg.fit_fuse:
-        n = cfg.w_fuse.size
-        changes["w_fuse"] = vec[i : i + n].reshape(cfg.w_fuse.shape)
-        i += n
-    dp = cfg.detector_params
-    if tcfg.fit_alpha:
-        dp = replace(dp, alpha_det=max(float(vec[i]), _PARAM_FLOOR))
-        i += 1
-    if tcfg.fit_beta:
-        dp = replace(dp, beta=max(float(vec[i]), _PARAM_FLOOR))
-        i += 1
+    for name, value, fan_in in _layout(cfg, tcfg):
+        part = vec[i : i + value.size]
+        i += value.size
+        if fan_in:
+            weights[name] = part.reshape(value.shape)
+        else:
+            scalars[name] = max(float(part[0]), _PARAM_FLOOR)
     if i != vec.size:
         raise ValueError(f"parameter vector length {vec.size}, consumed {i}")
-    return replace(cfg, detector_params=dp, **changes)
+    return replace(cfg, detector_params=replace(cfg.detector_params, **scalars), **weights)
 
 
 class SceneLoss:
@@ -134,12 +132,12 @@ class SceneLoss:
         self.f_r = encode_rgb(scene.rgb, cfg.scale, cfg.channels)
         self.f_d0 = encode_depth(scene.d_lr, cfg.channels)
         self.first_matches = order_matches(self.f_r, self.f_d0, cfg)
-        # Parameter vector layout, for stage-aware probing.
+        # Leading head coordinates, for stage-aware probing (see _layout).
         self.n_head = cfg.w_head.size if tcfg.fit_head else 0
 
     def fused_features(self, cfg: PipelineConfig) -> FeatureMap:
         """Run the MOMA iterations under a probe config."""
-        f_d = aggregate(self.f_d0, self.f_r, self.first_matches, cfg)
+        f_d = aggregate(self.f_d0, self.first_matches, cfg)
         for _ in range(cfg.moma_iters - 1):
             f_d = moma_step(f_d, self.f_r, cfg)
         return f_d
@@ -151,9 +149,6 @@ class SceneLoss:
     def report(self, vec: np.ndarray) -> LossReport:
         cfg = unpack_params(vec, self.cfg, self.tcfg)
         return self.head_report(self.fused_features(cfg), cfg)
-
-    def __call__(self, vec: np.ndarray) -> float:
-        return self.report(vec).l_total
 
     def gradient(self, vec: np.ndarray, step: int) -> np.ndarray:
         """Central-difference gradient, staged per parameter block.
@@ -216,19 +211,12 @@ def _initial_params(cfg: PipelineConfig, tcfg: TrainConfig) -> np.ndarray:
     if params.size == 0 or tcfg.init_scale == 0:
         return params
     rng = np.random.default_rng(tcfg.seed)
-    noise = np.zeros_like(params)
-    i = 0
-    if tcfg.fit_head:
-        n = cfg.w_head.size
-        std = tcfg.init_scale / np.sqrt(cfg.channels)
-        noise[i : i + n] = rng.normal(0.0, std, size=n)
-        i += n
-    if tcfg.fit_fuse:
-        n = cfg.w_fuse.size
-        std = tcfg.init_scale / np.sqrt(4 * cfg.channels)
-        noise[i : i + n] = rng.normal(0.0, std, size=n)
-        i += n
-    return params + noise
+    noise = [
+        rng.normal(0.0, tcfg.init_scale / np.sqrt(fan_in), size=value.size)
+        if fan_in else np.zeros(value.size)
+        for _, value, fan_in in _layout(cfg, tcfg)
+    ]
+    return params + np.concatenate(noise)
 
 
 def fit(scene: Scene, tcfg: TrainConfig, cfg: PipelineConfig) -> FitResult:
@@ -238,15 +226,12 @@ def fit(scene: Scene, tcfg: TrainConfig, cfg: PipelineConfig) -> FitResult:
     CSV covering the whole trajectory. Aborts with DivergenceError
     (carrying the step index) if the loss goes non-finite.
     """
-    if pack_params(cfg, tcfg).size == 0:
-        loss = SceneLoss(scene, cfg, tcfg)
-        history = [_evaluate(loss, np.empty(0), 0)]
-        _write_log(tcfg, history)
-        return FitResult(cfg, history)
-
     loss = SceneLoss(scene, cfg, tcfg)
     params = _initial_params(cfg, tcfg)
     history = [_evaluate(loss, params, 0)]
+    if params.size == 0:
+        _write_log(tcfg, history)
+        return FitResult(cfg, history)
     current = history[0].l_total
     best_params = params.copy()
     best_loss = current

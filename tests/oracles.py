@@ -6,8 +6,9 @@ stay here permanently so every faster path keeps a ground truth.
 
 import numpy as np
 
-from depthsr.grid import FeatureMap, extract_patches
+from depthsr.grid import FeatureMap, conv2d, extract_patches, sigmoid
 from depthsr.matcher import MIN_PATCH_NORM, MatchResult
+from depthsr.structdet import StructureDescriptor
 
 
 def correlation_set_naive(target: FeatureMap, source: FeatureMap) -> np.ndarray:
@@ -51,3 +52,20 @@ def central_difference(fn, x: np.ndarray, eps: float) -> np.ndarray:
         lo = fn(probe)
         grad[i] = (hi - lo) / (2.0 * eps)
     return grad
+
+
+def refine_gate_stack(descriptor: StructureDescriptor, width: int = 4) -> FeatureMap:
+    """The detector gate as a fixed stack of three 3x3 convolutions, widths
+    1 -> width -> width -> 1, zero biases: Gaussian spread, ReLU, identity,
+    ReLU, channel average, sigmoid."""
+    gauss = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]) / 16.0
+    k1 = np.zeros((width, 1, 3, 3))
+    k1[:, 0] = gauss
+    k2 = np.zeros((width, width, 3, 3))
+    for i in range(width):
+        k2[i, i, 1, 1] = 1.0
+    k3 = np.zeros((1, width, 3, 3))
+    k3[0, :, 1, 1] = 1.0 / width
+    x = np.maximum(conv2d(descriptor.s, k1).data, 0.0)
+    x = np.maximum(conv2d(FeatureMap(x), k2).data, 0.0)
+    return FeatureMap(sigmoid(conv2d(FeatureMap(x), k3).data))

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from depthsr import matcher
+from depthsr import fusion, matcher
 from depthsr.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _build_parser, _load_pipeline_config, main
 from depthsr.configio import dump_config, load_config
 from depthsr.fileio import read_depth_pfm, read_pfm, read_ppm8, write_depth_pfm, write_ppm8
@@ -177,6 +177,33 @@ class TestSr:
         )
         assert code == EXIT_USAGE
 
+    def test_pipeline_error_leaves_no_output_directory(self, scene_dir, tmp_path, capsys):
+        out = tmp_path / "sr"
+        code = main(
+            ["sr", "--rgb", str(scene_dir / "rgb.ppm"),
+             "--d-lr", str(scene_dir / "d_lr.pfm"),
+             "--d-gt", str(scene_dir / "d_gt.pfm"),
+             "--out", str(out), "--tiny", "--k", "1000"]
+        )
+        assert code == EXIT_USAGE
+        assert "k must be in [1, 64], got 1000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gt_shape_checked_before_pipeline(self, scene_dir, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fusion, "run_pipeline", lambda *args: calls.append(args))
+        out = tmp_path / "sr"
+        code = main(
+            ["sr", "--rgb", str(scene_dir / "rgb.ppm"),
+             "--d-lr", str(scene_dir / "d_lr.pfm"),
+             "--d-gt", str(scene_dir / "d_lr.pfm"),
+             "--out", str(out), "--tiny"]
+        )
+        assert code == EXIT_USAGE
+        assert "GT depth 8x8 is not 4x the LR depth 8x8" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_orders_flag_accepted(self, scene_dir, tmp_path):
         code = main(
             ["sr", "--rgb", str(scene_dir / "rgb.ppm"),
@@ -289,6 +316,21 @@ class TestDetect:
             line.split("=", 1) for line in printed.splitlines() if "=" in line
         )
         assert float(stats["crest_mean"]) >= 5.0 * float(stats["flat_mean"])
+
+    def test_small_ridge_meta_is_usage_error_before_writing(self, tmp_path, capsys):
+        scene = tmp_path / "ridge"
+        assert main(
+            ["synth", "--out", str(scene), "--preset", "ridge", "--width", "4",
+             "--height", "4"]
+        ) == EXIT_OK
+        out = tmp_path / "detect"
+        code = main(
+            ["detect", "--rgb", str(scene / "rgb.ppm"), "--out", str(out),
+             "--meta", str(scene / "scene.meta")]
+        )
+        assert code == EXIT_USAGE
+        assert "ridge image 4x4 is too small" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEval:

@@ -2,9 +2,9 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
+from helpers import render_shifted_pair
 
 from depthsr.fusion import (
-    OrderMatch,
     PipelineConfig,
     aggregate,
     default_fuse_weights,
@@ -18,7 +18,7 @@ from depthsr.fusion import (
 )
 from depthsr.grid import DepthMap, FeatureMap, bicubic_resample, sigmoid
 from depthsr.losses import add_noise
-from depthsr.scenes import SceneSpec, render_scene, render_shifted_pair
+from depthsr.scenes import SceneSpec, render_scene
 
 
 def gray_image(plane):
@@ -141,8 +141,7 @@ class TestAggregate:
         rng = np.random.default_rng(1)
         cfg = PipelineConfig(scale=4, channels=4, orders=())
         f_d = FeatureMap(rng.normal(size=(4, 5, 5)))
-        f_r = FeatureMap(rng.normal(size=(4, 5, 5)))
-        out = aggregate(f_d, f_r, {}, cfg)
+        out = aggregate(f_d, {}, cfg)
         np.testing.assert_array_equal(out.data, f_d.data)
 
     def test_zero_prior_gates_at_half(self):
@@ -156,10 +155,9 @@ class TestAggregate:
             w_fuse=np.concatenate([np.zeros((c, 2 * c)), np.eye(c), np.zeros((c, c))], axis=1),
         )
         f_d = FeatureMap(rng.normal(size=(c, 4, 4)))
-        f_r = FeatureMap(rng.normal(size=(c, 4, 4)))
         matched = FeatureMap(rng.normal(size=(c, 4, 4)))
-        matches = {"first": OrderMatch(matched, FeatureMap(np.zeros((c, 4, 4))))}
-        out = aggregate(f_d, f_r, matches, cfg)
+        matches = {"first": (matched, FeatureMap(np.zeros((c, 4, 4))))}
+        out = aggregate(f_d, matches, cfg)
         np.testing.assert_allclose(out.data, 0.5 * matched.data, atol=1e-12)
 
     def test_gates_are_sigmoid_of_prior(self):
@@ -173,10 +171,9 @@ class TestAggregate:
             w_fuse=np.concatenate([np.zeros((c, 3 * c)), np.eye(c)], axis=1),
         )
         f_d = FeatureMap(rng.normal(size=(c, 3, 3)))
-        f_r = FeatureMap(rng.normal(size=(c, 3, 3)))
         matched = FeatureMap(rng.normal(size=(c, 3, 3)))
         prior = FeatureMap(rng.normal(size=(c, 3, 3)))
-        out = aggregate(f_d, f_r, {"second": OrderMatch(matched, prior)}, cfg)
+        out = aggregate(f_d, {"second": (matched, prior)}, cfg)
         np.testing.assert_allclose(out.data, sigmoid(prior.data) * matched.data, atol=1e-12)
 
     def test_one_step_beats_addition_fusion_on_shifted_scene(self):
@@ -193,7 +190,7 @@ class TestAggregate:
             scale=4, channels=c, moma_iters=1, orders=("zero",),
             detector=False, w_fuse=w_fuse,
         )
-        fused = aggregate(f_d0, f_r, order_matches(f_r, f_d0, cfg), cfg)
+        fused = aggregate(f_d0, order_matches(f_r, f_d0, cfg), cfg)
         addition = 0.5 * (f_d0.data + f_r.data)
         d_matched = np.abs(fused.data - reference.data).mean()
         d_addition = np.abs(addition - reference.data).mean()

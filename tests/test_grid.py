@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthsr.grid import (
+    GAUSS_3X3,
     DepthMap,
     FeatureMap,
     NonFiniteError,
@@ -116,6 +117,12 @@ class TestConv2d:
         k[0, 0, 1, 1] = 1.0
         k[1, 1, 1, 1] = 1.0
         np.testing.assert_array_equal(conv2d(f, k).data, f.data)
+
+    def test_gauss_kernel_is_read_only_and_normalized(self):
+        assert not GAUSS_3X3.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            GAUSS_3X3[1, 1] = 0.0
+        assert GAUSS_3X3.sum() == 1.0
 
     def test_box_kernel_preserves_constant(self):
         f = FeatureMap(np.full((1, 4, 4), 2.5))

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import shift_plane
 from oracles import correlation_set_naive, top_k_naive
 
 from depthsr import matcher
@@ -15,7 +16,7 @@ from depthsr.matcher import (
     top_k,
     top_k_streamed,
 )
-from depthsr.scenes import render_depth, shift_plane, value_noise
+from depthsr.scenes import render_depth, value_noise
 
 
 def textured_map(h, w, c=1, seed=0):

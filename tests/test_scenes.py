@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import checker_corner_mask, render_shifted_pair, shift_plane
 
 from depthsr.grid import FeatureMap
 from depthsr.matcher import top_k_streamed
@@ -7,13 +8,10 @@ from depthsr.scenes import (
     PRESETS,
     Scene,
     SceneSpec,
-    checker_corner_mask,
     render_depth,
     render_scene,
-    render_shifted_pair,
     ridge_masks,
     sample_bicubic,
-    shift_plane,
     value_noise,
 )
 

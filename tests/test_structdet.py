@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from helpers import checker_corner_mask
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from oracles import refine_gate_stack
 
 from depthsr.diffops import EigenField, eigenvalues, hessian_field
 from depthsr.fusion import encode_rgb
 from depthsr.grid import FeatureMap
-from depthsr.scenes import SceneSpec, checker_corner_mask, render_scene, ridge_masks
+from depthsr.scenes import SceneSpec, render_scene, ridge_masks
 from depthsr.structdet import (
     DetectorParams,
     StructureDescriptor,
@@ -115,6 +120,27 @@ class TestRefineAndDetect:
         s = StructureDescriptor(FeatureMap(np.zeros((1, 5, 5))))
         gate = refine_gate(s)
         np.testing.assert_array_equal(gate.data, 0.5)
+
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=2, max_side=7),
+            elements=st.one_of(
+                st.floats(0.0, 1.0),
+                st.floats(0.0, 1e-300),
+                st.sampled_from([0.0, 5e-324, 1e-310, 1.0 / 3.0, 1.0]),
+            ),
+        )
+    )
+    @example(np.zeros((4, 4)))
+    @example(np.full((3, 5), 5e-324))
+    @example(np.full((6, 6), 1.0 / 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_equals_convolution_stack(self, s):
+        d = StructureDescriptor(FeatureMap(s[None]))
+        np.testing.assert_allclose(
+            refine_gate(d).data, refine_gate_stack(d).data, rtol=0, atol=1e-15
+        )
 
     def test_flat_input_gated_at_half(self):
         p = DetectorParams()

@@ -96,7 +96,7 @@ class TestNumericGrad:
         vec = pack_params(cfg, tcfg) + 0.05 * rng.normal(size=pack_params(cfg, tcfg).size)
         loss = SceneLoss(small_scene, cfg, tcfg)
         staged = loss.gradient(vec, 0)
-        plain = central_difference(loss, vec, tcfg.fd_epsilon)
+        plain = central_difference(lambda v: loss.report(v).l_total, vec, tcfg.fd_epsilon)
         np.testing.assert_allclose(staged, plain, rtol=0, atol=1e-12)
 
 
@@ -168,7 +168,8 @@ class TestFit:
         cfg = PipelineConfig.tiny(scale=4)
         tcfg = TrainConfig(steps=2, seed=0, log_path=str(log_path))
         result = fit(small_scene, tcfg, cfg)
-        rows = list(csv.reader(log_path.open()))
+        with log_path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["step", "l_rec", "l_grad", "l_hes", "l_total"]
         assert len(rows) == len(result.history) + 1
         assert float(rows[1][4]) == pytest.approx(result.history[0].l_total, abs=1e-6)
