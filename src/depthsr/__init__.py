@@ -1,12 +1,11 @@
 """Alignment-free guided depth super-resolution via multi-order matching."""
 
-from .diffops import EigenField, HessianField, eigenvalues, gradient_magnitude, hessian_field, hessian_norm
+from .diffops import eigenvalues, gradient_magnitude, hessian_field, hessian_norm
 from .fusion import PipelineConfig, encode_depth, encode_rgb, moma_step, reconstruct, run_pipeline
 from .grid import (
     DepthMap,
     FeatureMap,
     NonFiniteError,
-    PatchSet,
     bicubic_resample,
     conv2d,
     extract_patches,
@@ -16,8 +15,8 @@ from .grid import (
 )
 from .losses import LossReport, add_noise, loss_grad, loss_hes, loss_rec, loss_total, rmse_cm
 from .matcher import MatchResult, match_order, matching_selection, top_k, top_k_streamed
-from .structdet import DetectorParams, StructureDescriptor, compute_descriptor, detect, normalize_and_compress, structure_descriptor
-from .trainer import DivergenceError, FitResult, TrainConfig, fit, numeric_grad
+from .structdet import DetectorParams, compute_descriptor, detect, normalize_and_compress, structure_descriptor
+from .trainer import DivergenceError, FitResult, TrainConfig, fit
 from .scenes import Scene, SceneSpec, render_scene
 
 __version__ = "0.1.0"
@@ -26,18 +25,14 @@ __all__ = [
     "DepthMap",
     "DetectorParams",
     "DivergenceError",
-    "EigenField",
     "FeatureMap",
     "FitResult",
-    "HessianField",
     "LossReport",
     "MatchResult",
     "NonFiniteError",
-    "PatchSet",
     "PipelineConfig",
     "Scene",
     "SceneSpec",
-    "StructureDescriptor",
     "TrainConfig",
     "add_noise",
     "bicubic_resample",
@@ -61,7 +56,6 @@ __all__ = [
     "matching_selection",
     "moma_step",
     "normalize_and_compress",
-    "numeric_grad",
     "pixel_shuffle",
     "pixel_unshuffle",
     "reconstruct",

@@ -224,6 +224,15 @@ def _error_map(pred: DepthMap, gt: DepthMap) -> FeatureMap:
     return _hot_colormap(t)
 
 
+def _check_input_sizes(rgb: FeatureMap, d_lr: DepthMap, d_gt: DepthMap, scale: int) -> None:
+    """Reject a GT depth or RGB image that is not `scale` x the LR depth."""
+    for name, (h, w) in (("GT depth", d_gt.depth.shape), ("RGB", rgb.shape[1:])):
+        if (h, w) != (scale * d_lr.height, scale * d_lr.width):
+            raise _UsageError(
+                f"{name} {h}x{w} is not {scale}x the LR depth {d_lr.height}x{d_lr.width}"
+            )
+
+
 def _run_sr_once(rgb, d_lr, d_gt, cfg) -> tuple[DepthMap, dict[str, float]]:
     pred = fusion.run_pipeline(rgb, d_lr, cfg)
     report = losses.loss_total(d_gt, pred, cfg.alpha_loss)
@@ -245,11 +254,7 @@ def cmd_sr(args) -> int:
     rgb = read_ppm8(args.rgb)
     d_lr = read_depth_pfm(args.d_lr)
     d_gt = read_depth_pfm(args.d_gt)
-    if (d_gt.height, d_gt.width) != (cfg.scale * d_lr.height, cfg.scale * d_lr.width):
-        raise _UsageError(
-            f"GT depth {d_gt.height}x{d_gt.width} is not {cfg.scale}x the "
-            f"LR depth {d_lr.height}x{d_lr.width}"
-        )
+    _check_input_sizes(rgb, d_lr, d_gt, cfg.scale)
 
     pred, stats = _run_sr_once(rgb, d_lr, d_gt, cfg)
     out = Path(args.out)
@@ -301,10 +306,10 @@ def cmd_detect(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_pfm(out / "S.pfm", descriptor.s)
+    write_pfm(out / "S.pfm", descriptor)
     write_ppm8(out / "gate.ppm", FeatureMap(np.repeat(gate.data, 3, axis=0)))
 
-    s = descriptor.s.data[0]
+    s = descriptor.data[0]
     lines = [f"s_mean={_fmt(float(s.mean()))}", f"s_max={_fmt(float(s.max()))}"]
     if ridge:
         crest_mean = float(s[crest].mean())
@@ -340,6 +345,7 @@ def cmd_fit(args) -> int:
     rgb = read_ppm8(args.rgb)
     d_lr = read_depth_pfm(args.d_lr)
     d_gt = read_depth_pfm(args.d_gt)
+    _check_input_sizes(rgb, d_lr, d_gt, cfg.scale)
     scene = scenes.Scene(
         rgb=rgb, d_gt=d_gt, d_lr=d_lr, d_lr_noisy=None,
         spec=scenes.SceneSpec(

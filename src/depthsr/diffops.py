@@ -7,36 +7,9 @@ stencils are exact on affine images (gradient) and quadratic images
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import FeatureMap
-
-
-@dataclass(frozen=True)
-class HessianField:
-    """Per-pixel symmetric 2x2 second derivatives (single dxy channel)."""
-
-    dxx: FeatureMap
-    dyy: FeatureMap
-    dxy: FeatureMap
-
-    def __post_init__(self):
-        if not (self.dxx.shape == self.dyy.shape == self.dxy.shape):
-            raise ValueError("HessianField components must share one shape")
-
-
-@dataclass(frozen=True)
-class EigenField:
-    """Eigenvalues of a HessianField sorted by |lambda1| >= |lambda2|."""
-
-    lambda1: FeatureMap
-    lambda2: FeatureMap
-
-    def __post_init__(self):
-        if self.lambda1.shape != self.lambda2.shape:
-            raise ValueError("EigenField components must share one shape")
 
 
 def _padded(f: FeatureMap) -> np.ndarray:
@@ -51,33 +24,32 @@ def gradient_magnitude(f: FeatureMap) -> FeatureMap:
     return FeatureMap(np.sqrt(dx * dx + dy * dy))
 
 
-def hessian_field(f: FeatureMap) -> HessianField:
-    """Per-channel second derivatives; dxy uses the 4-point cross stencil."""
+def hessian_field(f: FeatureMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-channel (dxx, dyy, dxy); dxy uses the 4-point cross stencil."""
     p = _padded(f)
     core = p[:, 1:-1, 1:-1]
     dxx = p[:, 1:-1, 2:] - 2.0 * core + p[:, 1:-1, :-2]
     dyy = p[:, 2:, 1:-1] - 2.0 * core + p[:, :-2, 1:-1]
     dxy = (p[:, 2:, 2:] - p[:, 2:, :-2] - p[:, :-2, 2:] + p[:, :-2, :-2]) * 0.25
-    return HessianField(FeatureMap(dxx), FeatureMap(dyy), FeatureMap(dxy))
+    return dxx, dyy, dxy
 
 
-def hessian_norm(hf: HessianField) -> FeatureMap:
-    """Frobenius norm sqrt(dxx^2 + dyy^2 + 2*dxy^2) per pixel."""
-    dxx, dyy, dxy = hf.dxx.data, hf.dyy.data, hf.dxy.data
+def hessian_norm(f: FeatureMap) -> FeatureMap:
+    """Frobenius norm sqrt(dxx^2 + dyy^2 + 2*dxy^2) of the Hessian per pixel."""
+    dxx, dyy, dxy = hessian_field(f)
     return FeatureMap(np.sqrt(dxx * dxx + dyy * dyy + 2.0 * dxy * dxy))
 
 
-def eigenvalues(hf: HessianField) -> EigenField:
-    """Closed-form symmetric 2x2 eigenvalues, sorted by absolute value.
+def eigenvalues(
+    dxx: np.ndarray, dyy: np.ndarray, dxy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form symmetric 2x2 eigenvalues (l1, l2) with |l1| >= |l2|.
 
-    On an |l1| == |l2| tie, lambda1 takes the algebraically larger value.
+    On an |l1| == |l2| tie, l1 takes the algebraically larger value.
     """
-    dxx, dyy, dxy = hf.dxx.data, hf.dyy.data, hf.dxy.data
     trace = dxx + dyy
     root = np.sqrt((dxx - dyy) ** 2 + 4.0 * dxy * dxy)
     hi = 0.5 * (trace + root)
     lo = 0.5 * (trace - root)
     swap = np.abs(lo) > np.abs(hi)
-    lam1 = np.where(swap, lo, hi)
-    lam2 = np.where(swap, hi, lo)
-    return EigenField(FeatureMap(lam1), FeatureMap(lam2))
+    return np.where(swap, lo, hi), np.where(swap, hi, lo)

@@ -1,9 +1,7 @@
-"""Strict readers and writers for the three on-disk image formats.
+"""Strict readers and writers for the two on-disk image formats.
 
 Supported formats, and nothing else:
 
-* PGM (P5, maxval 65535, big-endian): integer depth in millimeters, 0 marks
-  an invalid pixel.
 * PPM (P6, maxval 255): 8-bit RGB, stored as [0, 1] floats in memory.
 * PFM (Pf single channel / PF color, scale -1.0 = little-endian): lossless
   float payloads for features and depth in meters; rows are stored
@@ -89,40 +87,6 @@ def _payload(buf: bytes, start: int, nbytes: int, what: str) -> bytes:
     if len(data) > nbytes:
         raise MalformedHeaderError(f"{what}: unexpected trailing data")
     return data
-
-
-def read_pgm16(path) -> DepthMap:
-    """Read 16-bit big-endian PGM depth; millimeters, 0 = invalid."""
-    buf = Path(path).read_bytes()
-    tokens, start = _read_tokens(buf, 4, "PGM")
-    if tokens[0] != b"P5":
-        raise MalformedHeaderError(f"PGM: bad magic {tokens[0]!r}")
-    w, h = _parse_dims(tokens[1:3], "PGM")
-    try:
-        maxval = int(tokens[3])
-    except ValueError as exc:
-        raise MalformedHeaderError("PGM: non-integer maxval") from exc
-    if maxval != 65535:
-        raise UnsupportedMaxvalError(f"PGM: maxval {maxval} unsupported (need 65535)")
-    raw = _payload(buf, start, 2 * w * h, "PGM")
-    mm = np.frombuffer(raw, dtype=">u2").reshape(h, w)
-    valid = mm > 0
-    depth = np.where(valid, mm.astype(np.float64) / 1000.0, 0.0)
-    return DepthMap(depth, valid)
-
-
-def write_pgm16(path, d: DepthMap) -> None:
-    """Write depth as 16-bit big-endian PGM millimeters; invalid pixels are 0.
-
-    Lossy: depths are rounded to 1 mm and clipped to 65.535 m; a valid depth
-    rounding to 0 mm reads back as invalid.
-    """
-    mm = np.clip(np.rint(d.depth * 1000.0), 0, 65535).astype(">u2")
-    mm = np.where(d.valid, mm, np.uint16(0)).astype(">u2")
-    header = f"P5\n{d.width} {d.height}\n65535\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(mm.tobytes())
 
 
 def read_ppm8(path) -> FeatureMap:

@@ -2,9 +2,13 @@
 
 All grids follow the (channels, height, width) convention with row-major
 pixel order inside each channel. Operations are pure functions of their
-inputs; containers are immutable once built and safe to share between
-threads. Every result is independent of worker/thread count: the heavy
-contractions go through ``np.einsum`` with a fixed accumulation order.
+inputs. FeatureMap and DepthMap are the checked containers passed between
+stages; steps inside a stage pass plain ndarrays. A container's fields are
+frozen, and its arrays are checked at construction but not copied (an
+array already contiguous and of the right dtype is kept as is), so the
+caller must not write to an array after wrapping it. Every result is
+independent of worker/thread count: the heavy contractions go through
+``np.einsum`` with a fixed accumulation order.
 """
 
 from __future__ import annotations
@@ -121,51 +125,30 @@ class DepthMap:
         return FeatureMap.from_plane(self.depth)
 
 
-@dataclass(frozen=True)
-class PatchSet:
-    """All 3x3 patches of a map, one flattened 9*c vector per pixel.
+def extract_patches(f: FeatureMap) -> np.ndarray:
+    """Every 3x3 patch at stride 1 with replicate border padding, as (h*w, 9*c).
 
-    Patch i is centered at pixel i (row-major); vectors store channel-major
-    blocks, each a row-major 3x3 window with replicate border padding.
+    Row i is the patch centered at pixel i (row-major); each row stores
+    channel-major blocks, each a row-major 3x3 window.
     """
-
-    vectors: np.ndarray
-    channels: int
-    height: int
-    width: int
-
-    def __post_init__(self):
-        vec = _finite_array(self.vectors, "PatchSet")
-        n = self.height * self.width
-        d = PATCH_SIZE * PATCH_SIZE * self.channels
-        if vec.shape != (n, d):
-            raise ValueError(f"PatchSet expects shape {(n, d)}, got {vec.shape}")
-        object.__setattr__(self, "vectors", vec)
-
-    @property
-    def count(self) -> int:
-        return self.height * self.width
-
-
-def extract_patches(f: FeatureMap) -> PatchSet:
-    """Extract every 3x3 patch at stride 1 with replicate border padding."""
     c, h, w = f.shape
     pad = np.pad(f.data, ((0, 0), (1, 1), (1, 1)), mode="edge")
     win = sliding_window_view(pad, (PATCH_SIZE, PATCH_SIZE), axis=(1, 2))
     vec = win.transpose(1, 2, 0, 3, 4).reshape(h * w, c * PATCH_SIZE * PATCH_SIZE)
-    return PatchSet(np.ascontiguousarray(vec), c, h, w)
+    return np.ascontiguousarray(vec)
 
 
-def fold_patches(p: PatchSet) -> FeatureMap:
-    """Overlap-add patches back onto the grid, averaging by contribution count.
+def fold_patches(vectors: np.ndarray, shape: tuple[int, int, int]) -> FeatureMap:
+    """Overlap-add (h*w, 9*c) patch rows onto a (c, h, w) grid, averaging by
+    contribution count.
 
     Each patch element is accumulated at the pixel it was read from under
     replicate-border geometry, then divided by the per-pixel contribution
-    count, so fold(extract(f)) returns f. Vectors that already carry
-    selection weights fold the same way.
+    count, so fold_patches(extract_patches(f), f.shape) returns f. Rows that
+    already carry selection weights fold the same way.
     """
-    c, h, w = p.channels, p.height, p.width
-    vec = p.vectors.reshape(h, w, c, PATCH_SIZE, PATCH_SIZE)
+    c, h, w = shape
+    vec = vectors.reshape(h, w, c, PATCH_SIZE, PATCH_SIZE)
     acc = np.zeros((c, h, w), dtype=np.float64)
     cnt = np.zeros((h, w), dtype=np.float64)
     ys = np.arange(h)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffops import gradient_magnitude, hessian_field, hessian_norm
+from .diffops import gradient_magnitude, hessian_norm
 from .grid import MIN_DEPTH_M, DepthMap
 
 DEFAULT_ALPHA_LOSS = 0.001
@@ -60,7 +60,7 @@ def loss_grad(gt: DepthMap, pred: DepthMap) -> float:
 
 def loss_hes(gt: DepthMap, pred: DepthMap) -> float:
     """L1 between Hessian-norm maps of gt and pred over valid pixels."""
-    return _mapped_l1(gt, pred, lambda f: hessian_norm(hessian_field(f)))
+    return _mapped_l1(gt, pred, hessian_norm)
 
 
 def loss_total(

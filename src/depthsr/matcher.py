@@ -55,7 +55,7 @@ class MatchResult:
 
 def normalized_patch_matrix(f: FeatureMap) -> np.ndarray:
     """L2-normalized patch rows; rows below MIN_PATCH_NORM become zero."""
-    vec = extract_patches(f).vectors
+    vec = extract_patches(f)
     norms = np.sqrt(np.einsum("id,id->i", vec, vec))
     degenerate = norms < MIN_PATCH_NORM
     unit = vec / np.where(degenerate, 1.0, norms)[:, None]
@@ -130,16 +130,14 @@ def matching_selection(source: FeatureMap, m: MatchResult) -> FeatureMap:
     grid. Output shape equals source shape.
     """
     patches = extract_patches(source)
-    n = patches.count
+    n = patches.shape[0]
     if m.eta.shape[0] != n:
         raise ValueError(f"match rows {m.eta.shape[0]} != patch count {n}")
     if m.eta.min() < 0 or m.eta.max() >= n:
         raise ValueError("match indices out of range for source patches")
     weights = softmax_rows(m.psi)
-    gathered = patches.vectors[m.eta]
-    mixed = np.einsum("rk,rkd->rd", weights, gathered)
-    ps = type(patches)(mixed, patches.channels, patches.height, patches.width)
-    return fold_patches(ps)
+    mixed = np.einsum("rk,rkd->rd", weights, patches[m.eta])
+    return fold_patches(mixed, source.shape)
 
 
 def order_map(f: FeatureMap, order: str) -> FeatureMap:
@@ -149,7 +147,7 @@ def order_map(f: FeatureMap, order: str) -> FeatureMap:
     if order == "first":
         return diffops.gradient_magnitude(f)
     if order == "second":
-        return diffops.hessian_norm(diffops.hessian_field(f))
+        return diffops.hessian_norm(f)
     raise ValueError(f"unknown matching order {order!r}")
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffops import EigenField, eigenvalues, hessian_field
+from .diffops import eigenvalues, hessian_field
 from .grid import GAUSS_3X3, FeatureMap, check_finite_settings, conv2d, sigmoid
 
 EPSILON = 1e-8
@@ -43,19 +43,6 @@ class DetectorParams:
             raise ValueError("beta must be positive")
 
 
-@dataclass(frozen=True)
-class StructureDescriptor:
-    """Single-channel descriptor S with 0 <= S <= 1, S = 0 where l2 >= 0."""
-
-    s: FeatureMap
-
-    def __post_init__(self):
-        if self.s.channels != 1:
-            raise ValueError("descriptor must be single channel")
-        if self.s.data.min() < 0.0 or self.s.data.max() > 1.0:
-            raise ValueError("descriptor values must lie in [0, 1]")
-
-
 def normalize_and_compress(f: FeatureMap) -> FeatureMap:
     """Standardize each channel over space, then average channels to one."""
     data = f.data
@@ -65,25 +52,24 @@ def normalize_and_compress(f: FeatureMap) -> FeatureMap:
     return FeatureMap(norm.mean(axis=0, keepdims=True))
 
 
-def structure_descriptor(eig: EigenField, p: DetectorParams) -> StructureDescriptor:
-    """Evaluate the triple-constraint descriptor from sorted eigenvalues."""
-    l1 = eig.lambda1.data
-    l2 = eig.lambda2.data
+def structure_descriptor(l1: np.ndarray, l2: np.ndarray, p: DetectorParams) -> FeatureMap:
+    """Triple-constraint descriptor S from sorted eigenvalues, as a map with
+    values in [0, 1] that is exactly 0 where l2 >= 0."""
     awareness = 1.0 - np.exp(-np.abs(l1) / (p.alpha_det + EPSILON))
     suppression = np.exp(-np.abs(l1 * l2) / (p.beta + EPSILON))
     mask = (l2 < 0.0).astype(np.float64)
-    return StructureDescriptor(FeatureMap(awareness * suppression * mask))
+    return FeatureMap(awareness * suppression * mask)
 
 
-def compute_descriptor(f: FeatureMap, p: DetectorParams) -> StructureDescriptor:
+def compute_descriptor(f: FeatureMap, p: DetectorParams) -> FeatureMap:
     """Full descriptor pipeline: normalize, compress, Hessian, eigen, S."""
     comp = normalize_and_compress(f)
-    return structure_descriptor(eigenvalues(hessian_field(comp)), p)
+    return structure_descriptor(*eigenvalues(*hessian_field(comp)), p)
 
 
-def refine_gate(descriptor: StructureDescriptor) -> FeatureMap:
+def refine_gate(s: FeatureMap) -> FeatureMap:
     """sigmoid(G * S) with G the 3x3 Gaussian, a (0, 1) gate map."""
-    return FeatureMap(sigmoid(conv2d(descriptor.s, GAUSS_3X3[None, None]).data))
+    return FeatureMap(sigmoid(conv2d(s, GAUSS_3X3[None, None]).data))
 
 
 def detect(f_r: FeatureMap, p: DetectorParams) -> FeatureMap:

@@ -185,14 +185,6 @@ class SceneLoss:
         return value
 
 
-def numeric_grad(
-    params: np.ndarray, scene: Scene, cfg: PipelineConfig, tcfg: TrainConfig
-) -> np.ndarray:
-    """Central-difference gradient of the total loss at `params`."""
-    loss = SceneLoss(scene, cfg, tcfg)
-    return _guarded(0, loss.gradient, np.asarray(params, dtype=np.float64), 0)
-
-
 @dataclass(frozen=True)
 class FitResult:
     """Best-loss configuration plus the per-step loss history."""

@@ -8,15 +8,14 @@ import numpy as np
 
 from depthsr.grid import FeatureMap, conv2d, extract_patches, sigmoid
 from depthsr.matcher import MIN_PATCH_NORM, MatchResult
-from depthsr.structdet import StructureDescriptor
 
 
 def correlation_set_naive(target: FeatureMap, source: FeatureMap) -> np.ndarray:
     """Two-loop hw x hw cosines: row = target patch, col = source patch."""
     if target.shape != source.shape:
         raise ValueError(f"target shape {target.shape} != source shape {source.shape}")
-    t = extract_patches(target).vectors
-    s = extract_patches(source).vectors
+    t = extract_patches(target)
+    s = extract_patches(source)
     n = t.shape[0]
     t_norm = [float(np.sqrt(np.dot(row, row))) for row in t]
     s_norm = [float(np.sqrt(np.dot(row, row))) for row in s]
@@ -54,7 +53,7 @@ def central_difference(fn, x: np.ndarray, eps: float) -> np.ndarray:
     return grad
 
 
-def refine_gate_stack(descriptor: StructureDescriptor, width: int = 4) -> FeatureMap:
+def refine_gate_stack(s: FeatureMap, width: int = 4) -> FeatureMap:
     """The detector gate as a fixed stack of three 3x3 convolutions, widths
     1 -> width -> width -> 1, zero biases: Gaussian spread, ReLU, identity,
     ReLU, channel average, sigmoid."""
@@ -66,6 +65,6 @@ def refine_gate_stack(descriptor: StructureDescriptor, width: int = 4) -> Featur
         k2[i, i, 1, 1] = 1.0
     k3 = np.zeros((1, width, 3, 3))
     k3[0, :, 1, 1] = 1.0 / width
-    x = np.maximum(conv2d(descriptor.s, k1).data, 0.0)
+    x = np.maximum(conv2d(s, k1).data, 0.0)
     x = np.maximum(conv2d(FeatureMap(x), k2).data, 0.0)
     return FeatureMap(sigmoid(conv2d(FeatureMap(x), k3).data))

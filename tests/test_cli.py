@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from depthsr import fusion, matcher
+from depthsr import fusion, matcher, trainer
 from depthsr.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _build_parser, _load_pipeline_config, main
 from depthsr.configio import dump_config, load_config
 from depthsr.fileio import read_depth_pfm, read_pfm, read_ppm8, write_depth_pfm, write_ppm8
@@ -387,6 +387,30 @@ class TestFitCommand:
         lines = log.read_text().splitlines()
         assert lines[0] == "step,l_rec,l_grad,l_hes,l_total"
         assert len(lines) == 5  # header + init + 3 steps
+
+    @pytest.mark.parametrize(
+        "rgb_edge, d_gt, message",
+        [
+            (64, "d_gt.pfm", "RGB 64x64 is not 4x the LR depth 8x8"),
+            (32, "d_lr.pfm", "GT depth 8x8 is not 4x the LR depth 8x8"),
+        ],
+    )
+    def test_input_sizes_checked_before_fitting(
+        self, scene_dir, tmp_path, capsys, monkeypatch, rgb_edge, d_gt, message
+    ):
+        calls = []
+        monkeypatch.setattr(trainer, "fit", lambda *args: calls.append(args))
+        rgb = tmp_path / "rgb.ppm"
+        write_ppm8(rgb, FeatureMap(np.full((3, rgb_edge, rgb_edge), 0.5)))
+        inputs = ["--rgb", str(rgb), "--d-lr", str(scene_dir / "d_lr.pfm"),
+                  "--d-gt", str(scene_dir / d_gt), "--tiny"]
+        out_cfg = tmp_path / "fit.cfg"
+        assert main(["fit", *inputs, "--out-config", str(out_cfg)]) == EXIT_USAGE
+        fit_err = capsys.readouterr().err
+        assert main(["sr", *inputs, "--out", str(tmp_path / "sr")]) == EXIT_USAGE
+        assert fit_err == capsys.readouterr().err == f"usage error: {message}\n"
+        assert calls == []
+        assert not out_cfg.exists()
 
     def test_unknown_fit_params_usage_error(self, scene_dir, tmp_path):
         code = main(

@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthsr.diffops import (
-    EigenField,
-    HessianField,
-    eigenvalues,
-    gradient_magnitude,
-    hessian_field,
-    hessian_norm,
-)
+from depthsr.diffops import eigenvalues, gradient_magnitude, hessian_field, hessian_norm
 from depthsr.grid import FeatureMap
 
 
@@ -53,73 +46,73 @@ class TestGradientMagnitude:
 class TestHessianField:
     def test_linear_ramp_is_zero_interior(self):
         y, x = coords(6, 6)
-        hf = hessian_field(FeatureMap((2.0 * x + 3.0 * y)[None]))
-        for part in (hf.dxx, hf.dyy, hf.dxy):
-            np.testing.assert_allclose(interior(part.data), 0.0, atol=1e-12)
+        for part in hessian_field(FeatureMap((2.0 * x + 3.0 * y)[None])):
+            np.testing.assert_allclose(interior(part), 0.0, atol=1e-12)
 
     def test_x_squared(self):
         y, x = coords(6, 7)
-        hf = hessian_field(FeatureMap((x * x)[None]))
-        np.testing.assert_allclose(interior(hf.dxx.data), 2.0, atol=1e-6)
-        np.testing.assert_allclose(interior(hf.dyy.data), 0.0, atol=1e-6)
-        np.testing.assert_allclose(interior(hf.dxy.data), 0.0, atol=1e-6)
+        dxx, dyy, dxy = hessian_field(FeatureMap((x * x)[None]))
+        np.testing.assert_allclose(interior(dxx), 2.0, atol=1e-6)
+        np.testing.assert_allclose(interior(dyy), 0.0, atol=1e-6)
+        np.testing.assert_allclose(interior(dxy), 0.0, atol=1e-6)
 
     def test_y_squared(self):
         y, x = coords(7, 6)
-        hf = hessian_field(FeatureMap((y * y)[None]))
-        np.testing.assert_allclose(interior(hf.dyy.data), 2.0, atol=1e-6)
-        np.testing.assert_allclose(interior(hf.dxx.data), 0.0, atol=1e-6)
+        dxx, dyy, _ = hessian_field(FeatureMap((y * y)[None]))
+        np.testing.assert_allclose(interior(dyy), 2.0, atol=1e-6)
+        np.testing.assert_allclose(interior(dxx), 0.0, atol=1e-6)
 
     def test_xy_cross_term(self):
         y, x = coords(6, 6)
-        hf = hessian_field(FeatureMap((x * y)[None]))
-        np.testing.assert_allclose(interior(hf.dxy.data), 1.0, atol=1e-6)
-        np.testing.assert_allclose(interior(hf.dxx.data), 0.0, atol=1e-6)
-        np.testing.assert_allclose(interior(hf.dyy.data), 0.0, atol=1e-6)
-
-    def test_shape_mismatch_rejected(self):
-        a = FeatureMap(np.zeros((1, 3, 3)))
-        b = FeatureMap(np.zeros((1, 4, 3)))
-        with pytest.raises(ValueError):
-            HessianField(a, b, a)
+        dxx, dyy, dxy = hessian_field(FeatureMap((x * y)[None]))
+        np.testing.assert_allclose(interior(dxy), 1.0, atol=1e-6)
+        np.testing.assert_allclose(interior(dxx), 0.0, atol=1e-6)
+        np.testing.assert_allclose(interior(dyy), 0.0, atol=1e-6)
 
 
 class TestHessianNorm:
+    """Norms on quadratic images, whose stencil Hessian is exact inside."""
+
     def test_zero_field(self):
-        z = FeatureMap(np.zeros((1, 4, 4)))
-        assert hessian_norm(HessianField(z, z, z)).data.max() == 0.0
+        y, x = coords(5, 6)
+        out = hessian_norm(FeatureMap((1.0 + 2.0 * x - 3.0 * y)[None]))
+        np.testing.assert_allclose(interior(out.data), 0.0, atol=1e-12)
 
     def test_single_term(self):
-        two = FeatureMap(np.full((1, 2, 2), 2.0))
-        z = FeatureMap(np.zeros((1, 2, 2)))
-        np.testing.assert_allclose(hessian_norm(HessianField(two, z, z)).data, 2.0)
+        y, x = coords(6, 7)
+        out = hessian_norm(FeatureMap((x * x)[None]))
+        np.testing.assert_allclose(interior(out.data), 2.0, atol=1e-12)
+
+    def test_cross_term(self):
+        y, x = coords(6, 7)
+        out = hessian_norm(FeatureMap((x * y)[None]))
+        np.testing.assert_allclose(interior(out.data), np.sqrt(2.0), atol=1e-12)
 
     def test_mixed_terms(self):
-        one = FeatureMap(np.ones((1, 2, 2)))
-        out = hessian_norm(HessianField(one, one, one))
-        np.testing.assert_allclose(out.data, 2.0)  # sqrt(1 + 1 + 2)
+        y, x = coords(7, 6)
+        out = hessian_norm(FeatureMap((0.5 * (x * x + y * y) + x * y)[None]))
+        np.testing.assert_allclose(interior(out.data), 2.0, atol=1e-12)  # sqrt(1 + 1 + 2)
 
 
 def _field(dxx, dyy, dxy):
-    mk = lambda v: FeatureMap(np.full((1, 1, 1), float(v)))
-    return HessianField(mk(dxx), mk(dyy), mk(dxy))
+    return tuple(np.full((1, 1, 1), float(v)) for v in (dxx, dyy, dxy))
 
 
 class TestEigenvalues:
     def test_diagonal(self):
-        eig = eigenvalues(_field(2.0, -1.0, 0.0))
-        assert eig.lambda1.data[0, 0, 0] == 2.0
-        assert eig.lambda2.data[0, 0, 0] == -1.0
+        l1, l2 = eigenvalues(*_field(2.0, -1.0, 0.0))
+        assert l1[0, 0, 0] == 2.0
+        assert l2[0, 0, 0] == -1.0
 
     def test_tie_goes_to_algebraically_larger(self):
-        eig = eigenvalues(_field(1.0, -1.0, 0.0))
-        assert eig.lambda1.data[0, 0, 0] == 1.0
-        assert eig.lambda2.data[0, 0, 0] == -1.0
+        l1, l2 = eigenvalues(*_field(1.0, -1.0, 0.0))
+        assert l1[0, 0, 0] == 1.0
+        assert l2[0, 0, 0] == -1.0
 
     def test_pure_cross(self):
-        eig = eigenvalues(_field(0.0, 0.0, 1.0))
-        assert eig.lambda1.data[0, 0, 0] == pytest.approx(1.0)
-        assert eig.lambda2.data[0, 0, 0] == pytest.approx(-1.0)
+        l1, l2 = eigenvalues(*_field(0.0, 0.0, 1.0))
+        assert l1[0, 0, 0] == pytest.approx(1.0)
+        assert l2[0, 0, 0] == pytest.approx(-1.0)
 
     def test_against_generic_eigensolver(self):
         rng = np.random.default_rng(42)
@@ -127,12 +120,7 @@ class TestEigenvalues:
         dxx = rng.normal(size=n)
         dyy = rng.normal(size=n)
         dxy = rng.normal(size=n)
-        hf = HessianField(
-            FeatureMap(dxx.reshape(1, 1, n)),
-            FeatureMap(dyy.reshape(1, 1, n)),
-            FeatureMap(dxy.reshape(1, 1, n)),
-        )
-        eig = eigenvalues(hf)
+        l1, l2 = eigenvalues(dxx, dyy, dxy)
         mats = np.stack(
             [np.stack([dxx, dxy], axis=-1), np.stack([dxy, dyy], axis=-1)], axis=-2
         )
@@ -140,8 +128,8 @@ class TestEigenvalues:
         swap = np.abs(lo) > np.abs(hi)
         ref1 = np.where(swap, lo, hi)
         ref2 = np.where(swap, hi, lo)
-        np.testing.assert_allclose(eig.lambda1.data.ravel(), ref1, atol=1e-6)
-        np.testing.assert_allclose(eig.lambda2.data.ravel(), ref2, atol=1e-6)
+        np.testing.assert_allclose(l1, ref1, atol=1e-6)
+        np.testing.assert_allclose(l2, ref2, atol=1e-6)
 
     @given(
         dxx=st.floats(-10, 10),
@@ -150,9 +138,7 @@ class TestEigenvalues:
     )
     @settings(max_examples=200, deadline=None)
     def test_trace_and_determinant_preserved(self, dxx, dyy, dxy):
-        eig = eigenvalues(_field(dxx, dyy, dxy))
-        l1 = eig.lambda1.data[0, 0, 0]
-        l2 = eig.lambda2.data[0, 0, 0]
+        l1, l2 = (v[0, 0, 0] for v in eigenvalues(*_field(dxx, dyy, dxy)))
         assert abs(l1) >= abs(l2)
         assert l1 + l2 == pytest.approx(dxx + dyy, rel=1e-5, abs=1e-8)
         assert l1 * l2 == pytest.approx(dxx * dyy - dxy * dxy, rel=1e-5, abs=1e-7)

@@ -8,11 +8,9 @@ from depthsr.fileio import (
     UnsupportedMaxvalError,
     read_depth_pfm,
     read_pfm,
-    read_pgm16,
     read_ppm8,
     write_depth_pfm,
     write_pfm,
-    write_pgm16,
     write_ppm8,
 )
 from depthsr.grid import DepthMap, FeatureMap
@@ -71,44 +69,6 @@ class TestPfm:
         np.testing.assert_array_equal(back.depth, d.depth)
 
 
-class TestPgm16:
-    def test_mm_encoding(self, tmp_path):
-        # 0 -> invalid, 1000 -> 1 m, 2000 -> 2 m, 65535 -> 65.535 m
-        path = tmp_path / "d.pgm"
-        payload = np.array([0, 1000, 2000, 65535], dtype=">u2").tobytes()
-        path.write_bytes(b"P5\n2 2\n65535\n" + payload)
-        d = read_pgm16(path)
-        np.testing.assert_array_equal(d.valid, [[False, True], [True, True]])
-        np.testing.assert_allclose(d.depth, [[0.0, 1.0], [2.0, 65.535]])
-
-    def test_round_trip(self, tmp_path):
-        d = DepthMap(
-            np.array([[0.0, 1.0], [2.0, 65.535]]),
-            np.array([[False, True], [True, True]]),
-        )
-        path = tmp_path / "r.pgm"
-        write_pgm16(path, d)
-        first = path.read_bytes()
-        back = read_pgm16(path)
-        np.testing.assert_array_equal(back.depth, d.depth)
-        np.testing.assert_array_equal(back.valid, d.valid)
-        write_pgm16(path, back)
-        assert path.read_bytes() == first
-
-    def test_wrong_maxval(self, tmp_path):
-        path = tmp_path / "w.pgm"
-        path.write_bytes(b"P5\n1 1\n255\n\x00")
-        with pytest.raises(UnsupportedMaxvalError):
-            read_pgm16(path)
-
-    def test_comment_in_header(self, tmp_path):
-        payload = np.array([1000], dtype=">u2").tobytes()
-        path = tmp_path / "c.pgm"
-        path.write_bytes(b"P5\n# a comment\n1 1\n65535\n" + payload)
-        d = read_pgm16(path)
-        assert d.depth[0, 0] == 1.0
-
-
 class TestPpm8:
     def test_header_parse(self, tmp_path):
         path = tmp_path / "p.ppm"
@@ -117,6 +77,12 @@ class TestPpm8:
         assert f.shape == (3, 2, 2)
         assert f.data[0, 0, 0] == 0.0
         assert f.data[2, 1, 1] == 11.0 / 255.0
+
+    def test_comment_in_header(self, tmp_path):
+        path = tmp_path / "c.ppm"
+        path.write_bytes(b"P6\n# a comment\n1 1 # size\n255\n" + bytes([255, 0, 51]))
+        f = read_ppm8(path)
+        np.testing.assert_array_equal(f.data[:, 0, 0], [1.0, 0.0, 0.2])
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)

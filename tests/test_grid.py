@@ -8,7 +8,6 @@ from depthsr.grid import (
     DepthMap,
     FeatureMap,
     NonFiniteError,
-    PatchSet,
     bicubic_resample,
     conv2d,
     extract_patches,
@@ -41,30 +40,26 @@ class TestContainers:
         d = DepthMap(np.array([[0.0, 1.5]]), np.array([[False, True]]))
         assert d.valid.sum() == 1
 
-    def test_patch_set_shape_checked(self):
-        with pytest.raises(ValueError):
-            PatchSet(np.zeros((4, 8)), channels=1, height=2, width=2)
-
 
 class TestExtractPatches:
     def test_single_pixel_replicates(self):
         f = FeatureMap(np.full((1, 1, 1), 5.0))
         p = extract_patches(f)
-        assert p.count == 1
-        np.testing.assert_array_equal(p.vectors[0], np.full(9, 5.0))
+        assert p.shape == (1, 9)
+        np.testing.assert_array_equal(p[0], np.full(9, 5.0))
 
     def test_center_patch_of_3x3_is_the_map(self):
         f = FeatureMap(np.arange(9, dtype=np.float64).reshape(1, 3, 3))
         p = extract_patches(f)
-        np.testing.assert_array_equal(p.vectors[4], np.arange(9, dtype=np.float64))
+        np.testing.assert_array_equal(p[4], np.arange(9, dtype=np.float64))
 
     def test_corner_patch_replicate_padding(self):
         # Hand-applied replicate padding on [[1,2],[3,4]] at (0,0).
         f = FeatureMap(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
         p = extract_patches(f)
-        assert p.count == 4
+        assert p.shape == (4, 9)
         np.testing.assert_array_equal(
-            p.vectors[0], np.array([1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 3.0, 3.0, 4.0])
+            p[0], np.array([1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 3.0, 3.0, 4.0])
         )
 
     def test_patch_centers_are_row_major(self):
@@ -73,7 +68,7 @@ class TestExtractPatches:
         p = extract_patches(f)
         # center value of patch at (y, x) lives at offset 4 within each
         # channel block of 9
-        centers = p.vectors[:, 4].reshape(4, 5)
+        centers = p[:, 4].reshape(4, 5)
         np.testing.assert_array_equal(centers, f.data[0])
 
 
@@ -81,7 +76,7 @@ class TestFoldPatches:
     def test_round_trip_random(self):
         rng = np.random.default_rng(1)
         f = FeatureMap(rng.normal(size=(4, 6, 5)))
-        g = fold_patches(extract_patches(f))
+        g = fold_patches(extract_patches(f), f.shape)
         np.testing.assert_allclose(g.data, f.data, rtol=0, atol=1e-12)
 
     def test_round_trip_exhaustive_small_sizes(self):
@@ -90,12 +85,12 @@ class TestFoldPatches:
             for h in range(1, 7):
                 for w in range(1, 7):
                     f = FeatureMap(rng.normal(size=(c, h, w)))
-                    g = fold_patches(extract_patches(f))
+                    g = fold_patches(extract_patches(f), f.shape)
                     np.testing.assert_allclose(g.data, f.data, rtol=0, atol=1e-12)
 
     def test_all_ones_patches_fold_to_ones(self):
-        ones = PatchSet(np.ones((9, 9)), channels=1, height=3, width=3)
-        np.testing.assert_allclose(fold_patches(ones).data, np.ones((1, 3, 3)))
+        folded = fold_patches(np.ones((9, 9)), (1, 3, 3))
+        np.testing.assert_allclose(folded.data, np.ones((1, 3, 3)))
 
     def test_single_interior_patch_weighted_by_counts(self):
         # One interior patch of ones on a 5x5 grid; every pixel's
@@ -103,7 +98,7 @@ class TestFoldPatches:
         # map is 1/9 on the patch footprint and 0 elsewhere.
         vec = np.zeros((25, 9))
         vec[2 * 5 + 2] = 1.0
-        folded = fold_patches(PatchSet(vec, channels=1, height=5, width=5))
+        folded = fold_patches(vec, (1, 5, 5))
         expected = np.zeros((5, 5))
         expected[1:4, 1:4] = 1.0 / 9.0
         np.testing.assert_allclose(folded.data[0], expected, atol=1e-15)

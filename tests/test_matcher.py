@@ -215,9 +215,7 @@ class TestMatchingSelection:
         eta = rng.integers(0, 16, size=(16, 1))
         m = MatchResult(eta, np.zeros((16, 1)))
         out = matching_selection(src, m)
-        ref = fold_patches(
-            type(patches)(patches.vectors[eta[:, 0]], 1, 4, 4)
-        )
+        ref = fold_patches(patches[eta[:, 0]], src.shape)
         np.testing.assert_array_equal(out.data, ref.data)
 
     def test_self_match_identity(self):
@@ -228,12 +226,12 @@ class TestMatchingSelection:
     def test_equal_scores_average_patches(self):
         rng = np.random.default_rng(12)
         src = FeatureMap(rng.normal(size=(1, 3, 3)))
-        patches = extract_patches(src).vectors
+        patches = extract_patches(src)
         eta = np.tile([0, 5], (9, 1))
         m = MatchResult(eta, np.full((9, 2), 0.25))
         out = matching_selection(src, m)
         mixed = 0.5 * patches[eta[:, 0]] + 0.5 * patches[eta[:, 1]]
-        ref = fold_patches(type(extract_patches(src))(mixed, 1, 3, 3))
+        ref = fold_patches(mixed, src.shape)
         np.testing.assert_allclose(out.data, ref.data, atol=1e-12)
 
     def test_out_of_range_indices_rejected(self):
@@ -261,11 +259,8 @@ class TestMatchOrder:
         c = FeatureMap(np.full((1, 4, 4), 3.0))
         k = 3
         matched, prior = match_order(c, c, "first", k)
-        patches = extract_patches(c).vectors
-        mixed = patches[:k].mean(axis=0)
-        ref = fold_patches(
-            type(extract_patches(c))(np.tile(mixed, (16, 1)), 1, 4, 4)
-        )
+        mixed = extract_patches(c)[:k].mean(axis=0)
+        ref = fold_patches(np.tile(mixed, (16, 1)), c.shape)
         np.testing.assert_allclose(matched.data, ref.data, atol=1e-12)
         assert prior is not None
         np.testing.assert_allclose(prior.data, 0.0, atol=1e-12)
@@ -276,10 +271,10 @@ class TestMatchOrder:
         shifted = shift_plane(d, 3, 4)
         rgb = FeatureMap.from_plane(shifted)
         depth = FeatureMap.from_plane(d)
-        from depthsr.diffops import hessian_field, hessian_norm
+        from depthsr.diffops import hessian_norm
 
-        target = hessian_norm(hessian_field(depth))
-        source = hessian_norm(hessian_field(rgb))
+        target = hessian_norm(depth)
+        source = hessian_norm(rgb)
         m = top_k_streamed(target, source, 1)
         idx = np.arange(h * w)
         expected = np.clip(idx // w + 3, 0, h - 1) * w + np.clip(idx % w + 4, 0, w - 1)

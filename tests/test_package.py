@@ -1,4 +1,8 @@
+import importlib
+import inspect
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +38,31 @@ def test_all_names_resolve_unique_and_sorted():
     assert all(hasattr(depthsr, name) for name in names)
     assert len(set(names)) == len(names)
     assert names == sorted(names)
+
+
+# Public names that nothing in src/ uses yet, each with the reason it stays.
+_UNUSED_IN_SRC = {
+    "grid.pixel_unshuffle": "the space-to-depth inverse of pixel_shuffle (ROADMAP item 2(a))",
+}
+
+
+def test_every_public_definition_is_used_in_src():
+    """A public function or class that only tests use belongs in tests/."""
+    pkg = Path(depthsr.__file__).parent
+    sources = {p.stem: p.read_text() for p in pkg.glob("*.py") if p.name != "__init__.py"}
+    unused = []
+    for info in pkgutil.iter_modules([str(pkg)]):
+        module = importlib.import_module(f"depthsr.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            own = sources[info.name].replace(inspect.getsource(obj), "", 1)
+            texts = [own] + [text for stem, text in sources.items() if stem != info.name]
+            if not any(re.search(rf"\b{name}\b", text) for text in texts):
+                unused.append(f"{info.name}.{name}")
+    assert sorted(unused) == sorted(_UNUSED_IN_SRC)
 
 
 def test_outputs_do_not_depend_on_thread_count():

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from oracles import refine_gate_stack
 
-from depthsr.diffops import EigenField, eigenvalues, hessian_field
+from depthsr.diffops import eigenvalues, hessian_field
 from depthsr.fusion import encode_rgb
 from depthsr.grid import FeatureMap
 from depthsr.scenes import SceneSpec, render_scene, ridge_masks
 from depthsr.structdet import (
     DetectorParams,
-    StructureDescriptor,
     compute_descriptor,
     detect,
     normalize_and_compress,
@@ -23,9 +22,9 @@ from depthsr.structdet import (
 )
 
 
-def eig_of(l1, l2):
-    mk = lambda v: FeatureMap(np.full((1, 1, 1), float(v)))
-    return EigenField(mk(l1), mk(l2))
+def s_of(l1, l2, p):
+    """S at one pixel with eigenvalues (l1, l2)."""
+    return structure_descriptor(np.array([[[l1]]]), np.array([[[l2]]]), p).data[0, 0, 0]
 
 
 class TestDetectorParams:
@@ -70,13 +69,12 @@ class TestNormalizeAndCompress:
 
 class TestStructureDescriptor:
     def test_flat_curvature_is_zero(self):
-        s = structure_descriptor(eig_of(0.0, 0.0), DetectorParams())
-        assert s.s.data[0, 0, 0] == 0.0
+        assert s_of(0.0, 0.0, DetectorParams()) == 0.0
 
     def test_strong_corner_suppressed(self):
         # l1 = -5, l2 = -4, alpha = beta = 1: texture term exp(-20/(1+eps))
         p = DetectorParams()
-        s = structure_descriptor(eig_of(-5.0, -4.0), p).s.data[0, 0, 0]
+        s = s_of(-5.0, -4.0, p)
         expected = (1 - math.exp(-5.0 / (1 + 1e-8))) * math.exp(-20.0 / (1 + 1e-8))
         assert s == pytest.approx(expected, rel=1e-12)
         assert s < 1e-8
@@ -84,15 +82,15 @@ class TestStructureDescriptor:
     def test_ridge_scores_high(self):
         # l1 = -5, l2 = -0.01: S ~ 0.9448
         p = DetectorParams()
-        s = structure_descriptor(eig_of(-5.0, -0.01), p).s.data[0, 0, 0]
+        s = s_of(-5.0, -0.01, p)
         expected = (1 - math.exp(-5.0 / (1 + 1e-8))) * math.exp(-0.05 / (1 + 1e-8))
         assert s == pytest.approx(expected, rel=1e-12)
         assert s == pytest.approx(0.9448, abs=2e-4)
 
     def test_zero_where_lambda2_nonnegative(self):
         p = DetectorParams()
-        assert structure_descriptor(eig_of(-3.0, 0.0), p).s.data[0, 0, 0] == 0.0
-        assert structure_descriptor(eig_of(5.0, 2.0), p).s.data[0, 0, 0] == 0.0
+        assert s_of(-3.0, 0.0, p) == 0.0
+        assert s_of(5.0, 2.0, p) == 0.0
 
     def test_monotone_in_lambda1_with_fixed_product(self):
         # With l2 < 0 and |l1*l2| held fixed, S grows with |l1|.
@@ -100,25 +98,45 @@ class TestStructureDescriptor:
         values = []
         for l1 in (-1.0, -2.0, -4.0, -8.0):
             l2 = -1.0 / abs(l1)
-            values.append(structure_descriptor(eig_of(l1, l2), p).s.data[0, 0, 0])
+            values.append(s_of(l1, l2, p))
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_monotone_in_product_with_fixed_lambda1(self):
         p = DetectorParams()
         values = []
         for l2 in (-0.01, -0.1, -1.0, -4.0):
-            values.append(structure_descriptor(eig_of(-5.0, l2), p).s.data[0, 0, 0])
+            values.append(s_of(-5.0, l2, p))
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    def test_range_validated(self):
-        with pytest.raises(ValueError):
-            StructureDescriptor(FeatureMap(np.full((1, 1, 1), 1.5)))
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 3), st.integers(1, 7), st.integers(1, 7)),
+            elements=st.one_of(
+                st.floats(-1e6, 1e6),
+                st.floats(-1e-300, 1e-300),
+                st.sampled_from([0.0, 5e-324, -1e6, 1e6]),
+            ),
+        ),
+        st.floats(0.01, 10.0),
+        st.floats(0.01, 10.0),
+    )
+    @example(np.full((2, 5, 5), 3.0), 1.0, 1.0)
+    @example(np.full((1, 4, 6), 1e-300), 1.0, 1.0)
+    @example(np.full((3, 7, 7), -1e6), 0.5, 2.0)
+    @settings(max_examples=200, deadline=None)
+    def test_descriptor_in_unit_interval_and_masked(self, x, alpha, beta):
+        f = FeatureMap(x)
+        s = compute_descriptor(f, DetectorParams(alpha_det=alpha, beta=beta))
+        assert s.shape == (1, *x.shape[1:])
+        assert s.data.min() >= 0.0 and s.data.max() <= 1.0
+        _, l2 = eigenvalues(*hessian_field(normalize_and_compress(f)))
+        assert np.all(s.data[l2 >= 0.0] == 0.0)
 
 
 class TestRefineAndDetect:
     def test_zero_descriptor_gives_half_gate(self):
-        s = StructureDescriptor(FeatureMap(np.zeros((1, 5, 5))))
-        gate = refine_gate(s)
+        gate = refine_gate(FeatureMap(np.zeros((1, 5, 5))))
         np.testing.assert_array_equal(gate.data, 0.5)
 
     @given(
@@ -137,7 +155,7 @@ class TestRefineAndDetect:
     @example(np.full((6, 6), 1.0 / 3.0))
     @settings(max_examples=200, deadline=None)
     def test_closed_form_equals_convolution_stack(self, s):
-        d = StructureDescriptor(FeatureMap(s[None]))
+        d = FeatureMap(s[None])
         np.testing.assert_allclose(
             refine_gate(d).data, refine_gate_stack(d).data, rtol=0, atol=1e-15
         )
@@ -175,7 +193,7 @@ class TestSyntheticPatterns:
             )
             scene = render_scene(spec)
             f = encode_rgb(scene.rgb, 1, 1)
-            out[preset] = compute_descriptor(f, params).s.data[0]
+            out[preset] = compute_descriptor(f, params).data[0]
         return out
 
     def test_ridge_crest_dominates_flat(self, descriptors):
@@ -199,7 +217,7 @@ class TestSyntheticPatterns:
         scene = render_scene(spec)
         f = encode_rgb(scene.rgb, 1, 1)
         comp = normalize_and_compress(f)
-        eig = eigenvalues(hessian_field(comp))
-        s = compute_descriptor(f, params).s.data
-        assert np.all(s[eig.lambda2.data >= 0] == 0.0)
-        assert np.all(s[eig.lambda2.data < 0] >= 0.0)
+        _, l2 = eigenvalues(*hessian_field(comp))
+        s = compute_descriptor(f, params).data
+        assert np.all(s[l2 >= 0] == 0.0)
+        assert np.all(s[l2 < 0] >= 0.0)

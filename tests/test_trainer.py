@@ -15,7 +15,6 @@ from depthsr.trainer import (
     SceneLoss,
     TrainConfig,
     fit,
-    numeric_grad,
     pack_params,
     unpack_params,
 )
@@ -80,13 +79,13 @@ class TestNumericGrad:
         )
         cfg = PipelineConfig.tiny(scale=4)
         tcfg = TrainConfig(fit_head=True, fit_fuse=False)
-        grad = numeric_grad(pack_params(cfg, tcfg), flat, cfg, tcfg)
+        grad = SceneLoss(flat, cfg, tcfg).gradient(pack_params(cfg, tcfg), 0)
         np.testing.assert_allclose(grad, 0.0, atol=1e-9)
 
     def test_detector_scalars_dead_when_detector_disabled(self, small_scene):
         cfg = PipelineConfig.tiny(scale=4, detector=False)
         tcfg = TrainConfig(fit_head=False, fit_fuse=False, fit_alpha=True, fit_beta=True)
-        grad = numeric_grad(pack_params(cfg, tcfg), small_scene, cfg, tcfg)
+        grad = SceneLoss(small_scene, cfg, tcfg).gradient(pack_params(cfg, tcfg), 0)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_staged_probes_match_plain_central_differences(self, small_scene):
