@@ -54,7 +54,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--preset", default="boxes", choices=scenes.PRESETS)
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--height", type=int, default=64)
-    p.add_argument("--scale", type=int, default=4, choices=(4, 8, 16))
+    p.add_argument("--scale", type=int, default=4, choices=fusion.SCALES)
     p.add_argument("--dx", type=float, default=4.0)
     p.add_argument("--dy", type=float, default=3.0)
     p.add_argument("--rot", type=float, default=0.0, help="rotation in degrees")
@@ -66,9 +66,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--depth", required=True, help="LR depth PFM")
     p.add_argument("--out", required=True)
     p.add_argument("--order", default="zero", choices=matcher.ORDERS)
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=int, default=fusion.DEFAULT_TOPK)
     p.add_argument("--scale", type=int, default=4)
-    p.add_argument("--channels", type=int, default=8)
+    p.add_argument("--channels", type=int, default=fusion.DEFAULT_CHANNELS)
 
     p = sub.add_parser("sr", help="run the super-resolution pipeline")
     p.add_argument("--rgb", required=True)
@@ -76,7 +76,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--d-gt", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--scale", type=int, default=None, choices=(4, 8, 16))
+    p.add_argument("--scale", type=int, default=None, choices=fusion.SCALES)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--iters", type=int, default=None)
     p.add_argument("--orders", default=None, help="subset of z/f/s, or 'none'")
@@ -102,7 +102,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--d-gt", required=True)
     p.add_argument("--out-config", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--scale", type=int, default=None, choices=(4, 8, 16))
+    p.add_argument("--scale", type=int, default=None, choices=fusion.SCALES)
     p.add_argument("--tiny", action="store_true")
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--lr", type=float, default=None)
@@ -225,12 +225,15 @@ def _error_map(pred: DepthMap, gt: DepthMap) -> FeatureMap:
 
 
 def _check_input_sizes(rgb: FeatureMap, d_lr: DepthMap, d_gt: DepthMap, scale: int) -> None:
-    """Reject a GT depth or RGB image that is not `scale` x the LR depth."""
+    """Reject a GT depth or RGB image that is not `scale` x the LR depth, and
+    a GT depth with no valid pixel."""
     for name, (h, w) in (("GT depth", d_gt.depth.shape), ("RGB", rgb.shape[1:])):
         if (h, w) != (scale * d_lr.height, scale * d_lr.width):
             raise _UsageError(
                 f"{name} {h}x{w} is not {scale}x the LR depth {d_lr.height}x{d_lr.width}"
             )
+    if not d_gt.valid.any():
+        raise _UsageError("no valid pixels in GT depth")
 
 
 def _run_sr_once(rgb, d_lr, d_gt, cfg) -> tuple[DepthMap, dict[str, float]]:

@@ -9,6 +9,7 @@ loaded fitted config reproduces the fit's loss only to about 1e-7 relative.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -113,29 +114,30 @@ def _load_matrix(token: str, base: Path, shape: tuple[int, int]) -> np.ndarray |
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse a config file; missing keys fall back to defaults."""
+    """Parse a config file; missing keys take the PipelineConfig defaults."""
     path = Path(path)
     kv = _parse_lines(path.read_text(encoding="ascii"))
-    scale = int(kv.get("scale", "4"))
-    channels = int(kv.get("channels", "8"))
+    parsers = {
+        "scale": int,
+        "channels": int,
+        "k": int,
+        "moma_iters": int,
+        "orders": token_to_orders,
+        "detector": _parse_switch,
+        "alpha_loss": float,
+    }
     cfg = PipelineConfig(
-        scale=scale,
-        channels=channels,
-        k=int(kv.get("k", "4")),
-        moma_iters=int(kv.get("moma_iters", "3")),
-        orders=token_to_orders(kv.get("orders", "zfs")),
-        detector=_parse_switch(kv.get("detector", "on")),
+        **{key: parse(kv[key]) for key, parse in parsers.items() if key in kv},
         detector_params=DetectorParams(
-            alpha_det=float(kv.get("alpha_det", "1.0")),
-            beta=float(kv.get("beta", "1.0")),
-        ),
-        alpha_loss=float(kv.get("alpha_loss", "0.001")),
-        w_fuse=_load_matrix(kv.get("w_fuse", "default"), path.parent, (channels, 4 * channels)),
-        w_head=_load_matrix(
-            kv.get("w_head", "default"), path.parent, (scale * scale, channels)
+            **{key: float(kv[key]) for key in ("alpha_det", "beta") if key in kv}
         ),
     )
-    return cfg
+    c = cfg.channels
+    return replace(
+        cfg,
+        w_fuse=_load_matrix(kv.get("w_fuse", "default"), path.parent, (c, 4 * c)),
+        w_head=_load_matrix(kv.get("w_head", "default"), path.parent, (cfg.scale * cfg.scale, c)),
+    )
 
 
 def _parse_switch(token: str) -> bool:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .grid import GAUSS_3X3, MIN_DEPTH_M, DepthMap, FeatureMap, bicubic_resample, check_finite_settings, conv2d, pixel_shuffle, sigmoid
+from .losses import DEFAULT_ALPHA_LOSS
 from .matcher import ORDERS, match_order
 from .structdet import DetectorParams, detect
 
@@ -65,7 +66,7 @@ class PipelineConfig:
     detector_params: DetectorParams = field(default_factory=DetectorParams)
     w_fuse: np.ndarray | None = None
     w_head: np.ndarray | None = None
-    alpha_loss: float = 0.001
+    alpha_loss: float = DEFAULT_ALPHA_LOSS
 
     def __post_init__(self):
         if self.scale not in SCALES:

@@ -8,7 +8,8 @@ frozen, and its arrays are checked at construction but not copied (an
 array already contiguous and of the right dtype is kept as is), so the
 caller must not write to an array after wrapping it. Every result is
 independent of worker/thread count: the heavy contractions go through
-``np.einsum`` with a fixed accumulation order.
+``np.einsum`` with a fixed accumulation order, and fold_patches sums with
+``np.bincount``, which adds in input order.
 """
 
 from __future__ import annotations
@@ -125,6 +126,13 @@ class DepthMap:
         return FeatureMap.from_plane(self.depth)
 
 
+def _windows(data: np.ndarray) -> np.ndarray:
+    """The (c, h, w, 3, 3) view of every 3x3 window of a (c, h, w) array,
+    centered on each pixel, with replicate border padding."""
+    pad = np.pad(data, ((0, 0), (1, 1), (1, 1)), mode="edge")
+    return sliding_window_view(pad, (PATCH_SIZE, PATCH_SIZE), axis=(1, 2))
+
+
 def extract_patches(f: FeatureMap) -> np.ndarray:
     """Every 3x3 patch at stride 1 with replicate border padding, as (h*w, 9*c).
 
@@ -132,9 +140,7 @@ def extract_patches(f: FeatureMap) -> np.ndarray:
     channel-major blocks, each a row-major 3x3 window.
     """
     c, h, w = f.shape
-    pad = np.pad(f.data, ((0, 0), (1, 1), (1, 1)), mode="edge")
-    win = sliding_window_view(pad, (PATCH_SIZE, PATCH_SIZE), axis=(1, 2))
-    vec = win.transpose(1, 2, 0, 3, 4).reshape(h * w, c * PATCH_SIZE * PATCH_SIZE)
+    vec = _windows(f.data).transpose(1, 2, 0, 3, 4).reshape(h * w, c * PATCH_SIZE * PATCH_SIZE)
     return np.ascontiguousarray(vec)
 
 
@@ -142,50 +148,30 @@ def fold_patches(vectors: np.ndarray, shape: tuple[int, int, int]) -> FeatureMap
     """Overlap-add (h*w, 9*c) patch rows onto a (c, h, w) grid, averaging by
     contribution count.
 
-    Each patch element is accumulated at the pixel it was read from under
-    replicate-border geometry, then divided by the per-pixel contribution
-    count, so fold_patches(extract_patches(f), f.shape) returns f. Rows that
-    already carry selection weights fold the same way.
+    The adjoint of extract_patches: each patch element is added to the pixel
+    it was read from (the 3x3 windows of the pixel-index plane), then divided
+    by the per-pixel contribution count, so fold_patches(extract_patches(f),
+    f.shape) returns f. Rows that already carry selection weights fold the
+    same way. Sums run offset-major, then over patches in row-major order.
     """
     c, h, w = shape
-    vec = vectors.reshape(h, w, c, PATCH_SIZE, PATCH_SIZE)
-    acc = np.zeros((c, h, w), dtype=np.float64)
-    cnt = np.zeros((h, w), dtype=np.float64)
-    ys = np.arange(h)
-    xs = np.arange(w)
-    for dy in range(PATCH_SIZE):
-        ty = np.clip(ys + dy - 1, 0, h - 1)
-        for dx in range(PATCH_SIZE):
-            tx = np.clip(xs + dx - 1, 0, w - 1)
-            np.add.at(
-                acc,
-                (slice(None), ty[:, None], tx[None, :]),
-                vec[:, :, :, dy, dx].transpose(2, 0, 1),
-            )
-            np.add.at(cnt, (ty[:, None], tx[None, :]), 1.0)
-    return FeatureMap(acc / cnt)
+    n = h * w
+    src = _windows(np.arange(n).reshape(1, h, w))[0].transpose(2, 3, 0, 1).ravel()
+    vals = vectors.reshape(h, w, c, PATCH_SIZE, PATCH_SIZE).transpose(2, 3, 4, 0, 1)
+    bins = (np.arange(c)[:, None] * n + src).ravel()
+    acc = np.bincount(bins, weights=vals.ravel(), minlength=c * n).reshape(c, h, w)
+    return FeatureMap(acc / np.bincount(src, minlength=n).reshape(h, w))
 
 
-def conv2d(f: FeatureMap, kernels, stride: int = 1) -> FeatureMap:
-    """Cross-correlate with a fixed (c_out, c_in, kh, kw) kernel stack.
+def conv2d(f: FeatureMap, kernels) -> FeatureMap:
+    """Cross-correlate with a fixed (c_out, c_in, 3, 3) kernel stack.
 
-    Replicate padding keeps output spatial size at ceil(input / stride).
+    Replicate padding keeps the output spatial size equal to the input's.
     """
     k = np.asarray(kernels, dtype=np.float64)
-    if k.ndim != 4:
-        raise ValueError("kernels must have shape (c_out, c_in, kh, kw)")
-    c_out, c_in, kh, kw = k.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError("kernel spatial size must be odd")
-    if c_in != f.channels:
-        raise ValueError(f"kernel expects {c_in} input channels, map has {f.channels}")
-    if stride < 1:
-        raise ValueError("stride must be positive")
-    ph, pw = kh // 2, kw // 2
-    pad = np.pad(f.data, ((0, 0), (ph, ph), (pw, pw)), mode="edge")
-    win = sliding_window_view(pad, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    out = np.einsum("ihwyx,oiyx->ohw", win, k)
-    return FeatureMap(out)
+    if k.ndim != 4 or k.shape[1:] != (f.channels, PATCH_SIZE, PATCH_SIZE):
+        raise ValueError(f"kernels must have shape (c_out, {f.channels}, 3, 3), got {k.shape}")
+    return FeatureMap(np.einsum("ihwyx,oiyx->ohw", _windows(f.data), k))
 
 
 def _cubic_weights(t: np.ndarray) -> np.ndarray:
@@ -227,6 +213,14 @@ def _target_size(n: int, scale: float) -> int:
     return out
 
 
+def _bicubic(data: np.ndarray, scale: float) -> np.ndarray:
+    """Separable Catmull-Rom resample of a (c, h, w) array by `scale`."""
+    _, h, w = data.shape
+    oh, ow = _target_size(h, scale), _target_size(w, scale)
+    tmp = _resample_axis(data, ow)
+    return np.ascontiguousarray(_resample_axis(tmp.swapaxes(1, 2), oh).swapaxes(1, 2))
+
+
 def bicubic_resample(image, scale: float):
     """Resample a FeatureMap or DepthMap by a positive scale factor.
 
@@ -237,19 +231,12 @@ def bicubic_resample(image, scale: float):
     if scale <= 0:
         raise ValueError("scale must be positive")
     if isinstance(image, FeatureMap):
-        c, h, w = image.shape
-        oh, ow = _target_size(h, scale), _target_size(w, scale)
-        tmp = _resample_axis(image.data, ow)
-        out = _resample_axis(tmp.swapaxes(1, 2), oh).swapaxes(1, 2)
-        return FeatureMap(np.ascontiguousarray(out))
+        return FeatureMap(_bicubic(image.data, scale))
     if isinstance(image, DepthMap):
-        h, w = image.depth.shape
-        oh, ow = _target_size(h, scale), _target_size(w, scale)
-        tmp = _resample_axis(image.depth[None], ow)
-        depth = _resample_axis(tmp.swapaxes(1, 2), oh).swapaxes(1, 2)[0]
+        depth = _bicubic(image.depth[None], scale)[0]
+        (h, w), (oh, ow) = image.depth.shape, depth.shape
         valid = image.valid[np.ix_(_nearest_indices(h, oh), _nearest_indices(w, ow))]
-        depth = np.where(valid, np.maximum(depth, MIN_DEPTH_M), depth)
-        return DepthMap(np.ascontiguousarray(depth), valid)
+        return DepthMap(np.where(valid, np.maximum(depth, MIN_DEPTH_M), depth), valid)
     raise TypeError(f"cannot resample {type(image).__name__}")
 
 

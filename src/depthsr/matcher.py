@@ -68,35 +68,23 @@ def _cosines(t: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.clip(np.einsum("id,jd->ij", t, s), -1.0, 1.0)
 
 
-def _order_rows_by_score(
-    vals: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sort (per row) by descending score; cols arrive index-ascending, so a
-    stable sort keeps the lowest-index-first rule inside tied scores."""
-    psi = np.take_along_axis(vals, cols, axis=1)
-    order = np.argsort(-psi, axis=1, kind="stable")
-    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(psi, order, axis=1)
-
-
 def top_k(values: np.ndarray, k: int) -> MatchResult:
-    """Exact per-row top-k of a cosine block via partial selection plus tie repair.
+    """Exact per-row top-k of a cosine block as one sort of the candidates.
 
-    Matches the full-sort oracle bit for bit: the retained set are the k
-    largest values, tied boundary values resolve to the lowest source
-    indices, and rows come back score-descending.
+    A partition finds each row's k-th largest value; every entry at or above
+    it is a candidate, taken row-major with ascending columns. One stable
+    sort by (row, descending score) keeps tied scores index-ascending, and
+    each row keeps its first k candidates: the full-sort oracle, bit for bit.
     """
     n, m = values.shape
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
     kth = np.partition(values, m - k, axis=1)[:, m - k]
-    above = values > kth[:, None]
-    need = k - above.sum(axis=1)
-    at_kth = values == kth[:, None]
-    pick = at_kth & (np.cumsum(at_kth, axis=1) <= need[:, None])
-    sel = above | pick
-    cols = np.nonzero(sel)[1].reshape(n, k)
-    eta, psi = _order_rows_by_score(values, cols)
-    return MatchResult(eta, psi)
+    rows, cols = np.nonzero(values >= kth[:, None])
+    scores = values[rows, cols]
+    order = np.lexsort((-scores, rows))
+    pick = order[np.searchsorted(rows, np.arange(n))[:, None] + np.arange(k)]
+    return MatchResult(cols[pick], scores[pick])
 
 
 def top_k_streamed(target: FeatureMap, source: FeatureMap, k: int) -> MatchResult:

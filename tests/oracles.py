@@ -6,7 +6,7 @@ stay here permanently so every faster path keeps a ground truth.
 
 import numpy as np
 
-from depthsr.grid import FeatureMap, conv2d, extract_patches, sigmoid
+from depthsr.grid import PATCH_SIZE, FeatureMap, conv2d, extract_patches, sigmoid
 from depthsr.matcher import MIN_PATCH_NORM, MatchResult
 
 
@@ -37,6 +37,28 @@ def top_k_naive(values: np.ndarray, k: int) -> MatchResult:
         raise ValueError(f"k must be in [1, {m}], got {k}")
     eta = np.argsort(-values, axis=1, kind="stable")[:, :k]
     return MatchResult(eta, np.take_along_axis(values, eta, axis=1))
+
+
+def fold_patches_loop(vectors: np.ndarray, shape: tuple[int, int, int]) -> FeatureMap:
+    """Overlap-add (h*w, 9*c) patch rows onto a (c, h, w) grid with one
+    np.add.at per 3x3 offset, averaging by contribution count."""
+    c, h, w = shape
+    vec = vectors.reshape(h, w, c, PATCH_SIZE, PATCH_SIZE)
+    acc = np.zeros((c, h, w), dtype=np.float64)
+    cnt = np.zeros((h, w), dtype=np.float64)
+    ys = np.arange(h)
+    xs = np.arange(w)
+    for dy in range(PATCH_SIZE):
+        ty = np.clip(ys + dy - 1, 0, h - 1)
+        for dx in range(PATCH_SIZE):
+            tx = np.clip(xs + dx - 1, 0, w - 1)
+            np.add.at(
+                acc,
+                (slice(None), ty[:, None], tx[None, :]),
+                vec[:, :, :, dy, dx].transpose(2, 0, 1),
+            )
+            np.add.at(cnt, (ty[:, None], tx[None, :]), 1.0)
+    return FeatureMap(acc / cnt)
 
 
 def central_difference(fn, x: np.ndarray, eps: float) -> np.ndarray:

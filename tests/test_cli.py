@@ -27,6 +27,12 @@ def scene_dir(tmp_path_factory):
     return out
 
 
+def empty_gt(path):
+    """An HR 32x32 GT depth file in which no pixel is valid."""
+    write_depth_pfm(path, DepthMap(np.zeros((32, 32)), np.zeros((32, 32), dtype=bool)))
+    return path
+
+
 class TestSynth:
     def test_writes_expected_files(self, scene_dir):
         for name in ("rgb.ppm", "d_gt.pfm", "d_lr.pfm", "d_lr_noisy.pfm", "scene.meta"):
@@ -201,6 +207,23 @@ class TestSr:
         )
         assert code == EXIT_USAGE
         assert "GT depth 8x8 is not 4x the LR depth 8x8" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    def test_gt_without_valid_pixels_rejected_before_pipeline(
+        self, scene_dir, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(fusion, "run_pipeline", lambda *args: calls.append(args))
+        out = tmp_path / "sr"
+        code = main(
+            ["sr", "--rgb", str(scene_dir / "rgb.ppm"),
+             "--d-lr", str(scene_dir / "d_lr.pfm"),
+             "--d-gt", str(empty_gt(tmp_path / "d_gt.pfm")),
+             "--out", str(out), "--tiny"]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: no valid pixels in GT depth\n"
         assert calls == []
         assert not out.exists()
 
@@ -409,6 +432,23 @@ class TestFitCommand:
         fit_err = capsys.readouterr().err
         assert main(["sr", *inputs, "--out", str(tmp_path / "sr")]) == EXIT_USAGE
         assert fit_err == capsys.readouterr().err == f"usage error: {message}\n"
+        assert calls == []
+        assert not out_cfg.exists()
+
+    def test_gt_without_valid_pixels_rejected_before_fitting(
+        self, scene_dir, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(trainer, "fit", lambda *args: calls.append(args))
+        out_cfg = tmp_path / "fit.cfg"
+        code = main(
+            ["fit", "--rgb", str(scene_dir / "rgb.ppm"),
+             "--d-lr", str(scene_dir / "d_lr.pfm"),
+             "--d-gt", str(empty_gt(tmp_path / "d_gt.pfm")),
+             "--out-config", str(out_cfg), "--tiny"]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: no valid pixels in GT depth\n"
         assert calls == []
         assert not out_cfg.exists()
 

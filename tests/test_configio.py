@@ -105,3 +105,7 @@ class TestConfigRoundTrip:
         cfg = load_config(path)
         assert cfg.channels == 8
         assert cfg.moma_iters == 3
+        path.write_text("")
+        assert load_config(path) == PipelineConfig()
+        path.write_text("scale = 8\n")
+        assert load_config(path) == PipelineConfig(scale=8)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import fold_patches_loop
 
 from depthsr.grid import (
     GAUSS_3X3,
@@ -103,6 +104,31 @@ class TestFoldPatches:
         expected[1:4, 1:4] = 1.0 / 9.0
         np.testing.assert_allclose(folded.data[0], expected, atol=1e-15)
 
+    @given(
+        c=st.integers(1, 8),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        k=st.integers(0, 4),
+        exponent=st.sampled_from([-300, -8, 0, 8, 300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(c=1, h=1, w=1, k=0, exponent=0, seed=0)
+    @example(c=3, h=1, w=9, k=2, exponent=0, seed=1)
+    @example(c=8, h=9, w=1, k=4, exponent=300, seed=2)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_add_at_oracle(self, c, h, w, k, exponent, seed):
+        # k = 0 folds raw patch rows; k > 0 folds softmax-weighted blends of
+        # k gathered patches, as matching_selection does.
+        rng = np.random.default_rng(seed)
+        patches = extract_patches(FeatureMap(rng.normal(size=(c, h, w)) * 10.0**exponent))
+        vec = patches
+        if k:
+            weights = rng.dirichlet(np.ones(k), size=h * w)
+            vec = np.einsum("rk,rkd->rd", weights, patches[rng.integers(0, h * w, (h * w, k))])
+        assert np.array_equal(
+            fold_patches(vec, (c, h, w)).data, fold_patches_loop(vec, (c, h, w)).data
+        )
+
 
 class TestConv2d:
     def test_identity_kernel(self):
@@ -134,13 +160,6 @@ class TestConv2d:
         f = FeatureMap(np.zeros((1, 4, 4)))
         with pytest.raises(ValueError):
             conv2d(f, np.zeros((1, 1, 2, 2)))
-
-    def test_stride_output_is_ceil(self):
-        f = FeatureMap(np.zeros((1, 5, 7)))
-        k = np.zeros((1, 1, 3, 3))
-        k[0, 0, 1, 1] = 1.0
-        out = conv2d(f, k, stride=2)
-        assert out.shape == (1, 3, 4)
 
     def test_linearity(self):
         rng = np.random.default_rng(4)

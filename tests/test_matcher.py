@@ -118,14 +118,21 @@ class TestTopK:
             assert sorted(row) == list(range(16))
 
     def test_matches_full_sort_oracle_with_ties(self):
-        # Quantized correlations force plenty of exact ties.
+        # Quantized correlations force plenty of exact ties; -0.0 ties 0.0,
+        # and a constant block ties every entry of a row.
         rng = np.random.default_rng(9)
-        vals = np.round(rng.uniform(-1, 1, size=(12, 12)), 1)
-        for k in (1, 3, 7, 12):
-            fast = top_k(vals, k)
-            ref = top_k_naive(vals, k)
-            np.testing.assert_array_equal(fast.eta, ref.eta)
-            np.testing.assert_array_equal(fast.psi, ref.psi)
+        blocks = (
+            np.round(rng.uniform(-1, 1, size=(12, 12)), 1),
+            rng.choice([-0.0, 0.0, 0.5], size=(12, 12)),
+            np.full((12, 12), 0.25),
+        )
+        for vals in blocks:
+            for k in (1, 3, 7, 12):
+                fast = top_k(vals, k)
+                ref = top_k_naive(vals, k)
+                np.testing.assert_array_equal(fast.eta, ref.eta)
+                np.testing.assert_array_equal(fast.psi, ref.psi)
+                assert np.array_equal(np.signbit(fast.psi), np.signbit(ref.psi))
 
     def test_k_out_of_range(self):
         f = textured_map(3, 3)
@@ -290,15 +297,20 @@ class TestMatchOrder:
 
     def test_peak_memory_stays_below_one_dense_matrix(self, monkeypatch):
         # hw = 1024: one dense correlation matrix takes 8 MiB; a 64 KiB
-        # budget streams it in 8-row blocks.
+        # budget streams it in 8-row blocks. On constant maps every cosine
+        # ties, so each block's top-k candidates are the whole block.
         monkeypatch.setattr(matcher, "MATCH_BLOCK_BYTES", 64 << 10)
-        rgb = textured_map(32, 32, c=2, seed=1)
-        depth = textured_map(32, 32, c=2, seed=3)
-        match_order(rgb, depth, "first", 4)  # warm up lazy allocations
-        tracemalloc.start()
-        try:
-            match_order(rgb, depth, "first", 4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1024 * 1024 * 8
+        constant = FeatureMap(np.full((2, 32, 32), 0.5))
+        pairs = (
+            (textured_map(32, 32, c=2, seed=1), textured_map(32, 32, c=2, seed=3)),
+            (constant, constant),
+        )
+        for rgb, depth in pairs:
+            match_order(rgb, depth, "first", 4)  # warm up lazy allocations
+            tracemalloc.start()
+            try:
+                match_order(rgb, depth, "first", 4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1024 * 1024 * 8
