@@ -14,7 +14,7 @@ from .grid import (
     pixel_unshuffle,
 )
 from .losses import LossReport, add_noise, loss_grad, loss_hes, loss_rec, loss_total, rmse_cm
-from .matcher import MatchResult, match_order, matching_selection, top_k, top_k_streamed
+from .matcher import match_order, matching_selection, top_k, top_k_streamed
 from .structdet import DetectorParams, compute_descriptor, detect, normalize_and_compress, structure_descriptor
 from .trainer import DivergenceError, FitResult, TrainConfig, fit
 from .scenes import Scene, SceneSpec, render_scene
@@ -28,7 +28,6 @@ __all__ = [
     "FeatureMap",
     "FitResult",
     "LossReport",
-    "MatchResult",
     "NonFiniteError",
     "PipelineConfig",
     "Scene",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +32,18 @@ EXIT_NUMERIC = 3
 _ABLATION_ROWS = ("none", "z", "f", "s", "zf", "zs", "fs", "zfs")
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError on bad usage. A flag with no explicit default is
+    absent when left out, so the settings dataclass whose field it names (its
+    `dest`) supplies the value: each default is stated once."""
+
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -51,15 +58,15 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="render a synthetic misaligned RGB-D scene")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--preset", default="boxes", choices=scenes.PRESETS)
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--scale", type=int, default=4, choices=fusion.SCALES)
-    p.add_argument("--dx", type=float, default=4.0)
-    p.add_argument("--dy", type=float, default=3.0)
-    p.add_argument("--rot", type=float, default=0.0, help="rotation in degrees")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--sigma", type=float, default=0.07, help="noise std, normalized units")
+    p.add_argument("--preset", choices=scenes.PRESETS)
+    p.add_argument("--width", type=int)
+    p.add_argument("--height", type=int)
+    p.add_argument("--scale", type=int, choices=fusion.SCALES)
+    p.add_argument("--dx", type=float)
+    p.add_argument("--dy", type=float)
+    p.add_argument("--rot", dest="rotation_deg", type=float, help="rotation in degrees")
+    p.add_argument("--seed", dest="texture_seed", type=int)
+    p.add_argument("--sigma", dest="noise_sigma", type=float, help="noise std, normalized units")
 
     p = sub.add_parser("match", help="dump matching indices, scores, and stats")
     p.add_argument("--rgb", required=True)
@@ -67,28 +74,32 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--order", default="zero", choices=matcher.ORDERS)
     p.add_argument("--k", type=int, default=fusion.DEFAULT_TOPK)
-    p.add_argument("--scale", type=int, default=4)
+    p.add_argument("--scale", type=int, default=fusion.PipelineConfig.scale)
     p.add_argument("--channels", type=int, default=fusion.DEFAULT_CHANNELS)
 
-    p = sub.add_parser("sr", help="run the super-resolution pipeline")
-    p.add_argument("--rgb", required=True)
-    p.add_argument("--d-lr", required=True)
-    p.add_argument("--d-gt", required=True)
+    scene_inputs = _Parser(add_help=False)
+    scene_inputs.add_argument("--rgb", required=True)
+    scene_inputs.add_argument("--d-lr", required=True)
+    scene_inputs.add_argument("--d-gt", required=True)
+    scene_inputs.add_argument("--config", default=None)
+    scene_inputs.add_argument("--scale", type=int, choices=fusion.SCALES)
+    scene_inputs.add_argument("--tiny", action="store_true", default=False,
+                              help="quarter channels, 2 iterations (not with --config)")
+
+    p = sub.add_parser("sr", help="run the super-resolution pipeline", parents=[scene_inputs])
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--scale", type=int, default=None, choices=fusion.SCALES)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--orders", default=None, help="subset of z/f/s, or 'none'")
-    p.add_argument("--detector", default=None, choices=("on", "off"))
-    p.add_argument("--tiny", action="store_true", help="quarter channels, 2 iterations")
-    p.add_argument("--ablate", action="store_true", help="run all 8 order subsets")
+    p.add_argument("--k", type=int)
+    p.add_argument("--iters", dest="moma_iters", type=int)
+    p.add_argument("--orders", help="subset of z/f/s, or 'none'")
+    p.add_argument("--detector", choices=("on", "off"))
+    p.add_argument("--ablate", action="store_true", default=False,
+                   help="run all 8 order subsets")
 
     p = sub.add_parser("detect", help="emit structure descriptor and gate images")
     p.add_argument("--rgb", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--alpha", dest="alpha_det", type=float)
+    p.add_argument("--beta", type=float)
     p.add_argument("--channels", type=int, default=1)
     p.add_argument("--meta", default=None, help="scene.meta sidecar for preset stats")
 
@@ -96,59 +107,43 @@ def _build_parser() -> _Parser:
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
 
-    p = sub.add_parser("fit", help="fit head/fuse weights on a scene")
-    p.add_argument("--rgb", required=True)
-    p.add_argument("--d-lr", required=True)
-    p.add_argument("--d-gt", required=True)
+    p = sub.add_parser("fit", help="fit head/fuse weights on a scene", parents=[scene_inputs])
     p.add_argument("--out-config", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--scale", type=int, default=None, choices=fusion.SCALES)
-    p.add_argument("--tiny", action="store_true")
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--fd-eps", type=float, default=1e-3)
-    p.add_argument("--fit-params", default="head,fuse",
-                   help="comma subset of head,fuse,alpha,beta")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--log", default=None, help="CSV loss log path")
+    p.add_argument("--steps", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--fd-eps", dest="fd_epsilon", type=float)
+    p.add_argument("--fit-params", help="comma subset of head,fuse,alpha,beta")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--log", dest="log_path", help="CSV loss log path")
     return parser
 
 
+def _given(args, settings) -> dict:
+    """The flags on the command line that set a field of dataclass `settings`."""
+    return {f.name: getattr(args, f.name) for f in fields(settings) if f.name in args}
+
+
 def _load_pipeline_config(args) -> fusion.PipelineConfig:
-    if args.config is not None:
-        cfg = configio.load_config(args.config)
-        if args.scale is not None and args.scale != cfg.scale:
-            raise _UsageError(
-                f"--scale {args.scale} differs from scale {cfg.scale} of config {args.config}"
-            )
-    elif getattr(args, "tiny", False):
-        cfg = fusion.PipelineConfig.tiny(scale=args.scale or 4)
-    else:
-        cfg = fusion.PipelineConfig(scale=args.scale or 4)
-    changes = {}
-    if getattr(args, "k", None) is not None:
-        changes["k"] = args.k
-    if getattr(args, "iters", None) is not None:
-        changes["moma_iters"] = args.iters
-    if getattr(args, "orders", None) is not None:
-        changes["orders"] = configio.token_to_orders(args.orders)
-    if getattr(args, "detector", None) is not None:
-        changes["detector"] = args.detector == "on"
-    return replace(cfg, **changes)
+    """The config file, or the default (--tiny: tiny) config, with the given flags applied."""
+    given = _given(args, fusion.PipelineConfig)
+    if "orders" in given:
+        given["orders"] = configio.token_to_orders(given["orders"])
+    if "detector" in given:
+        given["detector"] = given["detector"] == "on"
+    if args.config is None:
+        return (fusion.PipelineConfig.tiny if args.tiny else fusion.PipelineConfig)(**given)
+    if args.tiny:
+        raise _UsageError(f"--tiny cannot combine with --config {args.config}, which sets its own")
+    cfg = configio.load_config(args.config)
+    if given.get("scale", cfg.scale) != cfg.scale:
+        raise _UsageError(
+            f"--scale {given['scale']} differs from scale {cfg.scale} of config {args.config}"
+        )
+    return replace(cfg, **given)
 
 
 def cmd_synth(args) -> int:
-    spec = scenes.SceneSpec(
-        width=args.width,
-        height=args.height,
-        scale=args.scale,
-        dx=args.dx,
-        dy=args.dy,
-        rotation_deg=args.rot,
-        texture_seed=args.seed,
-        noise_sigma=args.sigma,
-        preset=args.preset,
-    )
+    spec = scenes.SceneSpec(**_given(args, scenes.SceneSpec))
     scene = scenes.render_scene(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -176,24 +171,25 @@ def cmd_synth(args) -> int:
 def cmd_match(args) -> int:
     rgb = read_ppm8(args.rgb)
     d_lr = read_depth_pfm(args.depth)
-    f_r = fusion.encode_rgb(rgb, args.scale, args.channels)
-    f_d = fusion.encode_depth(d_lr, args.channels)
-    hw = f_d.height * f_d.width
+    _check_scaled("RGB", rgb.shape[1:], d_lr, args.scale)
+    hw = d_lr.height * d_lr.width
     if not 1 <= args.k <= hw:
         raise ValueError(f"k must be in [1, {hw}], got {args.k}")
+    f_r = fusion.encode_rgb(rgb, args.scale, args.channels)
+    f_d = fusion.encode_depth(d_lr, args.channels)
     target = matcher.order_map(f_d, args.order)
     source = matcher.order_map(f_r, args.order)
     # Top-k is prefix-consistent, so the first k columns are top_k at k; the
     # second column tells self_match_stats whether a row's maximum is unique.
-    wide = matcher.top_k_streamed(target, source, min(max(args.k, 2), hw))
-    m = matcher.MatchResult(wide.eta[:, : args.k], wide.psi[:, : args.k])
-    matched = matcher.matching_selection(f_r, m)
+    wide_eta, wide_psi = matcher.top_k_streamed(target, source, min(max(args.k, 2), hw))
+    eta, psi = wide_eta[:, : args.k], wide_psi[:, : args.k]
+    matched = matcher.matching_selection(f_r, eta, psi)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_pfm(out / "eta.pfm", FeatureMap(m.eta.astype(np.float64)[None]))
-    write_pfm(out / "psi.pfm", FeatureMap(m.psi[None]))
-    unique, hits = matcher.self_match_stats(wide)
+    write_pfm(out / "eta.pfm", FeatureMap(eta.astype(np.float64)[None]))
+    write_pfm(out / "psi.pfm", FeatureMap(psi[None]))
+    unique, hits = matcher.self_match_stats(wide_eta, wide_psi)
     matched_dist = float(np.mean(np.abs(matched.data - f_d.data)))
     unmatched_dist = float(np.mean(np.abs(f_r.data - f_d.data)))
     stats = [
@@ -224,16 +220,24 @@ def _error_map(pred: DepthMap, gt: DepthMap) -> FeatureMap:
     return _hot_colormap(t)
 
 
-def _check_input_sizes(rgb: FeatureMap, d_lr: DepthMap, d_gt: DepthMap, scale: int) -> None:
-    """Reject a GT depth or RGB image that is not `scale` x the LR depth, and
-    a GT depth with no valid pixel."""
-    for name, (h, w) in (("GT depth", d_gt.depth.shape), ("RGB", rgb.shape[1:])):
-        if (h, w) != (scale * d_lr.height, scale * d_lr.width):
-            raise _UsageError(
-                f"{name} {h}x{w} is not {scale}x the LR depth {d_lr.height}x{d_lr.width}"
-            )
+def _check_scaled(name: str, shape: tuple[int, int], d_lr: DepthMap, scale: int) -> None:
+    """Reject an image whose (h, w) `shape` is not `scale` x the LR depth."""
+    h, w = shape
+    if (h, w) != (scale * d_lr.height, scale * d_lr.width):
+        raise _UsageError(
+            f"{name} {h}x{w} is not {scale}x the LR depth {d_lr.height}x{d_lr.width}"
+        )
+
+
+def _read_scene_inputs(args, scale: int) -> tuple[FeatureMap, DepthMap, DepthMap]:
+    """The --rgb, --d-lr and --d-gt files of `sr` and `fit`, with the GT depth
+    and RGB `scale` x the LR depth and at least one valid GT pixel."""
+    rgb, d_lr, d_gt = read_ppm8(args.rgb), read_depth_pfm(args.d_lr), read_depth_pfm(args.d_gt)
+    _check_scaled("GT depth", d_gt.depth.shape, d_lr, scale)
+    _check_scaled("RGB", rgb.shape[1:], d_lr, scale)
     if not d_gt.valid.any():
         raise _UsageError("no valid pixels in GT depth")
+    return rgb, d_lr, d_gt
 
 
 def _run_sr_once(rgb, d_lr, d_gt, cfg) -> tuple[DepthMap, dict[str, float]]:
@@ -254,11 +258,7 @@ def _run_sr_once(rgb, d_lr, d_gt, cfg) -> tuple[DepthMap, dict[str, float]]:
 
 def cmd_sr(args) -> int:
     cfg = _load_pipeline_config(args)
-    rgb = read_ppm8(args.rgb)
-    d_lr = read_depth_pfm(args.d_lr)
-    d_gt = read_depth_pfm(args.d_gt)
-    _check_input_sizes(rgb, d_lr, d_gt, cfg.scale)
-
+    rgb, d_lr, d_gt = _read_scene_inputs(args, cfg.scale)
     pred, stats = _run_sr_once(rgb, d_lr, d_gt, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -294,7 +294,7 @@ def _read_meta(path) -> dict[str, str]:
 
 def cmd_detect(args) -> int:
     rgb = read_ppm8(args.rgb)
-    params = structdet.DetectorParams(alpha_det=args.alpha, beta=args.beta)
+    params = structdet.DetectorParams(**_given(args, structdet.DetectorParams))
     f_r = fusion.encode_rgb(rgb, 1, args.channels)
     ridge = args.meta is not None and _read_meta(args.meta).get("preset") == "ridge"
     if ridge:
@@ -344,31 +344,26 @@ def cmd_eval(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    given = _given(args, trainer.TrainConfig)
+    if "fit_params" in args:
+        parts = ("head", "fuse", "alpha", "beta")
+        subset = {part.strip() for part in args.fit_params.split(",") if part.strip()}
+        unknown = subset - set(parts)
+        if unknown:
+            raise ValueError(f"unknown fit parameters {sorted(unknown)}")
+        given.update({f"fit_{part}": part in subset for part in parts})
+    tcfg = trainer.TrainConfig(**given)
+    # Fail before the fit, which can take minutes, not after it.
+    for path in (args.out_config, tcfg.log_path):
+        if path is not None and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"directory {Path(path).parent} of {path} does not exist")
     cfg = _load_pipeline_config(args)
-    rgb = read_ppm8(args.rgb)
-    d_lr = read_depth_pfm(args.d_lr)
-    d_gt = read_depth_pfm(args.d_gt)
-    _check_input_sizes(rgb, d_lr, d_gt, cfg.scale)
+    rgb, d_lr, d_gt = _read_scene_inputs(args, cfg.scale)
     scene = scenes.Scene(
         rgb=rgb, d_gt=d_gt, d_lr=d_lr, d_lr_noisy=None,
         spec=scenes.SceneSpec(
             width=rgb.width, height=rgb.height, scale=cfg.scale
         ),
-    )
-    subset = {part.strip() for part in args.fit_params.split(",") if part.strip()}
-    unknown = subset - {"head", "fuse", "alpha", "beta"}
-    if unknown:
-        raise ValueError(f"unknown fit parameters {sorted(unknown)}")
-    tcfg = trainer.TrainConfig(
-        steps=args.steps,
-        lr=args.lr if args.lr is not None else trainer.TrainConfig.lr,
-        fd_epsilon=args.fd_eps,
-        fit_head="head" in subset,
-        fit_fuse="fuse" in subset,
-        fit_alpha="alpha" in subset,
-        fit_beta="beta" in subset,
-        seed=args.seed,
-        log_path=args.log,
     )
     result = trainer.fit(scene, tcfg, cfg)
     configio.dump_config(result.config, args.out_config)
@@ -392,26 +387,18 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ImageIOError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (trainer.DivergenceError, NonFiniteError, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except ValueError as exc:  # _UsageError is one
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,28 +9,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import FeatureMap
-
-
-def _padded(f: FeatureMap) -> np.ndarray:
-    return np.pad(f.data, ((0, 0), (1, 1), (1, 1)), mode="edge")
+from .grid import FeatureMap, _windows
 
 
 def gradient_magnitude(f: FeatureMap) -> FeatureMap:
     """Per-channel sqrt(dx^2 + dy^2) via central differences."""
-    p = _padded(f)
-    dx = (p[:, 1:-1, 2:] - p[:, 1:-1, :-2]) * 0.5
-    dy = (p[:, 2:, 1:-1] - p[:, :-2, 1:-1]) * 0.5
+    p = _windows(f.data)
+    dx = (p[..., 1, 2] - p[..., 1, 0]) * 0.5
+    dy = (p[..., 2, 1] - p[..., 0, 1]) * 0.5
     return FeatureMap(np.sqrt(dx * dx + dy * dy))
 
 
 def hessian_field(f: FeatureMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-channel (dxx, dyy, dxy); dxy uses the 4-point cross stencil."""
-    p = _padded(f)
-    core = p[:, 1:-1, 1:-1]
-    dxx = p[:, 1:-1, 2:] - 2.0 * core + p[:, 1:-1, :-2]
-    dyy = p[:, 2:, 1:-1] - 2.0 * core + p[:, :-2, 1:-1]
-    dxy = (p[:, 2:, 2:] - p[:, 2:, :-2] - p[:, :-2, 2:] + p[:, :-2, :-2]) * 0.25
+    p = _windows(f.data)
+    dxx = p[..., 1, 2] - 2.0 * p[..., 1, 1] + p[..., 1, 0]
+    dyy = p[..., 2, 1] - 2.0 * p[..., 1, 1] + p[..., 0, 1]
+    dxy = (p[..., 2, 2] - p[..., 2, 0] - p[..., 0, 2] + p[..., 0, 0]) * 0.25
     return dxx, dyy, dxy
 
 

@@ -107,11 +107,11 @@ class PipelineConfig:
         return hash(self._scalars())
 
     @classmethod
-    def tiny(cls, scale: int = 4, **kwargs) -> "PipelineConfig":
+    def tiny(cls, **kwargs) -> "PipelineConfig":
         """Lightweight profile: a quarter of the channels, 2 iterations."""
         kwargs.setdefault("channels", max(1, DEFAULT_CHANNELS // 4))
         kwargs.setdefault("moma_iters", 2)
-        return cls(scale=scale, **kwargs)
+        return cls(**kwargs)
 
 
 def _weight_matrix(value, shape: tuple[int, int], name: str) -> np.ndarray:

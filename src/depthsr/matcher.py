@@ -3,15 +3,16 @@
 The correlation between two c x h x w maps is an hw x hw matrix of cosine
 similarities over flattened, L2-normalized 3x3 patches. Matching streams it
 in row blocks of at most MATCH_BLOCK_BYTES and keeps each block's top-k, so
-it holds a few blocks, never hw^2 floats. The naive double-loop oracles live
-permanently in tests/oracles.py. Top-k is exact with a lowest-index
-tie-break, so results never depend on partition order, block size or thread
-count, and the first k columns of a top-k' result (k' > k) equal top-k.
+it holds a few blocks, never hw^2 floats. A match is the plain array pair
+(eta, psi), each (hw, k): per target patch, the source indices of its k
+best patches and their cosines, scores non-increasing along each row. The
+naive double-loop oracles live permanently in tests/oracles.py. Top-k is
+exact with a lowest-index tie-break, so results never depend on partition
+order, block size or thread count, and the first k columns of a top-k'
+result (k' > k) equal top-k.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,32 +26,6 @@ MIN_PATCH_NORM = 1e-12
 
 # Bytes of correlations one streamed block may hold (a row takes 8 * hw).
 MATCH_BLOCK_BYTES = 2 << 20
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Top-k source-patch indices (eta) and scores (psi) per target patch.
-
-    Scores are non-increasing within each row; ties broke toward the lowest
-    source index when retrieved.
-    """
-
-    eta: np.ndarray
-    psi: np.ndarray
-
-    def __post_init__(self):
-        eta = np.ascontiguousarray(np.asarray(self.eta, dtype=np.int64))
-        psi = np.ascontiguousarray(np.asarray(self.psi, dtype=np.float64))
-        if eta.ndim != 2 or eta.shape != psi.shape:
-            raise ValueError("eta and psi must share an (hw, k) shape")
-        if np.any(np.diff(psi, axis=1) > 0):
-            raise ValueError("scores must be non-increasing per row")
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "psi", psi)
-
-    @property
-    def k(self) -> int:
-        return self.eta.shape[1]
 
 
 def normalized_patch_matrix(f: FeatureMap) -> np.ndarray:
@@ -68,8 +43,10 @@ def _cosines(t: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.clip(np.einsum("id,jd->ij", t, s), -1.0, 1.0)
 
 
-def top_k(values: np.ndarray, k: int) -> MatchResult:
-    """Exact per-row top-k of a cosine block as one sort of the candidates.
+def top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact per-row top-k of a cosine block as (eta, psi), each (rows, k).
+
+    eta holds source indices and psi their scores, non-increasing per row.
 
     A partition finds each row's k-th largest value; every entry at or above
     it is a candidate, taken row-major with ascending columns. One stable
@@ -84,11 +61,13 @@ def top_k(values: np.ndarray, k: int) -> MatchResult:
     scores = values[rows, cols]
     order = np.lexsort((-scores, rows))
     pick = order[np.searchsorted(rows, np.arange(n))[:, None] + np.arange(k)]
-    return MatchResult(cols[pick], scores[pick])
+    return cols[pick], scores[pick]
 
 
-def top_k_streamed(target: FeatureMap, source: FeatureMap, k: int) -> MatchResult:
-    """Top-k source patches per target patch, one row block of cosines at a time.
+def top_k_streamed(
+    target: FeatureMap, source: FeatureMap, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k (eta, psi) per target patch, one row block of cosines at a time.
 
     A block holds at most MATCH_BLOCK_BYTES of correlations (at least one row).
     Rows are independent, so every block size gives a bit-identical result.
@@ -98,10 +77,8 @@ def top_k_streamed(target: FeatureMap, source: FeatureMap, k: int) -> MatchResul
     t, s = normalized_patch_matrix(target), normalized_patch_matrix(source)
     n = t.shape[0]
     rows = max(1, MATCH_BLOCK_BYTES // (8 * n))
-    parts = [top_k(_cosines(t[r0 : r0 + rows], s), k) for r0 in range(0, n, rows)]
-    return MatchResult(
-        np.concatenate([p.eta for p in parts]), np.concatenate([p.psi for p in parts])
-    )
+    eta, psi = zip(*(top_k(_cosines(t[r0 : r0 + rows], s), k) for r0 in range(0, n, rows)))
+    return np.concatenate(eta), np.concatenate(psi)
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -110,7 +87,7 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def matching_selection(source: FeatureMap, m: MatchResult) -> FeatureMap:
+def matching_selection(source: FeatureMap, eta: np.ndarray, psi: np.ndarray) -> FeatureMap:
     """Softmax-weighted gather of the top-k source patches, folded to a map.
 
     For each target position the k matched source patches are blended with
@@ -119,12 +96,11 @@ def matching_selection(source: FeatureMap, m: MatchResult) -> FeatureMap:
     """
     patches = extract_patches(source)
     n = patches.shape[0]
-    if m.eta.shape[0] != n:
-        raise ValueError(f"match rows {m.eta.shape[0]} != patch count {n}")
-    if m.eta.min() < 0 or m.eta.max() >= n:
+    if eta.shape[0] != n:
+        raise ValueError(f"match rows {eta.shape[0]} != patch count {n}")
+    if eta.min() < 0 or eta.max() >= n:
         raise ValueError("match indices out of range for source patches")
-    weights = softmax_rows(m.psi)
-    mixed = np.einsum("rk,rkd->rd", weights, patches[m.eta])
+    mixed = np.einsum("rk,rkd->rd", softmax_rows(psi), patches[eta])
     return fold_patches(mixed, source.shape)
 
 
@@ -152,21 +128,21 @@ def match_order(
     """
     target = order_map(depth, order)
     source = order_map(rgb, order)
-    m = top_k_streamed(target, source, k)
-    matched_rgb = matching_selection(rgb, m)
-    matched_prior = None if order == "zero" else matching_selection(source, m)
+    eta, psi = top_k_streamed(target, source, k)
+    matched_rgb = matching_selection(rgb, eta, psi)
+    matched_prior = None if order == "zero" else matching_selection(source, eta, psi)
     return matched_rgb, matched_prior
 
 
-def self_match_stats(m: MatchResult) -> tuple[int, int]:
+def self_match_stats(eta: np.ndarray, psi: np.ndarray) -> tuple[int, int]:
     """(# rows with a unique maximum, # of those whose top-1 is the self index).
 
-    m holds each row's top min(2, hw) scores of a square correlation: a row's
-    maximum is unique when its best score beats its second one.
+    (eta, psi) hold each row's top min(2, hw) matches of a square correlation:
+    a row's maximum is unique when its best score beats its second one.
     """
-    n = m.eta.shape[0]
-    if m.k < min(2, n):
+    n, k = eta.shape
+    if k < min(2, n):
         raise ValueError("self_match_stats needs the top 2 scores of each row")
-    unique = m.psi[:, 0] > m.psi[:, 1] if m.k > 1 else np.ones(n, dtype=bool)
-    hits = m.eta[:, 0] == np.arange(n)
+    unique = psi[:, 0] > psi[:, 1] if k > 1 else np.ones(n, dtype=bool)
+    hits = eta[:, 0] == np.arange(n)
     return int(unique.sum()), int((unique & hits).sum())

@@ -143,14 +143,17 @@ class SceneLoss:
         return f_d
 
     def head_report(self, f_d: FeatureMap, cfg: PipelineConfig) -> LossReport:
-        """Reconstruct from fused features and evaluate the loss."""
-        return loss_total(self.d_gt, reconstruct(f_d, self.d_lr, cfg), cfg.alpha_loss)
+        """Reconstruct from fused features and evaluate the loss (finite, or NonFiniteError)."""
+        report = loss_total(self.d_gt, reconstruct(f_d, self.d_lr, cfg), cfg.alpha_loss)
+        if not np.isfinite(report.l_total):
+            raise NonFiniteError(f"l_total is {report.l_total}")
+        return report
 
     def report(self, vec: np.ndarray) -> LossReport:
         cfg = unpack_params(vec, self.cfg, self.tcfg)
         return self.head_report(self.fused_features(cfg), cfg)
 
-    def gradient(self, vec: np.ndarray, step: int) -> np.ndarray:
+    def gradient(self, vec: np.ndarray) -> np.ndarray:
         """Central-difference gradient, staged per parameter block.
 
         Head coordinates do not influence the fused features, so their
@@ -164,10 +167,10 @@ class SceneLoss:
 
         def head_value(probe: np.ndarray) -> float:
             cfg = unpack_params(probe, self.cfg, self.tcfg)
-            return self._check(self.head_report(base_features, cfg).l_total, step)
+            return self.head_report(base_features, cfg).l_total
 
         def full_value(probe: np.ndarray) -> float:
-            return self._check(self.report(probe).l_total, step)
+            return self.report(probe).l_total
 
         for i in range(vec.size):
             value = head_value if i < self.n_head else full_value
@@ -178,11 +181,6 @@ class SceneLoss:
             lo = value(probe)
             grad[i] = (hi - lo) / (2.0 * eps)
         return grad
-
-    def _check(self, value: float, step: int) -> float:
-        if not np.isfinite(value):
-            raise DivergenceError(step)
-        return value
 
 
 @dataclass(frozen=True)
@@ -220,7 +218,7 @@ def fit(scene: Scene, tcfg: TrainConfig, cfg: PipelineConfig) -> FitResult:
     """
     loss = SceneLoss(scene, cfg, tcfg)
     params = _initial_params(cfg, tcfg)
-    history = [_evaluate(loss, params, 0)]
+    history = [_guarded(0, loss.report, params)]
     if params.size == 0:
         _write_log(tcfg, history)
         return FitResult(cfg, history)
@@ -229,10 +227,10 @@ def fit(scene: Scene, tcfg: TrainConfig, cfg: PipelineConfig) -> FitResult:
     best_loss = current
 
     for step in range(1, tcfg.steps + 1):
-        grad = _guarded(step, loss.gradient, params, step)
+        grad = _guarded(step, loss.gradient, params)
         scale = np.abs(grad).max()
         if scale == 0.0:
-            history.append(_evaluate(loss, params, step))
+            history.append(_guarded(step, loss.report, params))
             continue
         direction = grad / scale
         # Fresh line search from the base step: halve until the move
@@ -240,11 +238,11 @@ def fit(scene: Scene, tcfg: TrainConfig, cfg: PipelineConfig) -> FitResult:
         # tracking protects the result).
         trial = tcfg.lr
         candidate = params - trial * direction
-        report = _evaluate(loss, candidate, step)
+        report = _guarded(step, loss.report, candidate)
         while report.l_total >= current and trial > tcfg.lr * 2.0**-_MAX_HALVINGS:
             trial *= 0.5
             candidate = params - trial * direction
-            report = _evaluate(loss, candidate, step)
+            report = _guarded(step, loss.report, candidate)
         params = candidate
         history.append(report)
         current = report.l_total
@@ -264,13 +262,6 @@ def _guarded(step: int, fn, *args):
             return fn(*args)
     except (NonFiniteError, FloatingPointError) as exc:
         raise DivergenceError(step, f"non-finite loss at step {step}: {exc}") from exc
-
-
-def _evaluate(loss: SceneLoss, params: np.ndarray, step: int) -> LossReport:
-    report = _guarded(step, loss.report, params)
-    if not np.isfinite(report.l_total):
-        raise DivergenceError(step)
-    return report
 
 
 def _write_log(tcfg: TrainConfig, history: list[LossReport]) -> None:

@@ -7,7 +7,7 @@ stay here permanently so every faster path keeps a ground truth.
 import numpy as np
 
 from depthsr.grid import PATCH_SIZE, FeatureMap, conv2d, extract_patches, sigmoid
-from depthsr.matcher import MIN_PATCH_NORM, MatchResult
+from depthsr.matcher import MIN_PATCH_NORM
 
 
 def correlation_set_naive(target: FeatureMap, source: FeatureMap) -> np.ndarray:
@@ -30,13 +30,13 @@ def correlation_set_naive(target: FeatureMap, source: FeatureMap) -> np.ndarray:
     return np.clip(out, -1.0, 1.0)
 
 
-def top_k_naive(values: np.ndarray, k: int) -> MatchResult:
-    """Full-sort top-k per row (stable sort on negated scores)."""
+def top_k_naive(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full-sort top-k (eta, psi) per row (stable sort on negated scores)."""
     m = values.shape[1]
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
     eta = np.argsort(-values, axis=1, kind="stable")[:, :k]
-    return MatchResult(eta, np.take_along_axis(values, eta, axis=1))
+    return eta, np.take_along_axis(values, eta, axis=1)
 
 
 def fold_patches_loop(vectors: np.ndarray, shape: tuple[int, int, int]) -> FeatureMap:

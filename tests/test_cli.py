@@ -3,14 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from depthsr import fusion, matcher, trainer
+from depthsr import cli, configio, fusion, matcher, scenes, structdet, trainer
 from depthsr.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _build_parser, _load_pipeline_config, main
+from depthsr.scenes import SceneSpec
 from depthsr.configio import dump_config, load_config
 from depthsr.fileio import read_depth_pfm, read_pfm, read_ppm8, write_depth_pfm, write_ppm8
 from depthsr.fusion import PipelineConfig
 from depthsr.grid import DepthMap, FeatureMap
 from depthsr.scenes import value_noise
 from depthsr.structdet import DetectorParams
+from depthsr.trainer import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +27,11 @@ def scene_dir(tmp_path_factory):
     )
     assert code == EXIT_OK
     return out
+
+
+def scene_inputs(scene_dir):
+    return ["--rgb", str(scene_dir / "rgb.ppm"), "--d-lr", str(scene_dir / "d_lr.pfm"),
+            "--d-gt", str(scene_dir / "d_gt.pfm")]
 
 
 def empty_gt(path):
@@ -126,6 +133,20 @@ class TestMatch:
         )
         assert code == EXIT_USAGE
         assert "k must be in [1, 64], got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rgb_size_checked_before_encoding(self, scene_dir, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fusion, "encode_rgb", lambda *args: calls.append(args))
+        rgb = tmp_path / "rgb.ppm"
+        write_ppm8(rgb, FeatureMap(np.full((3, 64, 64), 0.5)))
+        out = tmp_path / "m"
+        code = main(
+            ["match", "--rgb", str(rgb), "--depth", str(scene_dir / "d_lr.pfm"), "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: RGB 64x64 is not 4x the LR depth 8x8\n"
+        assert calls == []
         assert not out.exists()
 
     def test_peak_memory_stays_below_one_dense_matrix(self, tmp_path, monkeypatch):
@@ -313,6 +334,24 @@ class TestSrConfigOverrides:
         _, path = weighted
         assert main(self.sr_argv(scene_dir, tmp_path / "sr", path, "--k", "0")) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command, out_flag", [("sr", "--out"), ("fit", "--out-config")])
+    def test_tiny_with_config_is_usage_error_before_reading(
+        self, scene_dir, tmp_path, weighted, capsys, monkeypatch, command, out_flag
+    ):
+        # The config sets channels and iterations, so --tiny would be ignored.
+        _, path = weighted
+        reads = []
+        for module, name in ((configio, "load_config"), (cli, "read_ppm8"), (cli, "read_depth_pfm")):
+            monkeypatch.setattr(module, name, lambda *args: reads.append(args))
+        out = tmp_path / "out"
+        code = main(
+            [command, *scene_inputs(scene_dir), "--config", str(path), "--tiny", out_flag, str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert f"--tiny cannot combine with --config {path}" in capsys.readouterr().err
+        assert reads == []
+        assert not out.exists()
+
 
 class TestDetect:
     def test_flat_image_descriptor_zero(self, tmp_path, capsys):
@@ -452,6 +491,23 @@ class TestFitCommand:
         assert calls == []
         assert not out_cfg.exists()
 
+    @pytest.mark.parametrize("flag", ["--out-config", "--log"])
+    def test_missing_output_directory_is_io_error_before_fitting(
+        self, scene_dir, tmp_path, capsys, monkeypatch, flag
+    ):
+        calls = []
+        monkeypatch.setattr(trainer, "fit", lambda *args: calls.append(args))
+        outputs = {"--out-config": tmp_path / "fit.cfg", "--log": tmp_path / "loss.csv"}
+        outputs[flag] = tmp_path / "missing" / outputs[flag].name
+        code = main(
+            ["fit", *scene_inputs(scene_dir), "--tiny",
+             *(arg for name, path in outputs.items() for arg in (name, str(path)))]
+        )
+        assert code == EXIT_IO
+        assert f"directory {tmp_path / 'missing'} of {outputs[flag]}" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_fit_params_usage_error(self, scene_dir, tmp_path):
         code = main(
             ["fit", "--rgb", str(scene_dir / "rgb.ppm"),
@@ -515,6 +571,35 @@ class TestNonFiniteSettings:
 
 
 class TestParser:
+    class Stop(Exception):
+        pass
+
+    def test_left_out_flags_build_default_settings(self, scene_dir, tmp_path, monkeypatch):
+        # Each default is stated once, in its dataclass: a left-out flag sets nothing.
+        runs = (
+            (scenes, "render_scene", ["synth", "--out", str(tmp_path / "s")], (SceneSpec(),)),
+            (structdet, "compute_descriptor",
+             ["detect", "--rgb", str(scene_dir / "rgb.ppm"), "--out", str(tmp_path / "d")],
+             (DetectorParams(),)),
+            (fusion, "run_pipeline", ["sr", *scene_inputs(scene_dir), "--out", str(tmp_path / "r")],
+             (PipelineConfig(),)),
+            (trainer, "fit",
+             ["fit", *scene_inputs(scene_dir), "--out-config", str(tmp_path / "f.cfg")],
+             (TrainConfig(), PipelineConfig())),
+        )
+        for module, name, argv, expected in runs:
+            seen = []
+
+            def stop(*args):
+                seen.append(args)
+                raise self.Stop
+
+            monkeypatch.setattr(module, name, stop)
+            with pytest.raises(self.Stop):
+                main(argv)
+            assert seen[0][-len(expected):] == expected, argv[0]
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 

@@ -8,7 +8,6 @@ from oracles import correlation_set_naive, top_k_naive
 from depthsr import matcher
 from depthsr.grid import DepthMap, FeatureMap, extract_patches, fold_patches
 from depthsr.matcher import (
-    MatchResult,
     match_order,
     matching_selection,
     self_match_stats,
@@ -27,9 +26,9 @@ def textured_map(h, w, c=1, seed=0):
 
 def all_cosines(target, source):
     """hw x hw cosines from the production kernel: top-k at k = hw, back in column order."""
-    m = top_k_streamed(target, source, target.height * target.width)
-    values = np.empty(m.psi.shape)
-    np.put_along_axis(values, m.eta, m.psi, axis=1)
+    eta, psi = top_k_streamed(target, source, target.height * target.width)
+    values = np.empty(psi.shape)
+    np.put_along_axis(values, eta, psi, axis=1)
     return values
 
 
@@ -96,25 +95,25 @@ class TestCorrelationSet:
 class TestTopK:
     def test_self_match_top1(self):
         f = textured_map(6, 6, seed=3)
-        unique, hits = self_match_stats(top_k_streamed(f, f, 2))
+        unique, hits = self_match_stats(*top_k_streamed(f, f, 2))
         assert unique > 0
         assert hits == unique
 
     def test_constant_rows_tie_to_lowest_indices(self):
         f = FeatureMap(np.full((1, 3, 3), 2.0))
-        m = top_k_streamed(f, f, 2)
-        np.testing.assert_array_equal(m.eta, np.tile([0, 1], (9, 1)))
+        eta, _ = top_k_streamed(f, f, 2)
+        np.testing.assert_array_equal(eta, np.tile([0, 1], (9, 1)))
 
     def test_k_equals_hw_is_full_sort(self):
         rng = np.random.default_rng(8)
         t = FeatureMap(rng.normal(size=(1, 4, 4)))
         s = FeatureMap(rng.normal(size=(1, 4, 4)))
         values = correlation_set_naive(t, s)
-        m = top_k(values, 16)
-        ref = top_k_naive(values, 16)
-        np.testing.assert_array_equal(m.eta, ref.eta)
-        np.testing.assert_array_equal(m.psi, ref.psi)
-        for row in m.eta:
+        eta, psi = top_k(values, 16)
+        ref_eta, ref_psi = top_k_naive(values, 16)
+        np.testing.assert_array_equal(eta, ref_eta)
+        np.testing.assert_array_equal(psi, ref_psi)
+        for row in eta:
             assert sorted(row) == list(range(16))
 
     def test_matches_full_sort_oracle_with_ties(self):
@@ -128,11 +127,11 @@ class TestTopK:
         )
         for vals in blocks:
             for k in (1, 3, 7, 12):
-                fast = top_k(vals, k)
-                ref = top_k_naive(vals, k)
-                np.testing.assert_array_equal(fast.eta, ref.eta)
-                np.testing.assert_array_equal(fast.psi, ref.psi)
-                assert np.array_equal(np.signbit(fast.psi), np.signbit(ref.psi))
+                fast_eta, fast_psi = top_k(vals, k)
+                ref_eta, ref_psi = top_k_naive(vals, k)
+                np.testing.assert_array_equal(fast_eta, ref_eta)
+                np.testing.assert_array_equal(fast_psi, ref_psi)
+                assert np.array_equal(np.signbit(fast_psi), np.signbit(ref_psi))
 
     def test_k_out_of_range(self):
         f = textured_map(3, 3)
@@ -157,28 +156,28 @@ class TestTopK:
                 naive = top_k_naive(values, k)
                 for budget in (1, 240, 4 * 240, 7 * 240, 30 * 240):
                     monkeypatch.setattr(matcher, "MATCH_BLOCK_BYTES", budget)
-                    streamed = top_k_streamed(t, s, k)
-                    for ref in (full, naive):
-                        np.testing.assert_array_equal(streamed.eta, ref.eta)
-                        np.testing.assert_array_equal(streamed.psi, ref.psi)
+                    eta, psi = top_k_streamed(t, s, k)
+                    for ref_eta, ref_psi in (full, naive):
+                        np.testing.assert_array_equal(eta, ref_eta)
+                        np.testing.assert_array_equal(psi, ref_psi)
 
     def test_rerun_bit_identical(self):
         t = textured_map(6, 6, seed=1)
         s = textured_map(6, 6, seed=2)
-        a = top_k_streamed(t, s, 4)
-        b = top_k_streamed(t, s, 4)
-        np.testing.assert_array_equal(a.eta, b.eta)
-        np.testing.assert_array_equal(a.psi, b.psi)
+        a_eta, a_psi = top_k_streamed(t, s, 4)
+        b_eta, b_psi = top_k_streamed(t, s, 4)
+        np.testing.assert_array_equal(a_eta, b_eta)
+        np.testing.assert_array_equal(a_psi, b_psi)
 
     def test_first_columns_of_larger_k_are_top_k(self):
         # `depthsr match` keeps the first k columns of a wider request.
         rng = np.random.default_rng(13)
         t, s = quantized_map(rng, 1, 5, 6), quantized_map(rng, 1, 5, 6)
-        widest = top_k_streamed(t, s, 30)
+        wide_eta, wide_psi = top_k_streamed(t, s, 30)
         for k in (1, 2, 7, 29):
-            m = top_k_streamed(t, s, k)
-            np.testing.assert_array_equal(widest.eta[:, :k], m.eta)
-            np.testing.assert_array_equal(widest.psi[:, :k], m.psi)
+            eta, psi = top_k_streamed(t, s, k)
+            np.testing.assert_array_equal(wide_eta[:, :k], eta)
+            np.testing.assert_array_equal(wide_psi[:, :k], psi)
 
 
 class TestSelfMatchStats:
@@ -203,15 +202,15 @@ class TestSelfMatchStats:
                 hw = h * w
                 for k in range(1, hw + 1):
                     wide = top_k_streamed(t, s, min(max(k, 2), hw))
-                    expected = self.dense_stats(values, top_k_naive(values, 1).eta[:, 0])
-                    assert self_match_stats(wide) == expected
+                    expected = self.dense_stats(values, top_k_naive(values, 1)[0][:, 0])
+                    assert self_match_stats(*wide) == expected
 
     def test_one_column_needs_a_single_patch(self):
         f = textured_map(3, 3)
         with pytest.raises(ValueError):
-            self_match_stats(top_k_streamed(f, f, 1))
+            self_match_stats(*top_k_streamed(f, f, 1))
         one = textured_map(1, 1)
-        assert self_match_stats(top_k_streamed(one, one, 1)) == (1, 1)
+        assert self_match_stats(*top_k_streamed(one, one, 1)) == (1, 1)
 
 
 class TestMatchingSelection:
@@ -220,14 +219,13 @@ class TestMatchingSelection:
         src = FeatureMap(rng.normal(size=(1, 4, 4)))
         patches = extract_patches(src)
         eta = rng.integers(0, 16, size=(16, 1))
-        m = MatchResult(eta, np.zeros((16, 1)))
-        out = matching_selection(src, m)
+        out = matching_selection(src, eta, np.zeros((16, 1)))
         ref = fold_patches(patches[eta[:, 0]], src.shape)
         np.testing.assert_array_equal(out.data, ref.data)
 
     def test_self_match_identity(self):
         f = textured_map(5, 5, seed=4)
-        out = matching_selection(f, top_k_streamed(f, f, 1))
+        out = matching_selection(f, *top_k_streamed(f, f, 1))
         np.testing.assert_allclose(out.data, f.data, atol=1e-12)
 
     def test_equal_scores_average_patches(self):
@@ -235,17 +233,15 @@ class TestMatchingSelection:
         src = FeatureMap(rng.normal(size=(1, 3, 3)))
         patches = extract_patches(src)
         eta = np.tile([0, 5], (9, 1))
-        m = MatchResult(eta, np.full((9, 2), 0.25))
-        out = matching_selection(src, m)
+        out = matching_selection(src, eta, np.full((9, 2), 0.25))
         mixed = 0.5 * patches[eta[:, 0]] + 0.5 * patches[eta[:, 1]]
         ref = fold_patches(mixed, src.shape)
         np.testing.assert_allclose(out.data, ref.data, atol=1e-12)
 
     def test_out_of_range_indices_rejected(self):
         src = textured_map(3, 3)
-        m = MatchResult(np.full((9, 1), 9), np.zeros((9, 1)))
         with pytest.raises(ValueError):
-            matching_selection(src, m)
+            matching_selection(src, np.full((9, 1), 9), np.zeros((9, 1)))
 
     def test_softmax_rows_normalized(self):
         w = softmax_rows(np.array([[1.0, 1.0, 1.0], [0.0, 10.0, -10.0]]))
@@ -282,12 +278,12 @@ class TestMatchOrder:
 
         target = hessian_norm(depth)
         source = hessian_norm(rgb)
-        m = top_k_streamed(target, source, 1)
+        eta, _ = top_k_streamed(target, source, 1)
         idx = np.arange(h * w)
         expected = np.clip(idx // w + 3, 0, h - 1) * w + np.clip(idx % w + 4, 0, w - 1)
         hn = target.data[0].ravel()
         mask = hn > np.percentile(hn, 70)
-        recovered = (m.eta[:, 0] == expected)[mask].mean()
+        recovered = (eta[:, 0] == expected)[mask].mean()
         assert recovered >= 0.95
 
     def test_unknown_order(self):

@@ -18,7 +18,7 @@ from depthsr import fusion, matcher, scenes
 
 matcher.MATCH_BLOCK_BYTES = 100 * 8 * 1024
 big = scenes.render_scene(scenes.SceneSpec(width=128, height=128))
-m = matcher.top_k_streamed(
+eta, psi = matcher.top_k_streamed(
     fusion.encode_depth(big.d_lr, 8), fusion.encode_rgb(big.rgb, 4, 8), 4
 )
 rng = np.random.default_rng(0)
@@ -28,7 +28,7 @@ cfg = fusion.PipelineConfig(
 )
 small = scenes.render_scene(scenes.SceneSpec())
 pred = fusion.run_pipeline(small.rgb, small.d_lr, cfg)
-for arr in (m.eta, m.psi, pred.depth):
+for arr in (eta, psi, pred.depth):
     print(hashlib.sha256(arr.tobytes()).hexdigest())
 """
 

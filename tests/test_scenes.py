@@ -111,9 +111,9 @@ class TestRenderScene:
         # With no misalignment the depth-vs-depth match oracle reports (0,0).
         d_lr, _rgb = render_shifted_pair("boxes", 32, 32, 0, 0)
         f = FeatureMap.from_plane(d_lr.depth)
-        m = top_k_streamed(f, f, 1)
+        eta, _ = top_k_streamed(f, f, 1)
         unique_rows = np.arange(32 * 32)
-        assert (m.eta[:, 0] == unique_rows).mean() > 0.95
+        assert (eta[:, 0] == unique_rows).mean() > 0.95
 
     def test_rotation_changes_rgb_only(self):
         base = render_scene(SceneSpec(width=32, height=32, scale=4, rotation_deg=0.0))

@@ -79,13 +79,13 @@ class TestNumericGrad:
         )
         cfg = PipelineConfig.tiny(scale=4)
         tcfg = TrainConfig(fit_head=True, fit_fuse=False)
-        grad = SceneLoss(flat, cfg, tcfg).gradient(pack_params(cfg, tcfg), 0)
+        grad = SceneLoss(flat, cfg, tcfg).gradient(pack_params(cfg, tcfg))
         np.testing.assert_allclose(grad, 0.0, atol=1e-9)
 
     def test_detector_scalars_dead_when_detector_disabled(self, small_scene):
         cfg = PipelineConfig.tiny(scale=4, detector=False)
         tcfg = TrainConfig(fit_head=False, fit_fuse=False, fit_alpha=True, fit_beta=True)
-        grad = SceneLoss(small_scene, cfg, tcfg).gradient(pack_params(cfg, tcfg), 0)
+        grad = SceneLoss(small_scene, cfg, tcfg).gradient(pack_params(cfg, tcfg))
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_staged_probes_match_plain_central_differences(self, small_scene):
@@ -94,7 +94,7 @@ class TestNumericGrad:
         rng = np.random.default_rng(0)
         vec = pack_params(cfg, tcfg) + 0.05 * rng.normal(size=pack_params(cfg, tcfg).size)
         loss = SceneLoss(small_scene, cfg, tcfg)
-        staged = loss.gradient(vec, 0)
+        staged = loss.gradient(vec)
         plain = central_difference(lambda v: loss.report(v).l_total, vec, tcfg.fd_epsilon)
         np.testing.assert_allclose(staged, plain, rtol=0, atol=1e-12)
 
