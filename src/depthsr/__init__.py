@@ -13,7 +13,7 @@ from .grid import (
     pixel_shuffle,
     pixel_unshuffle,
 )
-from .losses import LossReport, add_noise, loss_grad, loss_hes, loss_rec, loss_total, rmse_cm
+from .losses import LossReport, add_noise, loss_total, rmse_cm
 from .matcher import match_order, matching_selection, top_k, top_k_streamed
 from .structdet import DetectorParams, compute_descriptor, detect, normalize_and_compress, structure_descriptor
 from .trainer import DivergenceError, FitResult, TrainConfig, fit
@@ -47,9 +47,6 @@ __all__ = [
     "gradient_magnitude",
     "hessian_field",
     "hessian_norm",
-    "loss_grad",
-    "loss_hes",
-    "loss_rec",
     "loss_total",
     "match_order",
     "matching_selection",

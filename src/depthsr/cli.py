@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,27 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
+def _lines(stats: dict) -> list[str]:
+    """`key=value` report lines: floats with _fmt, everything else as is."""
+    return [f"{key}={_fmt(val) if isinstance(val, float) else val}" for key, val in stats.items()]
+
+
+def _check_outputs(args) -> None:
+    """Fail before any input is read, not after the work: the nearest existing
+    path up from --out must be a directory, and a file output (--out-config,
+    --log) must not be a directory and needs an existing parent directory."""
+    if "out" in args:
+        out = Path(args.out)
+        found = next(path for path in (out, *out.parents) if path.exists())
+        if not found.is_dir():
+            raise NotADirectoryError(f"cannot create output directory {out}: {found} is not a directory")
+    for path in (getattr(args, name) for name in ("out_config", "log_path") if name in args):
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"output {path} is a directory")
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"directory {Path(path).parent} of {path} does not exist")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="depthsr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -73,9 +94,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--depth", required=True, help="LR depth PFM")
     p.add_argument("--out", required=True)
     p.add_argument("--order", default="zero", choices=matcher.ORDERS)
-    p.add_argument("--k", type=int, default=fusion.DEFAULT_TOPK)
+    p.add_argument("--k", type=int, default=fusion.PipelineConfig.k)
     p.add_argument("--scale", type=int, default=fusion.PipelineConfig.scale)
-    p.add_argument("--channels", type=int, default=fusion.DEFAULT_CHANNELS)
+    p.add_argument("--channels", type=int, default=fusion.PipelineConfig.channels)
 
     scene_inputs = _Parser(add_help=False)
     scene_inputs.add_argument("--rgb", required=True)
@@ -152,17 +173,17 @@ def cmd_synth(args) -> int:
     write_depth_pfm(out / "d_lr.pfm", scene.d_lr)
     if scene.d_lr_noisy is not None:
         write_depth_pfm(out / "d_lr_noisy.pfm", scene.d_lr_noisy)
-    meta = [
-        f"preset={spec.preset}",
-        f"width={spec.width}",
-        f"height={spec.height}",
-        f"scale={spec.scale}",
-        f"dx={_fmt(spec.dx)}",
-        f"dy={_fmt(spec.dy)}",
-        f"rotation={_fmt(spec.rotation_deg)}",
-        f"seed={spec.texture_seed}",
-        f"sigma={_fmt(spec.noise_sigma)}",
-    ]
+    meta = _lines({
+        "preset": spec.preset,
+        "width": spec.width,
+        "height": spec.height,
+        "scale": spec.scale,
+        "dx": spec.dx,
+        "dy": spec.dy,
+        "rotation": spec.rotation_deg,
+        "seed": spec.texture_seed,
+        "sigma": spec.noise_sigma,
+    })
     (out / "scene.meta").write_text("\n".join(meta) + "\n", encoding="ascii")
     print(f"wrote scene to {out}")
     return EXIT_OK
@@ -171,7 +192,7 @@ def cmd_synth(args) -> int:
 def cmd_match(args) -> int:
     rgb = read_ppm8(args.rgb)
     d_lr = read_depth_pfm(args.depth)
-    _check_scaled("RGB", rgb.shape[1:], d_lr, args.scale)
+    fusion.check_scaled("RGB", rgb.shape[1:], d_lr, args.scale)
     hw = d_lr.height * d_lr.width
     if not 1 <= args.k <= hw:
         raise ValueError(f"k must be in [1, {hw}], got {args.k}")
@@ -192,15 +213,15 @@ def cmd_match(args) -> int:
     unique, hits = matcher.self_match_stats(wide_eta, wide_psi)
     matched_dist = float(np.mean(np.abs(matched.data - f_d.data)))
     unmatched_dist = float(np.mean(np.abs(f_r.data - f_d.data)))
-    stats = [
-        f"order={args.order}",
-        f"rows={hw}",
-        f"k={args.k}",
-        f"unique_max_rows={unique}",
-        f"self_match_fraction={_fmt(hits / unique if unique else 0.0)}",
-        f"matched_mean_abs_distance={_fmt(matched_dist)}",
-        f"unmatched_mean_abs_distance={_fmt(unmatched_dist)}",
-    ]
+    stats = _lines({
+        "order": args.order,
+        "rows": hw,
+        "k": args.k,
+        "unique_max_rows": unique,
+        "self_match_fraction": hits / unique if unique else 0.0,
+        "matched_mean_abs_distance": matched_dist,
+        "unmatched_mean_abs_distance": unmatched_dist,
+    })
     (out / "stats.txt").write_text("\n".join(stats) + "\n", encoding="ascii")
     print("\n".join(stats))
     return EXIT_OK
@@ -220,21 +241,12 @@ def _error_map(pred: DepthMap, gt: DepthMap) -> FeatureMap:
     return _hot_colormap(t)
 
 
-def _check_scaled(name: str, shape: tuple[int, int], d_lr: DepthMap, scale: int) -> None:
-    """Reject an image whose (h, w) `shape` is not `scale` x the LR depth."""
-    h, w = shape
-    if (h, w) != (scale * d_lr.height, scale * d_lr.width):
-        raise _UsageError(
-            f"{name} {h}x{w} is not {scale}x the LR depth {d_lr.height}x{d_lr.width}"
-        )
-
-
 def _read_scene_inputs(args, scale: int) -> tuple[FeatureMap, DepthMap, DepthMap]:
     """The --rgb, --d-lr and --d-gt files of `sr` and `fit`, with the GT depth
     and RGB `scale` x the LR depth and at least one valid GT pixel."""
     rgb, d_lr, d_gt = read_ppm8(args.rgb), read_depth_pfm(args.d_lr), read_depth_pfm(args.d_gt)
-    _check_scaled("GT depth", d_gt.depth.shape, d_lr, scale)
-    _check_scaled("RGB", rgb.shape[1:], d_lr, scale)
+    fusion.check_scaled("GT depth", d_gt.depth.shape, d_lr, scale)
+    fusion.check_scaled("RGB", rgb.shape[1:], d_lr, scale)
     if not d_gt.valid.any():
         raise _UsageError("no valid pixels in GT depth")
     return rgb, d_lr, d_gt
@@ -247,11 +259,7 @@ def _run_sr_once(rgb, d_lr, d_gt, cfg) -> tuple[DepthMap, dict[str, float]]:
     stats = {
         "rmse_cm": losses.rmse_cm(d_gt, pred),
         "bicubic_rmse_cm": losses.rmse_cm(d_gt, base),
-        "l_rec": report.l_rec,
-        "l_grad": report.l_grad,
-        "l_hes": report.l_hes,
-        "l_total": report.l_total,
-        "valid_count": report.valid_count,
+        **asdict(report),
     }
     return pred, stats
 
@@ -264,10 +272,7 @@ def cmd_sr(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_depth_pfm(out / "d_hr.pfm", pred)
     write_ppm8(out / "error_map.ppm", _error_map(pred, d_gt))
-    lines = [
-        f"{key}={_fmt(val) if isinstance(val, float) else val}"
-        for key, val in stats.items()
-    ]
+    lines = _lines(stats)
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
     print("\n".join(lines))
 
@@ -313,33 +318,21 @@ def cmd_detect(args) -> int:
     write_ppm8(out / "gate.ppm", FeatureMap(np.repeat(gate.data, 3, axis=0)))
 
     s = descriptor.data[0]
-    lines = [f"s_mean={_fmt(float(s.mean()))}", f"s_max={_fmt(float(s.max()))}"]
+    stats = {"s_mean": float(s.mean()), "s_max": float(s.max())}
     if ridge:
         crest_mean = float(s[crest].mean())
         flat_mean = float(s[flat].mean())
         ratio = crest_mean / flat_mean if flat_mean > 0 else float("inf")
-        lines += [
-            f"crest_mean={_fmt(crest_mean)}",
-            f"flat_mean={_fmt(flat_mean)}",
-            f"crest_to_flat_ratio={_fmt(ratio)}",
-        ]
-    print("\n".join(lines))
+        stats.update(crest_mean=crest_mean, flat_mean=flat_mean, crest_to_flat_ratio=ratio)
+    print("\n".join(_lines(stats)))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     pred = read_depth_pfm(args.pred)
     gt = read_depth_pfm(args.gt)
-    report = losses.loss_total(gt, pred)
-    lines = [
-        f"rmse_cm={losses.rmse_cm(gt, pred):.2f}",
-        f"l_rec={_fmt(report.l_rec)}",
-        f"l_grad={_fmt(report.l_grad)}",
-        f"l_hes={_fmt(report.l_hes)}",
-        f"l_total={_fmt(report.l_total)}",
-        f"valid_count={report.valid_count}",
-    ]
-    print("\n".join(lines))
+    stats = {"rmse_cm": f"{losses.rmse_cm(gt, pred):.2f}", **asdict(losses.loss_total(gt, pred))}
+    print("\n".join(_lines(stats)))
     return EXIT_OK
 
 
@@ -353,10 +346,6 @@ def cmd_fit(args) -> int:
             raise ValueError(f"unknown fit parameters {sorted(unknown)}")
         given.update({f"fit_{part}": part in subset for part in parts})
     tcfg = trainer.TrainConfig(**given)
-    # Fail before the fit, which can take minutes, not after it.
-    for path in (args.out_config, tcfg.log_path):
-        if path is not None and not Path(path).parent.is_dir():
-            raise FileNotFoundError(f"directory {Path(path).parent} of {path} does not exist")
     cfg = _load_pipeline_config(args)
     rgb, d_lr, d_gt = _read_scene_inputs(args, cfg.scale)
     scene = scenes.Scene(
@@ -389,6 +378,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        _check_outputs(args)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

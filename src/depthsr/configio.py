@@ -1,8 +1,10 @@
 """Plain-text pipeline config files: one `key = value` per line.
 
 Lines starting with '#' are comments; unknown or duplicate keys are
-rejected. Weight matrices live in PFM sidecars referenced by relative path
-(or the literal `default`), so dump -> load -> dump is byte-identical.
+rejected. One table, `_SCALARS`, gives each scalar key in file order with
+its parser and formatter; the two weight keys follow. Weight matrices live
+in PFM sidecars referenced by relative path (or the literal `default`), so
+dump -> load -> dump is byte-identical.
 The sidecars are `<f4`, so weights round-trip at float32 precision: a
 loaded fitted config reproduces the fit's loss only to about 1e-7 relative.
 """
@@ -19,20 +21,6 @@ from .fusion import PipelineConfig, default_fuse_weights, default_head_weights
 from .grid import FeatureMap
 from .matcher import ORDERS
 from .structdet import DetectorParams
-
-_KEYS = (
-    "scale",
-    "channels",
-    "k",
-    "moma_iters",
-    "orders",
-    "detector",
-    "alpha_det",
-    "beta",
-    "alpha_loss",
-    "w_fuse",
-    "w_head",
-)
 
 _ORDER_LETTERS = {"zero": "z", "first": "f", "second": "s"}
 _LETTER_ORDERS = {v: k for k, v in _ORDER_LETTERS.items()}
@@ -57,19 +45,40 @@ def token_to_orders(token: str) -> tuple[str, ...]:
     return names
 
 
+def _parse_switch(token: str) -> bool:
+    token = token.strip().lower()
+    if token in ("on", "true", "1"):
+        return True
+    if token in ("off", "false", "0"):
+        return False
+    raise ValueError(f"expected on/off, got {token!r}")
+
+
+_FLOAT = (float, lambda value: repr(float(value)))
+
+# Every scalar key in file order, with its (parse, format) pair. The
+# detector's keys name fields of `detector_params`, the rest of the config.
+_SCALARS = {
+    "scale": (int, str),
+    "channels": (int, str),
+    "k": (int, str),
+    "moma_iters": (int, str),
+    "orders": (token_to_orders, orders_to_token),
+    "detector": (_parse_switch, lambda on: "on" if on else "off"),
+    "alpha_det": _FLOAT,
+    "beta": _FLOAT,
+    "alpha_loss": _FLOAT,
+}
+_DETECTOR_KEYS = ("alpha_det", "beta")
+_KEYS = (*_SCALARS, "w_fuse", "w_head")
+
+
 def dump_config(cfg: PipelineConfig, path) -> None:
     """Write the config; non-default weights go to PFM sidecars."""
     path = Path(path)
-    values: dict[str, str] = {
-        "scale": str(cfg.scale),
-        "channels": str(cfg.channels),
-        "k": str(cfg.k),
-        "moma_iters": str(cfg.moma_iters),
-        "orders": orders_to_token(cfg.orders),
-        "detector": "on" if cfg.detector else "off",
-        "alpha_det": repr(float(cfg.detector_params.alpha_det)),
-        "beta": repr(float(cfg.detector_params.beta)),
-        "alpha_loss": repr(float(cfg.alpha_loss)),
+    values = {
+        key: fmt(getattr(cfg.detector_params if key in _DETECTOR_KEYS else cfg, key))
+        for key, (_, fmt) in _SCALARS.items()
     }
     for key, matrix, default in (
         ("w_fuse", cfg.w_fuse, default_fuse_weights(cfg.channels)),
@@ -117,21 +126,9 @@ def load_config(path) -> PipelineConfig:
     """Parse a config file; missing keys take the PipelineConfig defaults."""
     path = Path(path)
     kv = _parse_lines(path.read_text(encoding="ascii"))
-    parsers = {
-        "scale": int,
-        "channels": int,
-        "k": int,
-        "moma_iters": int,
-        "orders": token_to_orders,
-        "detector": _parse_switch,
-        "alpha_loss": float,
-    }
-    cfg = PipelineConfig(
-        **{key: parse(kv[key]) for key, parse in parsers.items() if key in kv},
-        detector_params=DetectorParams(
-            **{key: float(kv[key]) for key in ("alpha_det", "beta") if key in kv}
-        ),
-    )
+    scalars = {key: parse(kv[key]) for key, (parse, _) in _SCALARS.items() if key in kv}
+    detector = {key: scalars.pop(key) for key in _DETECTOR_KEYS if key in scalars}
+    cfg = PipelineConfig(**scalars, detector_params=DetectorParams(**detector))
     c = cfg.channels
     return replace(
         cfg,
@@ -139,11 +136,3 @@ def load_config(path) -> PipelineConfig:
         w_head=_load_matrix(kv.get("w_head", "default"), path.parent, (cfg.scale * cfg.scale, c)),
     )
 
-
-def _parse_switch(token: str) -> bool:
-    token = token.strip().lower()
-    if token in ("on", "true", "1"):
-        return True
-    if token in ("off", "false", "0"):
-        return False
-    raise ValueError(f"expected on/off, got {token!r}")

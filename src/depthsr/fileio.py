@@ -51,7 +51,7 @@ def _read_tokens(buf: bytes, count: int, what: str) -> tuple[list[bytes], int]:
         if i >= n:
             raise MalformedHeaderError(f"{what}: truncated header")
         ch = buf[i : i + 1]
-        if ch in (b" ", b"\t", b"\r", b"\n"):
+        if ch in _WHITESPACE:
             i += 1
             continue
         if ch == b"#":
@@ -59,11 +59,11 @@ def _read_tokens(buf: bytes, count: int, what: str) -> tuple[list[bytes], int]:
                 i += 1
             continue
         j = i
-        while j < n and buf[j : j + 1] not in (b" ", b"\t", b"\r", b"\n", b"#"):
+        while j < n and buf[j : j + 1] not in _WHITESPACE + b"#":
             j += 1
         tokens.append(buf[i:j])
         i = j
-    if i >= n or buf[i : i + 1] not in (b" ", b"\t", b"\r", b"\n"):
+    if i >= n or buf[i : i + 1] not in _WHITESPACE:
         raise MalformedHeaderError(f"{what}: missing separator before payload")
     return tokens, i + 1
 

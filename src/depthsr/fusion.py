@@ -16,16 +16,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .grid import GAUSS_3X3, MIN_DEPTH_M, DepthMap, FeatureMap, bicubic_resample, check_finite_settings, conv2d, pixel_shuffle, sigmoid
+from .grid import GAUSS_3X3, MIN_DEPTH_M, DepthMap, FeatureMap, bicubic_resample, check_finite_settings, conv2d, pixel_shuffle, sigmoid, standardize
 from .losses import DEFAULT_ALPHA_LOSS
 from .matcher import ORDERS, match_order
 from .structdet import DetectorParams, detect
 
 SCALES = (4, 8, 16)
 MAX_CHANNELS = 8
-DEFAULT_CHANNELS = 8
-DEFAULT_TOPK = 4
-DEFAULT_ITERS = 3
 _WEIGHTS = ("w_fuse", "w_head")
 
 
@@ -58,9 +55,9 @@ class PipelineConfig:
     """
 
     scale: int = 4
-    channels: int = DEFAULT_CHANNELS
-    k: int = DEFAULT_TOPK
-    moma_iters: int = DEFAULT_ITERS
+    channels: int = 8
+    k: int = 4
+    moma_iters: int = 3
     orders: tuple[str, ...] = ORDERS
     detector: bool = True
     detector_params: DetectorParams = field(default_factory=DetectorParams)
@@ -109,7 +106,7 @@ class PipelineConfig:
     @classmethod
     def tiny(cls, **kwargs) -> "PipelineConfig":
         """Lightweight profile: a quarter of the channels, 2 iterations."""
-        kwargs.setdefault("channels", max(1, DEFAULT_CHANNELS // 4))
+        kwargs.setdefault("channels", cls.channels // 4)
         kwargs.setdefault("moma_iters", 2)
         return cls(**kwargs)
 
@@ -135,14 +132,10 @@ def default_head_weights(scale: int, channels: int) -> np.ndarray:
     return np.zeros((scale * scale, channels))
 
 
-def _standardize_plane(plane: np.ndarray) -> np.ndarray:
-    return (plane - plane.mean()) / (plane.std() + 1e-8)
-
-
 def bank_features(plane: np.ndarray, channels: int) -> FeatureMap:
     """Standardize a single plane and apply the fixed filter bank."""
-    std = _standardize_plane(np.asarray(plane, dtype=np.float64))
-    return conv2d(FeatureMap.from_plane(std), filter_bank(channels))
+    std = standardize(np.asarray(plane, dtype=np.float64)[None])
+    return conv2d(FeatureMap(std), filter_bank(channels))
 
 
 def encode_rgb(img: FeatureMap, scale: int, channels: int) -> FeatureMap:
@@ -225,13 +218,16 @@ def reconstruct(f_d: FeatureMap, d_lr: DepthMap, cfg: PipelineConfig) -> DepthMa
     return DepthMap(depth, base.valid)
 
 
+def check_scaled(name: str, shape: tuple[int, int], d_lr: DepthMap, scale: int) -> None:
+    """Reject an image whose (h, w) `shape` is not `scale` x the LR depth."""
+    h, w = shape
+    if (h, w) != (scale * d_lr.height, scale * d_lr.width):
+        raise ValueError(f"{name} {h}x{w} is not {scale}x the LR depth {d_lr.height}x{d_lr.width}")
+
+
 def run_pipeline(img: FeatureMap, d_lr: DepthMap, cfg: PipelineConfig) -> DepthMap:
     """Encode both modalities, iterate MOMA steps, reconstruct HR depth."""
-    if img.height != cfg.scale * d_lr.height or img.width != cfg.scale * d_lr.width:
-        raise ValueError(
-            f"RGB {img.height}x{img.width} is not {cfg.scale}x the "
-            f"LR depth {d_lr.height}x{d_lr.width}"
-        )
+    check_scaled("RGB", (img.height, img.width), d_lr, cfg.scale)
     f_r = encode_rgb(img, cfg.scale, cfg.channels)
     f_d = encode_depth(d_lr, cfg.channels)
     for _ in range(cfg.moma_iters):

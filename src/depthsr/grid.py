@@ -6,7 +6,9 @@ inputs. FeatureMap and DepthMap are the checked containers passed between
 stages; steps inside a stage pass plain ndarrays. A container's fields are
 frozen, and its arrays are checked at construction but not copied (an
 array already contiguous and of the right dtype is kept as is), so the
-caller must not write to an array after wrapping it. Every result is
+caller must not write to an array after wrapping it. `cubic_taps` (the
+Catmull-Rom taps) and `standardize` serve every resampler and encoder,
+so each rule is stated once. Every result is
 independent of worker/thread count: the heavy contractions go through
 ``np.einsum`` with a fixed accumulation order, and fold_patches sums with
 ``np.bincount``, which adds in input order.
@@ -174,11 +176,29 @@ def conv2d(f: FeatureMap, kernels) -> FeatureMap:
     return FeatureMap(np.einsum("ihwyx,oiyx->ohw", _windows(f.data), k))
 
 
-def _cubic_weights(t: np.ndarray) -> np.ndarray:
-    # Catmull-Rom (a = -0.5) weights for the four taps around floor(src).
+def standardize(data: np.ndarray) -> np.ndarray:
+    """Shift each channel of a (c, h, w) array to zero mean and scale it to
+    unit standard deviation over space; a constant channel maps to zeros."""
+    mean = data.mean(axis=(1, 2), keepdims=True)
+    std = data.std(axis=(1, 2), keepdims=True)
+    return (data - mean) / (std + 1e-8)
+
+
+def _sample_centers(n: int, out_n: int) -> np.ndarray:
+    """Source coordinates of the centers of `out_n` samples spanning `n`."""
+    return (np.arange(out_n, dtype=np.float64) + 0.5) * (n / out_n) - 0.5
+
+
+def cubic_taps(src, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Catmull-Rom (a = -0.5) taps of float coordinates `src` on an axis of
+    `n` samples: the four indices around floor(src), clipped to [0, n) for
+    replicate borders, and their weights, each of shape src.shape + (4,)."""
+    src = np.asarray(src, dtype=np.float64)
+    base = np.floor(src)
+    t = src - base
     t2 = t * t
     t3 = t2 * t
-    return np.stack(
+    weights = np.stack(
         (
             -0.5 * t3 + t2 - 0.5 * t,
             1.5 * t3 - 2.5 * t2 + 1.0,
@@ -187,23 +207,17 @@ def _cubic_weights(t: np.ndarray) -> np.ndarray:
         ),
         axis=-1,
     )
+    return np.clip(base[..., None].astype(np.int64) + np.arange(-1, 3), 0, n - 1), weights
 
 
 def _resample_axis(arr: np.ndarray, out_n: int) -> np.ndarray:
     """Catmull-Rom resample along the last axis to out_n samples."""
-    n = arr.shape[-1]
-    ratio = n / out_n
-    src = (np.arange(out_n, dtype=np.float64) + 0.5) * ratio - 0.5
-    base = np.floor(src)
-    t = src - base
-    idx = np.clip(base[:, None].astype(np.int64) + np.arange(-1, 3), 0, n - 1)
-    w = _cubic_weights(t)
+    idx, w = cubic_taps(_sample_centers(arr.shape[-1], out_n), arr.shape[-1])
     return np.einsum("...ot,ot->...o", arr[..., idx], w)
 
 
 def _nearest_indices(n: int, out_n: int) -> np.ndarray:
-    src = (np.arange(out_n, dtype=np.float64) + 0.5) * (n / out_n) - 0.5
-    return np.clip(np.rint(src).astype(np.int64), 0, n - 1)
+    return np.clip(np.rint(_sample_centers(n, out_n)).astype(np.int64), 0, n - 1)
 
 
 def _target_size(n: int, scale: float) -> int:

@@ -1,9 +1,10 @@
-"""Multi-order losses, RMSE, and seeded noise injection.
+"""Multi-order loss, RMSE, and seeded noise injection.
 
-Losses are sums over the set of valid GT pixels (the count is reported so
-callers can normalize); RMSE is a mean by definition and reported in
-centimeters. Reductions run in fixed row-major order, so results are
-deterministic.
+`loss_total` is the one loss: it builds the valid-pixel mask once and sums
+three L1 terms over the valid GT pixels, of depth, of gradient magnitude
+and of Hessian norm (the count is reported so callers can normalize);
+RMSE is a mean by definition and reported in centimeters. Reductions run
+in fixed row-major order, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -40,37 +41,18 @@ def _valid_mask(gt: DepthMap, pred: DepthMap) -> np.ndarray:
     return mask
 
 
-def loss_rec(gt: DepthMap, pred: DepthMap) -> float:
-    """Sum of |gt - pred| over valid GT pixels (meters)."""
-    mask = _valid_mask(gt, pred)
-    return float(np.abs(gt.depth - pred.depth)[mask].sum())
-
-
-def _mapped_l1(gt: DepthMap, pred: DepthMap, mapping) -> float:
-    mask = _valid_mask(gt, pred)
-    mg = mapping(gt.as_feature()).data[0]
-    mp = mapping(pred.as_feature()).data[0]
-    return float(np.abs(mg - mp)[mask].sum())
-
-
-def loss_grad(gt: DepthMap, pred: DepthMap) -> float:
-    """L1 between gradient-magnitude maps of gt and pred over valid pixels."""
-    return _mapped_l1(gt, pred, gradient_magnitude)
-
-
-def loss_hes(gt: DepthMap, pred: DepthMap) -> float:
-    """L1 between Hessian-norm maps of gt and pred over valid pixels."""
-    return _mapped_l1(gt, pred, hessian_norm)
-
-
 def loss_total(
     gt: DepthMap, pred: DepthMap, alpha_loss: float = DEFAULT_ALPHA_LOSS
 ) -> LossReport:
-    """l_rec + l_grad + alpha_loss * l_hes with the valid-pixel count."""
+    """l_rec + l_grad + alpha_loss * l_hes with the valid-pixel count: the L1
+    of depth, of gradient magnitude and of Hessian norm over valid GT pixels."""
     mask = _valid_mask(gt, pred)
-    rec = loss_rec(gt, pred)
-    grad = loss_grad(gt, pred)
-    hes = loss_hes(gt, pred)
+    rec = float(np.abs(gt.depth - pred.depth)[mask].sum())
+    g, p = gt.as_feature(), pred.as_feature()
+    grad, hes = (
+        float(np.abs(mapping(g).data[0] - mapping(p).data[0])[mask].sum())
+        for mapping in (gradient_magnitude, hessian_norm)
+    )
     return LossReport(
         l_rec=rec,
         l_grad=grad,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GAUSS_3X3, DepthMap, FeatureMap, bicubic_resample, check_finite_settings, conv2d, _cubic_weights
+from .grid import GAUSS_3X3, DepthMap, FeatureMap, bicubic_resample, check_finite_settings, conv2d, cubic_taps
 from .losses import add_noise
 
 PRESETS = ("planes", "boxes", "ridge", "checker")
@@ -130,14 +130,8 @@ def render_depth(preset: str, height: int, width: int) -> np.ndarray:
 def sample_bicubic(plane: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Catmull-Rom sample a plane at float coordinates, replicate outside."""
     h, w = plane.shape
-    ys = np.asarray(ys, dtype=np.float64)
-    xs = np.asarray(xs, dtype=np.float64)
-    by = np.floor(ys)
-    bx = np.floor(xs)
-    wy = _cubic_weights(ys - by)
-    wx = _cubic_weights(xs - bx)
-    iy = np.clip(by[..., None].astype(np.int64) + np.arange(-1, 3), 0, h - 1)
-    ix = np.clip(bx[..., None].astype(np.int64) + np.arange(-1, 3), 0, w - 1)
+    iy, wy = cubic_taps(ys, h)
+    ix, wx = cubic_taps(xs, w)
     taps = plane[iy[..., :, None], ix[..., None, :]]
     return np.einsum("...yx,...y,...x->...", taps, wy, wx)
 

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffops import eigenvalues, hessian_field
-from .grid import GAUSS_3X3, FeatureMap, check_finite_settings, conv2d, sigmoid
+from .grid import GAUSS_3X3, FeatureMap, check_finite_settings, conv2d, sigmoid, standardize
 
 EPSILON = 1e-8
-_STD_GUARD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -45,11 +44,7 @@ class DetectorParams:
 
 def normalize_and_compress(f: FeatureMap) -> FeatureMap:
     """Standardize each channel over space, then average channels to one."""
-    data = f.data
-    mean = data.mean(axis=(1, 2), keepdims=True)
-    std = data.std(axis=(1, 2), keepdims=True)
-    norm = (data - mean) / (std + _STD_GUARD)
-    return FeatureMap(norm.mean(axis=0, keepdims=True))
+    return FeatureMap(standardize(f.data).mean(axis=0, keepdims=True))
 
 
 def structure_descriptor(l1: np.ndarray, l2: np.ndarray, p: DetectorParams) -> FeatureMap:

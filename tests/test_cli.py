@@ -508,6 +508,25 @@ class TestFitCommand:
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--out-config", "--log"])
+    def test_output_that_is_a_directory_is_io_error_before_fitting(
+        self, scene_dir, tmp_path, capsys, monkeypatch, flag
+    ):
+        calls = []
+        monkeypatch.setattr(trainer, "fit", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "read_ppm8", lambda *args: calls.append(args))
+        outputs = {"--out-config": tmp_path / "fit.cfg", "--log": tmp_path / "loss.csv"}
+        outputs[flag].mkdir()
+        listing = sorted(tmp_path.rglob("*"))
+        code = main(
+            ["fit", *scene_inputs(scene_dir), "--tiny",
+             *(arg for name, path in outputs.items() for arg in (name, str(path)))]
+        )
+        assert code == EXIT_IO
+        assert f"output {outputs[flag]} is a directory" in capsys.readouterr().err
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == listing
+
     def test_unknown_fit_params_usage_error(self, scene_dir, tmp_path):
         code = main(
             ["fit", "--rgb", str(scene_dir / "rgb.ppm"),
@@ -516,6 +535,38 @@ class TestFitCommand:
              "--out-config", str(tmp_path / "x.cfg"), "--fit-params", "head,gamma"]
         )
         assert code == EXIT_USAGE
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("below", ["", "sub"])
+    @pytest.mark.parametrize(
+        "command, module, compute",
+        [
+            ("sr", fusion, "run_pipeline"),
+            ("match", matcher, "top_k_streamed"),
+            ("detect", structdet, "compute_descriptor"),
+            ("synth", scenes, "render_scene"),
+        ],
+    )
+    def test_out_naming_a_file_is_io_error_before_any_work(
+        self, scene_dir, tmp_path, capsys, monkeypatch, command, module, compute, below
+    ):
+        calls = []
+        monkeypatch.setattr(module, compute, lambda *args: calls.append(args))
+        inputs = {
+            "sr": [*scene_inputs(scene_dir), "--tiny"],
+            "match": ["--rgb", str(scene_dir / "rgb.ppm"), "--depth", str(scene_dir / "d_lr.pfm")],
+            "detect": ["--rgb", str(scene_dir / "rgb.ppm")],
+            "synth": [],
+        }[command]
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / below
+        assert main([command, *inputs, "--out", str(out)]) == EXIT_IO
+        assert f"output directory {out}: {taken} is not a directory" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == [taken]
+        assert taken.read_text() == "kept\n"
 
 
 class TestNonFiniteSettings:

@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from depthsr.configio import dump_config, load_config, orders_to_token, token_to_orders
 from depthsr.fusion import PipelineConfig
+from depthsr.structdet import DetectorParams
 
 
 class TestOrderTokens:
@@ -81,6 +84,16 @@ class TestConfigRoundTrip:
         assert loaded.detector_params.alpha_det == 0.5
         assert loaded.detector_params.beta == 2.0
         assert loaded.alpha_loss == 0.002
+
+    def test_one_key_per_setting(self, tmp_path):
+        # A field missing from the key table would silently load as its default.
+        path = tmp_path / "k.cfg"
+        dump_config(PipelineConfig(), path)
+        keys = [line.partition("=")[0].strip() for line in path.read_text().splitlines()]
+        expected = {f.name for f in fields(PipelineConfig)} - {"detector_params"}
+        expected |= {f.name for f in fields(DetectorParams)}
+        assert len(keys) == len(set(keys))
+        assert set(keys) == expected
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "u.cfg"

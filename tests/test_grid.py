@@ -11,6 +11,7 @@ from depthsr.grid import (
     NonFiniteError,
     bicubic_resample,
     conv2d,
+    cubic_taps,
     extract_patches,
     fold_patches,
     pixel_shuffle,
@@ -211,6 +212,21 @@ class TestBicubicResample:
             bicubic_resample(f, 0.01)
         with pytest.raises(ValueError):
             bicubic_resample(f, -1.0)
+
+
+class TestCubicTaps:
+    @given(st.integers(1, 9), st.lists(st.floats(-4.0, 12.0), min_size=1, max_size=16))
+    @example(1, [0.0, 0.5])
+    def test_weights_sum_to_one_and_indices_in_range(self, n, coords):
+        idx, w = cubic_taps(np.array(coords), n)
+        assert idx.shape == w.shape == (len(coords), 4)
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        assert idx.min() >= 0 and idx.max() < n
+
+    def test_integer_coordinate_is_one_tap(self):
+        idx, w = cubic_taps(np.array([[2.0]]), 5)
+        np.testing.assert_array_equal(idx, [[[1, 2, 3, 4]]])
+        np.testing.assert_array_equal(w, [[[0.0, 1.0, 0.0, 0.0]]])
 
 
 class TestPixelShuffle:

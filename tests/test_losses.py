@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from depthsr.grid import DepthMap
-from depthsr.losses import (
-    LossReport,
-    add_noise,
-    loss_grad,
-    loss_hes,
-    loss_rec,
-    loss_total,
-    rmse_cm,
-)
+from depthsr.losses import LossReport, add_noise, loss_total, rmse_cm
 
 
 def dyadic_depth(h, w, seed=0):
@@ -29,7 +21,7 @@ def interior_valid(d: DepthMap) -> DepthMap:
 class TestLossRec:
     def test_zero_when_equal(self):
         gt = dyadic_depth(4, 4)
-        assert loss_rec(gt, gt) == 0.0
+        assert loss_total(gt, gt).l_rec == 0.0
 
     def test_hand_sum_in_meters(self):
         # |diff| of 1, 2, 3, 4 cm sums to 0.10 m
@@ -37,7 +29,7 @@ class TestLossRec:
         pred = DepthMap.all_valid(
             np.array([[2.01, 1.98], [2.03, 2.04]])
         )
-        assert loss_rec(gt, pred) == pytest.approx(0.10, abs=1e-12)
+        assert loss_total(gt, pred).l_rec == pytest.approx(0.10, abs=1e-12)
 
     def test_invalid_pixels_excluded(self):
         gt = DepthMap(
@@ -45,38 +37,38 @@ class TestLossRec:
             np.array([[True, False], [True, True]]),
         )
         pred = DepthMap.all_valid(np.array([[2.0, 9.0], [2.0, 2.5]]))
-        assert loss_rec(gt, pred) == pytest.approx(0.5)
+        assert loss_total(gt, pred).l_rec == pytest.approx(0.5)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            loss_rec(dyadic_depth(2, 2), dyadic_depth(2, 3))
+            loss_total(dyadic_depth(2, 2), dyadic_depth(2, 3)).l_rec
 
     def test_empty_valid_set(self):
         gt = DepthMap(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
         with pytest.raises(ValueError):
-            loss_rec(gt, dyadic_depth(2, 2))
+            loss_total(gt, dyadic_depth(2, 2)).l_rec
 
 
 class TestMappedLosses:
     def test_zero_when_equal(self):
         gt = dyadic_depth(5, 5, seed=1)
-        assert loss_grad(gt, gt) == 0.0
-        assert loss_hes(gt, gt) == 0.0
+        assert loss_total(gt, gt).l_grad == 0.0
+        assert loss_total(gt, gt).l_hes == 0.0
 
     def test_constant_offset_invisible_to_derivatives(self):
         gt = dyadic_depth(5, 5, seed=2)
         pred = DepthMap.all_valid(gt.depth + 0.03125)
-        assert loss_rec(gt, pred) > 0.0
-        assert loss_grad(gt, pred) == 0.0
-        assert loss_hes(gt, pred) == 0.0
+        assert loss_total(gt, pred).l_rec > 0.0
+        assert loss_total(gt, pred).l_grad == 0.0
+        assert loss_total(gt, pred).l_hes == 0.0
 
     def test_planar_ramp_has_gradient_but_no_hessian_interior(self):
         y, x = np.mgrid[0:6, 0:6].astype(np.float64)
         gt = interior_valid(DepthMap.all_valid(np.full((6, 6), 2.0)))
         ramp = (x + 2.0 * y) / 64.0
         pred = DepthMap.all_valid(gt.depth + ramp)
-        assert loss_grad(gt, pred) > 0.0
-        assert loss_hes(gt, pred) == 0.0
+        assert loss_total(gt, pred).l_grad > 0.0
+        assert loss_total(gt, pred).l_hes == 0.0
 
 
 class TestLossTotal:
@@ -144,8 +136,8 @@ class TestFiniteDifferenceStructure:
                 lo = pred_depth.copy()
                 lo[y, x] -= eps
                 fd = (
-                    loss_rec(gt, DepthMap.all_valid(hi))
-                    - loss_rec(gt, DepthMap.all_valid(lo))
+                    loss_total(gt, DepthMap.all_valid(hi)).l_rec
+                    - loss_total(gt, DepthMap.all_valid(lo)).l_rec
                 ) / (2 * eps)
                 expected = -np.sign(gt.depth[y, x] - pred_depth[y, x])
                 assert fd == pytest.approx(expected, abs=1e-6)
@@ -160,9 +152,10 @@ class TestFiniteDifferenceStructure:
         lo = pred_depth.copy()
         lo[2, 2] -= eps
         fd = {}
-        for name, fn in (("rec", loss_rec), ("grad", loss_grad), ("hes", loss_hes)):
+        for name in ("rec", "grad", "hes"):
             fd[name] = (
-                fn(gt, DepthMap.all_valid(hi)) - fn(gt, DepthMap.all_valid(lo))
+                getattr(loss_total(gt, DepthMap.all_valid(hi)), f"l_{name}")
+                - getattr(loss_total(gt, DepthMap.all_valid(lo)), f"l_{name}")
             ) / (2 * eps)
         total_fd = (
             loss_total(gt, DepthMap.all_valid(hi)).l_total

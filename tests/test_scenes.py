@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from helpers import checker_corner_mask, render_shifted_pair, shift_plane
 
-from depthsr.grid import FeatureMap
+from depthsr.grid import FeatureMap, bicubic_resample
 from depthsr.matcher import top_k_streamed
 from depthsr.scenes import (
     PRESETS,
@@ -72,6 +72,18 @@ class TestWarpHelpers:
         plane = rng.normal(size=(6, 6))
         ys, xs = np.mgrid[0:6, 0:6].astype(np.float64)
         np.testing.assert_allclose(sample_bicubic(plane, ys, xs), plane, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [0.25, 0.5, 1.5, 2.0, 4.0])
+    def test_sample_bicubic_at_sample_centers_equals_bicubic_resample(self, scale):
+        # Both apply the Catmull-Rom taps of grid.cubic_taps: one separably
+        # per axis, the other as a 4x4 stencil at each point.
+        plane = np.random.default_rng(1).normal(size=(8, 12))
+        out = bicubic_resample(FeatureMap(plane[None]), scale).data[0]
+        (h, w), (oh, ow) = plane.shape, out.shape
+        ys = (np.arange(oh) + 0.5) * (h / oh) - 0.5
+        xs = (np.arange(ow) + 0.5) * (w / ow) - 0.5
+        ys, xs = np.meshgrid(ys, xs, indexing="ij")
+        np.testing.assert_allclose(sample_bicubic(plane, ys, xs), out, rtol=0, atol=1e-12)
 
     def test_value_noise_deterministic_in_unit_range(self):
         a = value_noise(16, 16, 4, seed=3)
