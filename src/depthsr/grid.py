@@ -9,9 +9,12 @@ array already contiguous and of the right dtype is kept as is), so the
 caller must not write to an array after wrapping it. `cubic_taps` (the
 Catmull-Rom taps) and `standardize` serve every resampler and encoder,
 so each rule is stated once. Every result is
-independent of worker/thread count: the heavy contractions go through
-``np.einsum`` with a fixed accumulation order, and fold_patches sums with
-``np.bincount``, which adds in input order.
+independent of the thread count. The contractions here go through
+``np.einsum``, which runs numpy's own one-thread loops, and fold_patches
+sums with ``np.bincount``, which adds in input order. The one BLAS product,
+the matcher's cosine GEMM, runs over fixed-shape tiles, and OpenBLAS splits
+no dot product across threads (see the matcher docstring for the tests
+that guard both).
 """
 
 from __future__ import annotations

@@ -2,14 +2,24 @@
 
 The correlation between two c x h x w maps is an hw x hw matrix of cosine
 similarities over flattened, L2-normalized 3x3 patches. Matching streams it
-in row blocks of at most MATCH_BLOCK_BYTES and keeps each block's top-k, so
-it holds a few blocks, never hw^2 floats. A match is the plain array pair
-(eta, psi), each (hw, k): per target patch, the source indices of its k
-best patches and their cosines, scores non-increasing along each row. The
-naive double-loop oracles live permanently in tests/oracles.py. Top-k is
-exact with a lowest-index tie-break, so results never depend on partition
-order, block size or thread count, and the first k columns of a top-k'
-result (k' > k) equal top-k.
+in row blocks and keeps each block's top-k, so it holds one block of at
+most max(MATCH_BLOCK_BYTES, 8 * MATCH_TILE_ROWS * hw) bytes, never hw^2
+floats. A match is the plain array pair (eta, psi), each (hw, k): per
+target patch, the source indices of its k best patches and their cosines,
+scores non-increasing along each row. The naive double-loop oracles live
+permanently in tests/oracles.py.
+
+The cosines are BLAS GEMM calls over fixed tiles of MATCH_TILE_ROWS target
+rows: tiles start at multiples of the tile size and the last one is
+zero-padded, so every cosine comes from a call of one shape on the same
+rows whatever the block size (a per-block product would reach gemv or edge
+kernels for some row counts and differ in the last bit). OpenBLAS splits a
+GEMM across threads by output rows and columns, never inside one dot
+product, so the thread count changes no bit either. TestTopK's
+test_streamed_equals_full guards the block size and tests/test_package.py
+the thread count, at the LR 64^2 shape among others. Top-k is exact with a
+lowest-index tie-break, so results never depend on partition order, and
+the first k columns of a top-k' result (k' > k) equal top-k.
 """
 
 from __future__ import annotations
@@ -24,8 +34,12 @@ ORDERS = ("zero", "first", "second")
 # Patches with a smaller L2 norm correlate as 0 instead of dividing by ~0.
 MIN_PATCH_NORM = 1e-12
 
-# Bytes of correlations one streamed block may hold (a row takes 8 * hw).
+# Bytes of correlations one streamed block may hold (a row takes 8 * hw);
+# a block is at least one tile.
 MATCH_BLOCK_BYTES = 2 << 20
+
+# Target rows per cosine GEMM call.
+MATCH_TILE_ROWS = 64
 
 
 def normalized_patch_matrix(f: FeatureMap) -> np.ndarray:
@@ -36,11 +50,6 @@ def normalized_patch_matrix(f: FeatureMap) -> np.ndarray:
     unit = vec / np.where(degenerate, 1.0, norms)[:, None]
     unit[degenerate] = 0.0
     return unit
-
-
-def _cosines(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Cosines between the rows of two normalized patch matrices."""
-    return np.clip(np.einsum("id,jd->ij", t, s), -1.0, 1.0)
 
 
 def top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -69,15 +78,30 @@ def top_k_streamed(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k (eta, psi) per target patch, one row block of cosines at a time.
 
-    A block holds at most MATCH_BLOCK_BYTES of correlations (at least one row).
-    Rows are independent, so every block size gives a bit-identical result.
+    A block holds as many whole tiles as fit in MATCH_BLOCK_BYTES (at least
+    one, and no more than cover the target). Each tile is one GEMM written
+    in place into the block buffer, which every block reuses. The tile never
+    shares memory with the source matrix, so numpy does not switch to SYRK.
     """
     if target.shape != source.shape:
         raise ValueError(f"target shape {target.shape} != source shape {source.shape}")
     t, s = normalized_patch_matrix(target), normalized_patch_matrix(source)
-    n = t.shape[0]
-    rows = max(1, MATCH_BLOCK_BYTES // (8 * n))
-    eta, psi = zip(*(top_k(_cosines(t[r0 : r0 + rows], s), k) for r0 in range(0, n, rows)))
+    n, tile = t.shape[0], MATCH_TILE_ROWS
+    step = min(max(1, MATCH_BLOCK_BYTES // (8 * n * tile)), -(-n // tile)) * tile
+    block = np.empty((step, n))
+    pad = np.zeros((tile, t.shape[1]))
+    matches = []
+    for r0 in range(0, n, step):
+        rows = min(step, n - r0)
+        for a in range(0, rows, tile):
+            part = t[r0 + a : r0 + a + tile]
+            if len(part) < tile:
+                pad[: len(part)] = part
+                part = pad
+            np.matmul(part, s.T, out=block[a : a + tile])
+        values = np.clip(block[:rows], -1.0, 1.0, out=block[:rows])
+        matches.append(top_k(values, k))
+    eta, psi = zip(*matches)
     return np.concatenate(eta), np.concatenate(psi)
 
 

@@ -66,13 +66,14 @@ class TestCorrelationSet:
             top_k_streamed(textured_map(3, 3), textured_map(3, 4), 9)
 
     def test_fast_path_matches_naive(self):
+        # The 8-channel 12 x 12 pair spans three tiles, the last one padded.
         rng = np.random.default_rng(5)
-        for trial in range(3):
-            t = FeatureMap(rng.normal(size=(2, 6, 6)))
-            s = FeatureMap(rng.normal(size=(2, 6, 6)))
+        for shape in ((2, 6, 6), (2, 6, 6), (2, 6, 6), (8, 12, 12)):
+            t = FeatureMap(rng.normal(size=shape))
+            s = FeatureMap(rng.normal(size=shape))
             fast = all_cosines(t, s)
             naive = correlation_set_naive(t, s)
-            assert np.abs(fast - naive).max() <= 1e-6
+            assert np.abs(fast - naive).max() <= 1e-12
 
     def test_scale_invariance_of_source(self):
         rng = np.random.default_rng(7)
@@ -143,18 +144,26 @@ class TestTopK:
                 top_k_streamed(f, f, k)
 
     def test_streamed_equals_full(self, monkeypatch):
-        # 5 x 6 maps: 30 rows of 240 bytes each. Budgets below one row still
-        # give 1-row blocks; 7 rows leave a short last block. The quantized
-        # pair has values in {-1, 0, 1}, so many cosines tie exactly.
+        # Budgets of 1, 7 and 13 rows still give one-tile blocks; then two
+        # tiles and the whole matrix. The 5 x 6 maps fit in one padded tile;
+        # the quantized pair has values in {-1, 0, 1}, so many cosines tie
+        # exactly. The 8-channel 12 x 12 pair (hw = 144, d = 72) has two full
+        # tiles and a 16-row tail. A per-block product without fixed tiles
+        # takes other BLAS paths (gemv, edge kernels) for some budgets and
+        # drifts in the last bit.
         rng = np.random.default_rng(10)
         normal = [FeatureMap(rng.normal(size=(1, 5, 6))) for _ in range(2)]
         quantized = [quantized_map(rng, 1, 5, 6) for _ in range(2)]
-        for t, s in (normal, quantized):
+        wide = [FeatureMap(rng.normal(size=(8, 12, 12))) for _ in range(2)]
+        tile = matcher.MATCH_TILE_ROWS
+        for t, s in (normal, quantized, wide):
+            n = t.height * t.width
             values = all_cosines(t, s)
-            for k in (1, 3, 30):
+            for k in (1, 3, n):
                 full = top_k(values, k)
                 naive = top_k_naive(values, k)
-                for budget in (1, 240, 4 * 240, 7 * 240, 30 * 240):
+                for rows in (1, 7, 13, tile, 2 * tile, n):
+                    budget = 8 * n * rows
                     monkeypatch.setattr(matcher, "MATCH_BLOCK_BYTES", budget)
                     eta, psi = top_k_streamed(t, s, k)
                     for ref_eta, ref_psi in (full, naive):

@@ -16,6 +16,11 @@ import hashlib
 import numpy as np
 from depthsr import fusion, matcher, scenes
 
+# LR 64^2 at the default budget: each GEMM tile is split across threads.
+lr64 = scenes.render_scene(scenes.SceneSpec(width=256, height=256))
+eta64, psi64 = matcher.top_k_streamed(
+    fusion.encode_depth(lr64.d_lr, 8), fusion.encode_rgb(lr64.rgb, 4, 8), 4
+)
 matcher.MATCH_BLOCK_BYTES = 100 * 8 * 1024
 big = scenes.render_scene(scenes.SceneSpec(width=128, height=128))
 eta, psi = matcher.top_k_streamed(
@@ -28,7 +33,7 @@ cfg = fusion.PipelineConfig(
 )
 small = scenes.render_scene(scenes.SceneSpec())
 pred = fusion.run_pipeline(small.rgb, small.d_lr, cfg)
-for arr in (eta, psi, pred.depth):
+for arr in (eta64, psi64, eta, psi, pred.depth):
     print(hashlib.sha256(arr.tobytes()).hexdigest())
 """
 
@@ -76,5 +81,5 @@ def test_outputs_do_not_depend_on_thread_count():
             env=env, capture_output=True, text=True, check=True, timeout=300,
         )
         digests.append(run.stdout.split())
-    assert len(digests[0]) == 3
+    assert len(digests[0]) == 5
     assert digests[0] == digests[1]
