@@ -3,11 +3,12 @@
 The correlation between two c x h x w maps is an hw x hw matrix of cosine
 similarities over flattened, L2-normalized 3x3 patches. Matching streams it
 in row blocks and keeps each block's top-k, so it holds one block of at
-most max(MATCH_BLOCK_BYTES, 8 * MATCH_TILE_ROWS * hw) bytes, never hw^2
-floats. A match is the plain array pair (eta, psi), each (hw, k): per
-target patch, the source indices of its k best patches and their cosines,
-scores non-increasing along each row. The naive double-loop oracles live
-permanently in tests/oracles.py.
+most max(MATCH_BLOCK_BYTES, 8 * MATCH_TILE_ROWS * hw) bytes, its (rows, g)
+group maxima and the groups top_k gathers from it (up to a whole block when
+scores tie), never hw^2 floats. A match is the plain array pair (eta, psi),
+each (hw, k): per target patch, the source indices of its k best patches
+and their cosines, scores non-increasing along each row. The naive
+double-loop oracles live permanently in tests/oracles.py.
 
 The cosines are BLAS GEMM calls over fixed tiles of MATCH_TILE_ROWS target
 rows: tiles start at multiples of the tile size and the last one is
@@ -17,9 +18,15 @@ kernels for some row counts and differ in the last bit). OpenBLAS splits a
 GEMM across threads by output rows and columns, never inside one dot
 product, so the thread count changes no bit either. TestTopK's
 test_streamed_equals_full guards the block size and tests/test_package.py
-the thread count, at the LR 64^2 shape among others. Top-k is exact with a
-lowest-index tie-break, so results never depend on partition order, and
-the first k columns of a top-k' result (k' > k) equal top-k.
+the thread count, at the LR 64^2 shape among others.
+
+Top-k reads a block once. Column j lies in group j mod g, g the largest
+divisor of hw in [k, 64] (hw when there is none), and the k-th largest
+group maximum of a row bounds its k-th largest cosine from below, so only
+the groups that reach it are gathered and sorted. The cosines are clipped
+to [-1, 1] inside top_k, on those groups only: top_k returns the top-k of
+the clipped block. Top-k is exact with a lowest-index tie-break, so the
+first k columns of a top-k' result (k' > k) equal top-k.
 """
 
 from __future__ import annotations
@@ -53,22 +60,32 @@ def normalized_patch_matrix(f: FeatureMap) -> np.ndarray:
 
 
 def top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-row top-k of a cosine block as (eta, psi), each (rows, k).
+    """Exact per-row top-k of clip(values, -1, 1) as (eta, psi), each (rows, k).
 
-    eta holds source indices and psi their scores, non-increasing per row.
-
-    A partition finds each row's k-th largest value; every entry at or above
-    it is a candidate, taken row-major with ascending columns. One stable
-    sort by (row, descending score) keeps tied scores index-ascending, and
-    each row keeps its first k candidates: the full-sort oracle, bit for bit.
+    eta holds source indices and psi their clipped scores, non-increasing
+    per row. Column j lies in group j mod g, where g is the largest divisor
+    of m in [k, 64], or m if there is none. A row has at least k groups
+    whose maximum reaches the k-th largest group maximum, so that value
+    bounds the row's k-th largest score from below. Only the groups that
+    reach the bound are gathered and clipped, and their entries that reach
+    it are the candidates. The bound is clamped to 1 (-inf at or below -1),
+    so a score that clips to the bound still ties. One stable sort by (row,
+    descending score, column) keeps tied scores index-ascending, and each
+    row keeps its first k candidates: the full-sort oracle, bit for bit.
     """
     n, m = values.shape
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
-    kth = np.partition(values, m - k, axis=1)[:, m - k]
-    rows, cols = np.nonzero(values >= kth[:, None])
-    scores = values[rows, cols]
-    order = np.lexsort((-scores, rows))
+    g = max((d for d in range(k, min(m, 64) + 1) if m % d == 0), default=m)
+    groups = values.reshape(n, m // g, g)
+    peaks = groups.max(axis=1)
+    bound = np.partition(peaks, g - k, axis=1)[:, g - k]
+    bound = np.where(bound > -1.0, np.minimum(bound, 1.0), -np.inf)
+    hit_rows, hit_groups = np.nonzero(peaks >= bound[:, None])
+    gathered = np.clip(groups[hit_rows, :, hit_groups], -1.0, 1.0)
+    hit, offset = np.nonzero(gathered >= bound[hit_rows, None])
+    rows, cols, scores = hit_rows[hit], offset * g + hit_groups[hit], gathered[hit, offset]
+    order = np.lexsort((cols, -scores, rows))
     pick = order[np.searchsorted(rows, np.arange(n))[:, None] + np.arange(k)]
     return cols[pick], scores[pick]
 
@@ -99,8 +116,7 @@ def top_k_streamed(
                 pad[: len(part)] = part
                 part = pad
             np.matmul(part, s.T, out=block[a : a + tile])
-        values = np.clip(block[:rows], -1.0, 1.0, out=block[:rows])
-        matches.append(top_k(values, k))
+        matches.append(top_k(block[:rows], k))
     eta, psi = zip(*matches)
     return np.concatenate(eta), np.concatenate(psi)
 

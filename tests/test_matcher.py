@@ -104,6 +104,24 @@ class TestTopK:
         f = FeatureMap(np.full((1, 3, 3), 2.0))
         eta, _ = top_k_streamed(f, f, 2)
         np.testing.assert_array_equal(eta, np.tile([0, 1], (9, 1)))
+        # At hw = 256 top_k works on column groups. Equal patches of this
+        # map have GEMM cosines of 1 + ulp, which clip to a 1.0 tie.
+        f = FeatureMap(np.full((1, 16, 16), 0.7))
+        eta, psi = top_k_streamed(f, f, 2)
+        np.testing.assert_array_equal(eta, np.tile([0, 1], (256, 1)))
+        np.testing.assert_array_equal(psi, 1.0)
+        # A group maximum of 1 + ulp clamps the bound to 1, so the group of
+        # the exact 1.0 at the lower index is kept and comes first.
+        row = np.zeros((1, 256))
+        row[0, 5] = 1.0
+        row[0, 70] = np.nextafter(1.0, 2.0)
+        for k in (1, 2):
+            eta, psi = top_k(row, k)
+            ref_eta, ref_psi = top_k_naive(np.clip(row, -1.0, 1.0), k)
+            np.testing.assert_array_equal(eta, ref_eta)
+            np.testing.assert_array_equal(psi, ref_psi)
+            np.testing.assert_array_equal(eta, [[5, 70][:k]])
+            np.testing.assert_array_equal(psi, 1.0)
 
     def test_k_equals_hw_is_full_sort(self):
         rng = np.random.default_rng(8)
@@ -119,20 +137,28 @@ class TestTopK:
 
     def test_matches_full_sort_oracle_with_ties(self):
         # Quantized correlations force plenty of exact ties; -0.0 ties 0.0,
-        # and a constant block ties every entry of a row.
+        # a constant block ties every entry of a row, and scores beyond +-1
+        # tie once clipped. Widths 256 and 4096 split into 64 column groups
+        # for k <= 64; width 97 has no divisor in [4, 64], so k = 4 takes
+        # the whole row as its groups, and k = 1 takes one group.
         rng = np.random.default_rng(9)
-        blocks = (
-            np.round(rng.uniform(-1, 1, size=(12, 12)), 1),
-            rng.choice([-0.0, 0.0, 0.5], size=(12, 12)),
-            np.full((12, 12), 0.25),
-        )
-        for vals in blocks:
-            for k in (1, 3, 7, 12):
-                fast_eta, fast_psi = top_k(vals, k)
-                ref_eta, ref_psi = top_k_naive(vals, k)
-                np.testing.assert_array_equal(fast_eta, ref_eta)
-                np.testing.assert_array_equal(fast_psi, ref_psi)
-                assert np.array_equal(np.signbit(fast_psi), np.signbit(ref_psi))
+        ulp = np.nextafter(1.0, 2.0)
+        for m, ks in ((12, (1, 3, 7, 12)), (97, (1, 4, 64, 65, 97)),
+                      (256, (1, 4, 64, 65, 256)), (4096, (1, 4, 64, 65, 4096))):
+            blocks = (
+                np.round(rng.uniform(-1, 1, size=(12, m)), 1),
+                rng.choice([-0.0, 0.0, 0.5], size=(12, m)),
+                np.full((12, m), 0.25),
+                rng.choice([-2.0, -ulp, -1.0, 1.0, ulp, 2.0], size=(12, m)),
+                rng.choice([-2.0, -ulp], size=(12, m)),
+            )
+            for vals in blocks:
+                for k in ks:
+                    fast_eta, fast_psi = top_k(vals, k)
+                    ref_eta, ref_psi = top_k_naive(np.clip(vals, -1.0, 1.0), k)
+                    np.testing.assert_array_equal(fast_eta, ref_eta)
+                    np.testing.assert_array_equal(fast_psi, ref_psi)
+                    assert np.array_equal(np.signbit(fast_psi), np.signbit(ref_psi))
 
     def test_k_out_of_range(self):
         f = textured_map(3, 3)
