@@ -22,7 +22,7 @@ from .fileio import (
     write_pfm,
     write_ppm8,
 )
-from .grid import DepthMap, FeatureMap, NonFiniteError, bicubic_resample
+from .grid import DepthMap, FeatureMap, NonFiniteError, bicubic_resample, extract_patches
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -204,7 +204,7 @@ def cmd_match(args) -> int:
     # second column tells self_match_stats whether a row's maximum is unique.
     wide_eta, wide_psi = matcher.top_k_streamed(target, source, min(max(args.k, 2), hw))
     eta, psi = wide_eta[:, : args.k], wide_psi[:, : args.k]
-    matched = matcher.matching_selection(f_r, eta, psi)
+    matched = matcher.matching_selection(extract_patches(f_r), f_r.shape, eta, psi)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,6 +8,13 @@ to three orders, gates the matched features with the structure detector,
 and fuses everything through a 1x1 linear map; the head predicts a
 pixel-shuffled residual over bicubic upsampling, so an untrained model
 reproduces bicubic exactly.
+
+Per run: the RGB features and their order maps (rgb_order_maps), which
+no iteration changes. Per iteration: the depth-side order maps and the
+matches (order_matches), the detector gating (gated_blocks) and the 1x1
+fuse (aggregate). The gating and the fuse are separate stages so that a
+caller holding fixed matches and detector scalars, such as the trainer's
+first iteration, can gate once and fuse many weight settings.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 
 from .grid import GAUSS_3X3, MIN_DEPTH_M, DepthMap, FeatureMap, bicubic_resample, check_finite_settings, conv2d, pixel_shuffle, sigmoid, standardize
 from .losses import DEFAULT_ALPHA_LOSS
-from .matcher import ORDERS, match_order
+from .matcher import ORDERS, match_order, order_map
 from .structdet import DetectorParams, detect
 
 SCALES = (4, 8, 16)
@@ -159,25 +166,32 @@ def encode_depth(d: DepthMap, channels: int) -> FeatureMap:
     return bank_features(d.depth, channels)
 
 
+def rgb_order_maps(f_r: FeatureMap, cfg: PipelineConfig) -> dict[str, FeatureMap]:
+    """order_map of the RGB features for every enabled order. The RGB
+    features stay fixed across MOMA iterations, so a run maps them once."""
+    return {order: order_map(f_r, order) for order in cfg.orders}
+
+
 def order_matches(
-    f_r: FeatureMap, f_d: FeatureMap, cfg: PipelineConfig
+    f_r: FeatureMap, rgb_maps: dict[str, FeatureMap], f_d: FeatureMap, cfg: PipelineConfig
 ) -> dict[str, tuple[FeatureMap, FeatureMap | None]]:
     """(matched RGB, matched prior) of every enabled order, as `match_order`
-    returns them; the prior is None at zero order."""
-    return {order: match_order(f_r, f_d, order, cfg.k) for order in cfg.orders}
+    returns them; the prior is None at zero order. `rgb_maps` is
+    rgb_order_maps(f_r, cfg)."""
+    return {
+        order: match_order(f_r, rgb_maps[order], f_d, order, cfg.k) for order in cfg.orders
+    }
 
 
-def aggregate(
+def gated_blocks(
     f_d: FeatureMap,
     matches: dict[str, tuple[FeatureMap, FeatureMap | None]],
     cfg: PipelineConfig,
-) -> FeatureMap:
-    """Fuse depth features with gated matched RGB features.
-
-    Concatenates [depth, zero, sigmoid(grad-prior) * first,
-    sigmoid(hessian-prior) * second] with zero blocks for disabled orders,
-    then projects back to `channels` with the 1x1 fuse map.
-    """
+) -> np.ndarray:
+    """The (4 * channels, h, w) fuse input: [depth, zero, sigmoid(grad-prior)
+    * first, sigmoid(hessian-prior) * second], with zero blocks for disabled
+    orders. With the detector on, each matched RGB block is gated by
+    `structdet.detect` first. Read-only."""
     blocks = [f_d.data]
     for order in ORDERS:
         if order not in matches:
@@ -192,18 +206,28 @@ def aggregate(
             block = sigmoid(matched_prior.data) * block
         blocks.append(block)
     cat = np.concatenate(blocks, axis=0)
-    return FeatureMap(np.einsum("oc,chw->ohw", cfg.w_fuse, cat))
+    cat.setflags(write=False)
+    return cat
 
 
-def moma_step(f_d: FeatureMap, f_r: FeatureMap, cfg: PipelineConfig) -> FeatureMap:
+def aggregate(blocks: np.ndarray, cfg: PipelineConfig) -> FeatureMap:
+    """Project gated blocks back to `channels` with the 1x1 fuse map."""
+    return FeatureMap(np.einsum("oc,chw->ohw", cfg.w_fuse, blocks))
+
+
+def moma_step(
+    f_d: FeatureMap, f_r: FeatureMap, rgb_maps: dict[str, FeatureMap], cfg: PipelineConfig
+) -> FeatureMap:
     """One matching + aggregation iteration; returns the refined depth features.
 
     The RGB features stay fixed across iterations and must have the depth
     features' shape, which is checked here even when no order is enabled.
+    `rgb_maps` is rgb_order_maps(f_r, cfg).
     """
     if f_d.shape != f_r.shape:
         raise ValueError(f"feature shape mismatch: depth {f_d.shape}, rgb {f_r.shape}")
-    return aggregate(f_d, order_matches(f_r, f_d, cfg), cfg)
+    matches = order_matches(f_r, rgb_maps, f_d, cfg)
+    return aggregate(gated_blocks(f_d, matches, cfg), cfg)
 
 
 def reconstruct(f_d: FeatureMap, d_lr: DepthMap, cfg: PipelineConfig) -> DepthMap:
@@ -229,7 +253,8 @@ def run_pipeline(img: FeatureMap, d_lr: DepthMap, cfg: PipelineConfig) -> DepthM
     """Encode both modalities, iterate MOMA steps, reconstruct HR depth."""
     check_scaled("RGB", (img.height, img.width), d_lr, cfg.scale)
     f_r = encode_rgb(img, cfg.scale, cfg.channels)
+    rgb_maps = rgb_order_maps(f_r, cfg)
     f_d = encode_depth(d_lr, cfg.channels)
     for _ in range(cfg.moma_iters):
-        f_d = moma_step(f_d, f_r, cfg)
+        f_d = moma_step(f_d, f_r, rgb_maps, cfg)
     return reconstruct(f_d, d_lr, cfg)

@@ -8,7 +8,15 @@ frozen, and its arrays are checked at construction but not copied (an
 array already contiguous and of the right dtype is kept as is), so the
 caller must not write to an array after wrapping it. `cubic_taps` (the
 Catmull-Rom taps) and `standardize` serve every resampler and encoder,
-so each rule is stated once. Every result is
+so each rule is stated once.
+
+What is computed per call and per shape: every 3x3 window user
+(extract_patches, conv2d, the diffops stencils) copies its input once per
+call into an edge-padded array, filled by slice assignment, and reads a
+strided view of it. fold_patches' index plan (the pixel each patch element
+came from, and each pixel's contribution count) depends only on (h, w), so
+it is computed once per shape and kept, read-only, in a small cache; the
+per-channel bins and sums are per call. Every result is
 independent of the thread count. The contractions here go through
 ``np.einsum``, which runs numpy's own one-thread loops, and fold_patches
 sums with ``np.bincount``, which adds in input order. The one BLAS product,
@@ -20,9 +28,10 @@ that guard both).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 PATCH_SIZE = 3
 
@@ -133,9 +142,22 @@ class DepthMap:
 
 def _windows(data: np.ndarray) -> np.ndarray:
     """The (c, h, w, 3, 3) view of every 3x3 window of a (c, h, w) array,
-    centered on each pixel, with replicate border padding."""
-    pad = np.pad(data, ((0, 0), (1, 1), (1, 1)), mode="edge")
-    return sliding_window_view(pad, (PATCH_SIZE, PATCH_SIZE), axis=(1, 2))
+    centered on each pixel, with replicate border padding.
+
+    The padded copy is filled by slice assignment: edge rows first, then
+    edge columns from the padded rows, so the corners take the corner
+    pixels. The view is read-only.
+    """
+    c, h, w = data.shape
+    pad = np.empty((c, h + 2, w + 2), dtype=data.dtype)
+    pad[:, 1:-1, 1:-1] = data
+    pad[:, 0, 1:-1] = data[:, 0]
+    pad[:, -1, 1:-1] = data[:, -1]
+    pad[:, :, 0] = pad[:, :, 1]
+    pad[:, :, -1] = pad[:, :, -2]
+    _, row, col = pad.strides
+    shape = (c, h, w, PATCH_SIZE, PATCH_SIZE)
+    return as_strided(pad, shape, pad.strides + (row, col), writeable=False)
 
 
 def extract_patches(f: FeatureMap) -> np.ndarray:
@@ -161,11 +183,25 @@ def fold_patches(vectors: np.ndarray, shape: tuple[int, int, int]) -> FeatureMap
     """
     c, h, w = shape
     n = h * w
-    src = _windows(np.arange(n).reshape(1, h, w))[0].transpose(2, 3, 0, 1).ravel()
+    src, counts = _fold_plan(h, w)
     vals = vectors.reshape(h, w, c, PATCH_SIZE, PATCH_SIZE).transpose(2, 3, 4, 0, 1)
     bins = (np.arange(c)[:, None] * n + src).ravel()
     acc = np.bincount(bins, weights=vals.ravel(), minlength=c * n).reshape(c, h, w)
-    return FeatureMap(acc / np.bincount(src, minlength=n).reshape(h, w))
+    return FeatureMap(acc / counts)
+
+
+@lru_cache(maxsize=16)
+def _fold_plan(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """fold_patches' index plan for an h x w grid, computed once per shape:
+    the pixel each patch element was read from (offset-major, then patches
+    in row-major order) and each pixel's (h, w) contribution count. Both
+    arrays are read-only."""
+    n = h * w
+    src = _windows(np.arange(n).reshape(1, h, w))[0].transpose(2, 3, 0, 1).ravel()
+    counts = np.bincount(src, minlength=n).reshape(h, w)
+    src.setflags(write=False)
+    counts.setflags(write=False)
+    return src, counts
 
 
 def conv2d(f: FeatureMap, kernels) -> FeatureMap:

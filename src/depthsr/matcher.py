@@ -10,6 +10,15 @@ each (hw, k): per target patch, the source indices of its k best patches
 and their cosines, scores non-increasing along each row. The naive
 double-loop oracles live permanently in tests/oracles.py.
 
+What is computed per run and per call: the RGB side of an order, the map
+order_map(rgb, order), is fixed for a run, so match_order takes it from its
+caller (fusion.rgb_order_maps maps once per run) and maps only the depth
+side. Within one call each patch matrix is extracted once: the source's
+gives both the unit rows of the cosines and the prior selection, and at
+zero order it is the RGB one too. No (hw, 9c) matrix outlives the call,
+and the selection gathers matched patches for SELECT_ROWS target rows at
+a time instead of holding the (hw, k, 9c) gather.
+
 The cosines are BLAS GEMM calls over fixed tiles of MATCH_TILE_ROWS target
 rows: tiles start at multiples of the tile size and the last one is
 zero-padded, so every cosine comes from a call of one shape on the same
@@ -48,15 +57,23 @@ MATCH_BLOCK_BYTES = 2 << 20
 # Target rows per cosine GEMM call.
 MATCH_TILE_ROWS = 64
 
+# Target rows whose matched patches matching_selection gathers and blends
+# at once (a block's gather takes rows * k * 9c * 8 bytes).
+SELECT_ROWS = 256
 
-def normalized_patch_matrix(f: FeatureMap) -> np.ndarray:
-    """L2-normalized patch rows; rows below MIN_PATCH_NORM become zero."""
-    vec = extract_patches(f)
-    norms = np.sqrt(np.einsum("id,id->i", vec, vec))
+
+def unit_rows(patches: np.ndarray) -> np.ndarray:
+    """L2-normalized copy of patch rows; rows below MIN_PATCH_NORM become zero."""
+    norms = np.sqrt(np.einsum("id,id->i", patches, patches))
     degenerate = norms < MIN_PATCH_NORM
-    unit = vec / np.where(degenerate, 1.0, norms)[:, None]
+    unit = patches / np.where(degenerate, 1.0, norms)[:, None]
     unit[degenerate] = 0.0
     return unit
+
+
+def _check_same_shape(target: FeatureMap, source: FeatureMap) -> None:
+    if target.shape != source.shape:
+        raise ValueError(f"target shape {target.shape} != source shape {source.shape}")
 
 
 def top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -90,19 +107,15 @@ def top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return cols[pick], scores[pick]
 
 
-def top_k_streamed(
-    target: FeatureMap, source: FeatureMap, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k (eta, psi) per target patch, one row block of cosines at a time.
+def top_k_rows(t: np.ndarray, s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k (eta, psi) of the cosines between unit target rows t and unit
+    source rows s (both from unit_rows), one row block at a time.
 
     A block holds as many whole tiles as fit in MATCH_BLOCK_BYTES (at least
     one, and no more than cover the target). Each tile is one GEMM written
     in place into the block buffer, which every block reuses. The tile never
     shares memory with the source matrix, so numpy does not switch to SYRK.
     """
-    if target.shape != source.shape:
-        raise ValueError(f"target shape {target.shape} != source shape {source.shape}")
-    t, s = normalized_patch_matrix(target), normalized_patch_matrix(source)
     n, tile = t.shape[0], MATCH_TILE_ROWS
     step = min(max(1, MATCH_BLOCK_BYTES // (8 * n * tile)), -(-n // tile)) * tile
     block = np.empty((step, n))
@@ -121,27 +134,43 @@ def top_k_streamed(
     return np.concatenate(eta), np.concatenate(psi)
 
 
+def top_k_streamed(
+    target: FeatureMap, source: FeatureMap, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k (eta, psi) per target patch of two maps of one shape (top_k_rows)."""
+    _check_same_shape(target, source)
+    return top_k_rows(unit_rows(extract_patches(target)), unit_rows(extract_patches(source)), k)
+
+
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax over the k retained scores."""
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
-def matching_selection(source: FeatureMap, eta: np.ndarray, psi: np.ndarray) -> FeatureMap:
+def matching_selection(
+    patches: np.ndarray, shape: tuple[int, int, int], eta: np.ndarray, psi: np.ndarray
+) -> FeatureMap:
     """Softmax-weighted gather of the top-k source patches, folded to a map.
 
-    For each target position the k matched source patches are blended with
-    softmax weights over their scores, then overlap-added back onto the
-    grid. Output shape equals source shape.
+    `patches` is extract_patches of the source map, whose shape is `shape`.
+    For each target position the k matched source patch rows are blended
+    with softmax weights over their scores, then overlap-added back onto
+    the grid. The blend is one einsum per block of SELECT_ROWS target rows,
+    so it holds that block's (rows, k, 9c) gather, not all hw rows' (each
+    row's sum is the same either way). Output shape equals `shape`.
     """
-    patches = extract_patches(source)
     n = patches.shape[0]
     if eta.shape[0] != n:
         raise ValueError(f"match rows {eta.shape[0]} != patch count {n}")
     if eta.min() < 0 or eta.max() >= n:
         raise ValueError("match indices out of range for source patches")
-    mixed = np.einsum("rk,rkd->rd", softmax_rows(psi), patches[eta])
-    return fold_patches(mixed, source.shape)
+    weights = softmax_rows(psi)
+    mixed = np.empty(patches.shape)
+    for r0 in range(0, n, SELECT_ROWS):
+        rows = slice(r0, r0 + SELECT_ROWS)
+        np.einsum("rk,rkd->rd", weights[rows], patches[eta[rows]], out=mixed[rows])
+    return fold_patches(mixed, shape)
 
 
 def order_map(f: FeatureMap, order: str) -> FeatureMap:
@@ -156,22 +185,31 @@ def order_map(f: FeatureMap, order: str) -> FeatureMap:
 
 
 def match_order(
-    rgb: FeatureMap, depth: FeatureMap, order: str, k: int
+    rgb: FeatureMap, source: FeatureMap, depth: FeatureMap, order: str, k: int
 ) -> tuple[FeatureMap, FeatureMap | None]:
     """Run one matching order and select matched features.
+
+    `source` is order_map(rgb, order): the RGB features stay fixed, so the
+    caller maps them once per run and only the depth side is mapped here.
 
     zero:   correlate raw depth vs raw RGB, select from RGB -> (matched, None)
     first:  correlate gradient maps, select from RGB and from the RGB
             gradient -> (matched RGB, matched gradient)
     second: correlate Hessian-norm maps, select from RGB and from the RGB
             Hessian norm -> (matched RGB, matched Hessian)
+
+    Each patch matrix is extracted once per call: the source's gives both
+    the unit rows of the cosines and the prior selection, and at zero order
+    it is the RGB one too. None outlives the call.
     """
     target = order_map(depth, order)
-    source = order_map(rgb, order)
-    eta, psi = top_k_streamed(target, source, k)
-    matched_rgb = matching_selection(rgb, eta, psi)
-    matched_prior = None if order == "zero" else matching_selection(source, eta, psi)
-    return matched_rgb, matched_prior
+    _check_same_shape(target, source)
+    source_patches = extract_patches(source)
+    eta, psi = top_k_rows(unit_rows(extract_patches(target)), unit_rows(source_patches), k)
+    if order == "zero":
+        return matching_selection(source_patches, rgb.shape, eta, psi), None
+    matched_rgb = matching_selection(extract_patches(rgb), rgb.shape, eta, psi)
+    return matched_rgb, matching_selection(source_patches, source.shape, eta, psi)
 
 
 def self_match_stats(eta: np.ndarray, psi: np.ndarray) -> tuple[int, int]:

@@ -9,13 +9,16 @@ linear, so a fixed raw-gradient step either stalls or diverges). Enabled
 weight matrices start from a seeded fan-in-scaled random init (set
 ``init_scale = 0`` to fit from the config's weights as-is).
 
-Probes are evaluated in stages of the real pipeline: encoders and
-first-iteration matches depend on no trainable parameter and are computed
-once per scene; each probe then runs `fusion.aggregate` on those matches,
-`fusion.moma_step` for the remaining iterations, and `fusion.reconstruct`
-with `losses.loss_total` on the result. Head-weight probes reuse the fused
-features of the base point. Staging changes nothing numerically, every
-probe value equals a full pipeline run.
+Probes are evaluated in stages of the real pipeline. Per scene: the
+encoders, the RGB order maps and the first iteration's matches, which
+depend on no trainable parameter. Per detector setting: the first
+iteration's gated blocks (`fusion.gated_blocks`), so fuse probes reuse
+them and only detector-scalar probes gate again. Per probe: the 1x1 fuse
+(`fusion.aggregate`) of those blocks, `fusion.moma_step` for the remaining
+iterations, and `fusion.reconstruct` with `losses.loss_total` on the
+result. Head-weight probes reuse the fused features of the base point.
+Staging changes nothing numerically, every probe value equals a full
+pipeline run.
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ from .fusion import (
     aggregate,
     encode_depth,
     encode_rgb,
+    gated_blocks,
     moma_step,
     order_matches,
     reconstruct,
+    rgb_order_maps,
 )
 from .grid import FeatureMap, NonFiniteError, check_finite_settings
 from .losses import LossReport, loss_total
@@ -120,8 +125,11 @@ def unpack_params(vec: np.ndarray, cfg: PipelineConfig, tcfg: TrainConfig) -> Pi
 class SceneLoss:
     """Loss evaluator for one scene with parameter-independent work cached.
 
-    Cached pieces: both encoders and the first iteration's matches (the
-    matching inputs cannot depend on any trainable parameter there).
+    Cached once per scene: both encoders, the RGB order maps and the first
+    iteration's matches (the matching inputs cannot depend on any trainable
+    parameter there). The first iteration's gated blocks are cached once per
+    detector setting: they are gated again only when an evaluation's
+    detector scalars differ from the last ones gated.
     """
 
     def __init__(self, scene: Scene, cfg: PipelineConfig, tcfg: TrainConfig):
@@ -130,16 +138,29 @@ class SceneLoss:
         self.d_lr = scene.d_lr
         self.d_gt = scene.d_gt
         self.f_r = encode_rgb(scene.rgb, cfg.scale, cfg.channels)
+        self.rgb_maps = rgb_order_maps(self.f_r, cfg)
         self.f_d0 = encode_depth(scene.d_lr, cfg.channels)
-        self.first_matches = order_matches(self.f_r, self.f_d0, cfg)
+        self.first_matches = order_matches(self.f_r, self.rgb_maps, self.f_d0, cfg)
+        self._first_gated: tuple[object, np.ndarray] | None = None
         # Leading head coordinates, for stage-aware probing (see _layout).
         self.n_head = cfg.w_head.size if tcfg.fit_head else 0
 
+    def _first_blocks(self, cfg: PipelineConfig) -> np.ndarray:
+        """The first iteration's gated blocks under `cfg`'s detector setting.
+
+        Only `detector_params` can vary between evaluations (`detector` is
+        not trainable), and they gate nothing when the detector is off.
+        """
+        setting = cfg.detector_params if cfg.detector else None
+        if self._first_gated is None or self._first_gated[0] != setting:
+            self._first_gated = (setting, gated_blocks(self.f_d0, self.first_matches, cfg))
+        return self._first_gated[1]
+
     def fused_features(self, cfg: PipelineConfig) -> FeatureMap:
         """Run the MOMA iterations under a probe config."""
-        f_d = aggregate(self.f_d0, self.first_matches, cfg)
+        f_d = aggregate(self._first_blocks(cfg), cfg)
         for _ in range(cfg.moma_iters - 1):
-            f_d = moma_step(f_d, self.f_r, cfg)
+            f_d = moma_step(f_d, self.f_r, self.rgb_maps, cfg)
         return f_d
 
     def head_report(self, f_d: FeatureMap, cfg: PipelineConfig) -> LossReport:

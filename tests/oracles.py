@@ -5,9 +5,10 @@ stay here permanently so every faster path keeps a ground truth.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from depthsr.grid import PATCH_SIZE, FeatureMap, conv2d, extract_patches, sigmoid
-from depthsr.matcher import MIN_PATCH_NORM
+from depthsr.grid import PATCH_SIZE, FeatureMap, conv2d, extract_patches, fold_patches, sigmoid
+from depthsr.matcher import MIN_PATCH_NORM, softmax_rows
 
 
 def correlation_set_naive(target: FeatureMap, source: FeatureMap) -> np.ndarray:
@@ -37,6 +38,21 @@ def top_k_naive(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"k must be in [1, {m}], got {k}")
     eta = np.argsort(-values, axis=1, kind="stable")[:, :k]
     return eta, np.take_along_axis(values, eta, axis=1)
+
+
+def windows_edge_pad(data: np.ndarray) -> np.ndarray:
+    """The (c, h, w, 3, 3) windows of a (c, h, w) array: np.pad in "edge"
+    mode, then sliding_window_view."""
+    pad = np.pad(data, ((0, 0), (1, 1), (1, 1)), mode="edge")
+    return sliding_window_view(pad, (PATCH_SIZE, PATCH_SIZE), axis=(1, 2))
+
+
+def matching_selection_einsum(
+    patches: np.ndarray, shape: tuple[int, int, int], eta: np.ndarray, psi: np.ndarray
+) -> FeatureMap:
+    """Softmax blend of the whole (hw, k, 9c) gather in one einsum, folded."""
+    mixed = np.einsum("rk,rkd->rd", softmax_rows(psi), patches[eta])
+    return fold_patches(mixed, shape)
 
 
 def fold_patches_loop(vectors: np.ndarray, shape: tuple[int, int, int]) -> FeatureMap:

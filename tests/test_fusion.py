@@ -1,9 +1,11 @@
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 from helpers import render_shifted_pair
 
+from depthsr import fusion, matcher
 from depthsr.fusion import (
     PipelineConfig,
     aggregate,
@@ -11,13 +13,16 @@ from depthsr.fusion import (
     encode_depth,
     encode_rgb,
     filter_bank,
+    gated_blocks,
     moma_step,
     order_matches,
     reconstruct,
+    rgb_order_maps,
     run_pipeline,
 )
 from depthsr.grid import DepthMap, FeatureMap, bicubic_resample, sigmoid
 from depthsr.losses import add_noise
+from depthsr.matcher import ORDERS
 from depthsr.scenes import SceneSpec, render_scene
 
 
@@ -141,7 +146,7 @@ class TestAggregate:
         rng = np.random.default_rng(1)
         cfg = PipelineConfig(scale=4, channels=4, orders=())
         f_d = FeatureMap(rng.normal(size=(4, 5, 5)))
-        out = aggregate(f_d, {}, cfg)
+        out = aggregate(gated_blocks(f_d, {}, cfg), cfg)
         np.testing.assert_array_equal(out.data, f_d.data)
 
     def test_zero_prior_gates_at_half(self):
@@ -157,7 +162,7 @@ class TestAggregate:
         f_d = FeatureMap(rng.normal(size=(c, 4, 4)))
         matched = FeatureMap(rng.normal(size=(c, 4, 4)))
         matches = {"first": (matched, FeatureMap(np.zeros((c, 4, 4))))}
-        out = aggregate(f_d, matches, cfg)
+        out = aggregate(gated_blocks(f_d, matches, cfg), cfg)
         np.testing.assert_allclose(out.data, 0.5 * matched.data, atol=1e-12)
 
     def test_gates_are_sigmoid_of_prior(self):
@@ -173,7 +178,7 @@ class TestAggregate:
         f_d = FeatureMap(rng.normal(size=(c, 3, 3)))
         matched = FeatureMap(rng.normal(size=(c, 3, 3)))
         prior = FeatureMap(rng.normal(size=(c, 3, 3)))
-        out = aggregate(f_d, {"second": (matched, prior)}, cfg)
+        out = aggregate(gated_blocks(f_d, {"second": (matched, prior)}, cfg), cfg)
         np.testing.assert_allclose(out.data, sigmoid(prior.data) * matched.data, atol=1e-12)
 
     def test_one_step_beats_addition_fusion_on_shifted_scene(self):
@@ -190,7 +195,8 @@ class TestAggregate:
             scale=4, channels=c, moma_iters=1, orders=("zero",),
             detector=False, w_fuse=w_fuse,
         )
-        fused = aggregate(f_d0, order_matches(f_r, f_d0, cfg), cfg)
+        matches = order_matches(f_r, rgb_order_maps(f_r, cfg), f_d0, cfg)
+        fused = aggregate(gated_blocks(f_d0, matches, cfg), cfg)
         addition = 0.5 * (f_d0.data + f_r.data)
         d_matched = np.abs(fused.data - reference.data).mean()
         d_addition = np.abs(addition - reference.data).mean()
@@ -203,7 +209,7 @@ class TestMomaStep:
         cfg = PipelineConfig.tiny(scale=4)
         f_d, f_r = encode_depth(d_lr, cfg.channels), encode_rgb(rgb, 1, cfg.channels)
         before = f_r.data.copy()
-        out = moma_step(f_d, f_r, cfg)
+        out = moma_step(f_d, f_r, rgb_order_maps(f_r, cfg), cfg)
         assert out.shape == f_d.shape
         np.testing.assert_array_equal(f_r.data, before)
 
@@ -211,7 +217,7 @@ class TestMomaStep:
         # No enabled order, so only moma_step's own check can catch it.
         cfg = PipelineConfig(channels=2, orders=())
         with pytest.raises(ValueError):
-            moma_step(FeatureMap(np.zeros((2, 4, 4))), FeatureMap(np.zeros((2, 4, 5))), cfg)
+            moma_step(FeatureMap(np.zeros((2, 4, 4))), FeatureMap(np.zeros((2, 4, 5))), {}, cfg)
 
 
 class TestReconstruct:
@@ -243,6 +249,25 @@ class TestReconstruct:
 
 
 class TestRunPipeline:
+    def test_rgb_order_maps_computed_once_per_run(self, monkeypatch):
+        scene = render_scene(SceneSpec(width=32, height=32, scale=4, noise_sigma=0.0))
+        cfg = PipelineConfig.tiny(scale=4, moma_iters=3)
+        assert cfg.orders == ORDERS
+        f_r = encode_rgb(scene.rgb, cfg.scale, cfg.channels)
+        rgb_calls, depth_calls = Counter(), Counter()
+        order_map = matcher.order_map
+
+        def counted(f, order):
+            side = rgb_calls if np.array_equal(f.data, f_r.data) else depth_calls
+            side[order] += 1
+            return order_map(f, order)
+
+        monkeypatch.setattr(matcher, "order_map", counted)
+        monkeypatch.setattr(fusion, "order_map", counted)
+        run_pipeline(scene.rgb, scene.d_lr, cfg)
+        assert rgb_calls == {order: 1 for order in ORDERS}
+        assert depth_calls == {order: cfg.moma_iters for order in ORDERS}
+
     def test_size_mismatch_rejected(self):
         cfg = PipelineConfig.tiny(scale=4)
         rgb = gray_image(np.zeros((16, 16)))

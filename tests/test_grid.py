@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import fold_patches_loop
+from oracles import fold_patches_loop, windows_edge_pad
 
+from depthsr import diffops, grid
+from depthsr.diffops import gradient_magnitude, hessian_field
 from depthsr.grid import (
     GAUSS_3X3,
     DepthMap,
@@ -72,6 +76,39 @@ class TestExtractPatches:
         # channel block of 9
         centers = p[:, 4].reshape(4, 5)
         np.testing.assert_array_equal(centers, f.data[0])
+
+
+class TestWindows:
+    @given(
+        c=st.integers(1, 8),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(c=1, h=1, w=1, seed=0)
+    @example(c=2, h=1, w=7, seed=1)
+    @example(c=3, h=6, w=1, seed=2)
+    @settings(max_examples=100, deadline=None)
+    def test_every_window_user_equals_edge_pad_oracle(self, c, h, w, seed):
+        rng = np.random.default_rng(seed)
+        f = FeatureMap(rng.normal(size=(c, h, w)))
+        kernels = rng.normal(size=(2, c, 3, 3))
+
+        def outputs():
+            return (
+                extract_patches(f),
+                conv2d(f, kernels).data,
+                gradient_magnitude(f).data,
+                *hessian_field(f),
+            )
+
+        fast = outputs()
+        with mock.patch.object(grid, "_windows", windows_edge_pad), mock.patch.object(
+            diffops, "_windows", windows_edge_pad
+        ):
+            oracle = outputs()
+        for a, b in zip(fast, oracle, strict=True):
+            assert np.array_equal(a, b)
 
 
 class TestFoldPatches:

@@ -1,15 +1,19 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from helpers import shift_plane
-from oracles import correlation_set_naive, top_k_naive
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import correlation_set_naive, matching_selection_einsum, top_k_naive
 
 from depthsr import matcher
 from depthsr.grid import DepthMap, FeatureMap, extract_patches, fold_patches
 from depthsr.matcher import (
     match_order,
     matching_selection,
+    order_map,
     self_match_stats,
     softmax_rows,
     top_k,
@@ -254,13 +258,13 @@ class TestMatchingSelection:
         src = FeatureMap(rng.normal(size=(1, 4, 4)))
         patches = extract_patches(src)
         eta = rng.integers(0, 16, size=(16, 1))
-        out = matching_selection(src, eta, np.zeros((16, 1)))
+        out = matching_selection(patches, src.shape, eta, np.zeros((16, 1)))
         ref = fold_patches(patches[eta[:, 0]], src.shape)
         np.testing.assert_array_equal(out.data, ref.data)
 
     def test_self_match_identity(self):
         f = textured_map(5, 5, seed=4)
-        out = matching_selection(f, *top_k_streamed(f, f, 1))
+        out = matching_selection(extract_patches(f), f.shape, *top_k_streamed(f, f, 1))
         np.testing.assert_allclose(out.data, f.data, atol=1e-12)
 
     def test_equal_scores_average_patches(self):
@@ -268,7 +272,7 @@ class TestMatchingSelection:
         src = FeatureMap(rng.normal(size=(1, 3, 3)))
         patches = extract_patches(src)
         eta = np.tile([0, 5], (9, 1))
-        out = matching_selection(src, eta, np.full((9, 2), 0.25))
+        out = matching_selection(patches, src.shape, eta, np.full((9, 2), 0.25))
         mixed = 0.5 * patches[eta[:, 0]] + 0.5 * patches[eta[:, 1]]
         ref = fold_patches(mixed, src.shape)
         np.testing.assert_allclose(out.data, ref.data, atol=1e-12)
@@ -276,7 +280,31 @@ class TestMatchingSelection:
     def test_out_of_range_indices_rejected(self):
         src = textured_map(3, 3)
         with pytest.raises(ValueError):
-            matching_selection(src, np.full((9, 1), 9), np.zeros((9, 1)))
+            matching_selection(extract_patches(src), src.shape, np.full((9, 1), 9), np.zeros((9, 1)))
+
+    @given(
+        c=st.integers(1, 8),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        k=st.integers(1, 8),
+        exponent=st.sampled_from([-300, -8, 0, 8, 300]),
+        select_rows=st.integers(1, 81),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(c=1, h=1, w=1, k=1, exponent=0, select_rows=1, seed=0)
+    @example(c=3, h=1, w=9, k=8, exponent=-300, select_rows=4, seed=1)
+    @example(c=8, h=9, w=1, k=5, exponent=300, select_rows=81, seed=2)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_einsum_gather_oracle(self, c, h, w, k, exponent, select_rows, seed):
+        # Blocks of select_rows target rows, the last one short or the only one.
+        rng = np.random.default_rng(seed)
+        src = FeatureMap(rng.normal(size=(c, h, w)) * 10.0**exponent)
+        patches = extract_patches(src)
+        eta = rng.integers(0, h * w, (h * w, k))
+        psi = rng.uniform(-1.0, 1.0, (h * w, k))
+        with mock.patch.object(matcher, "SELECT_ROWS", select_rows):
+            out = matching_selection(patches, src.shape, eta, psi)
+        assert np.array_equal(out.data, matching_selection_einsum(patches, src.shape, eta, psi).data)
 
     def test_softmax_rows_normalized(self):
         w = softmax_rows(np.array([[1.0, 1.0, 1.0], [0.0, 10.0, -10.0]]))
@@ -287,7 +315,7 @@ class TestMatchingSelection:
 class TestMatchOrder:
     def test_zero_order_self_is_identity(self):
         f = textured_map(5, 5, seed=5)
-        matched, prior = match_order(f, f, "zero", 1)
+        matched, prior = match_order(f, f, f, "zero", 1)
         assert prior is None
         np.testing.assert_allclose(matched.data, f.data, atol=1e-12)
 
@@ -296,7 +324,7 @@ class TestMatchOrder:
         # resolve to the first k indices with uniform softmax weights.
         c = FeatureMap(np.full((1, 4, 4), 3.0))
         k = 3
-        matched, prior = match_order(c, c, "first", k)
+        matched, prior = match_order(c, order_map(c, "first"), c, "first", k)
         mixed = extract_patches(c)[:k].mean(axis=0)
         ref = fold_patches(np.tile(mixed, (16, 1)), c.shape)
         np.testing.assert_allclose(matched.data, ref.data, atol=1e-12)
@@ -324,7 +352,7 @@ class TestMatchOrder:
     def test_unknown_order(self):
         f = textured_map(3, 3)
         with pytest.raises(ValueError):
-            match_order(f, f, "third", 1)
+            match_order(f, f, f, "third", 1)
 
     def test_peak_memory_stays_below_one_dense_matrix(self, monkeypatch):
         # hw = 1024: one dense correlation matrix takes 8 MiB; a 64 KiB
@@ -337,10 +365,11 @@ class TestMatchOrder:
             (constant, constant),
         )
         for rgb, depth in pairs:
-            match_order(rgb, depth, "first", 4)  # warm up lazy allocations
+            source = order_map(rgb, "first")
+            match_order(rgb, source, depth, "first", 4)  # warm up lazy allocations
             tracemalloc.start()
             try:
-                match_order(rgb, depth, "first", 4)
+                match_order(rgb, source, depth, "first", 4)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -6,6 +6,7 @@ import pytest
 from dataclasses import FrozenInstanceError, fields, replace
 from oracles import central_difference
 
+from depthsr import fusion
 from depthsr.fusion import PipelineConfig, default_fuse_weights, run_pipeline
 from depthsr.grid import DepthMap
 from depthsr.losses import add_noise, loss_total
@@ -89,14 +90,44 @@ class TestNumericGrad:
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_staged_probes_match_plain_central_differences(self, small_scene):
-        cfg = PipelineConfig.tiny(scale=4)
-        tcfg = TrainConfig(fit_head=True, fit_fuse=True, seed=1)
-        rng = np.random.default_rng(0)
-        vec = pack_params(cfg, tcfg) + 0.05 * rng.normal(size=pack_params(cfg, tcfg).size)
+        # The plain side runs the whole pipeline per probe, so gated blocks
+        # reused across probes must follow every detector-scalar probe.
+        cases = ((2, True, False), (3, True, True), (3, False, True))
+        for moma_iters, detector, fit_detector in cases:
+            cfg = PipelineConfig.tiny(scale=4, moma_iters=moma_iters, detector=detector)
+            tcfg = TrainConfig(
+                fit_head=True, fit_fuse=True, fit_alpha=fit_detector, fit_beta=fit_detector, seed=1
+            )
+            rng = np.random.default_rng(0)
+            vec = pack_params(cfg, tcfg) + 0.05 * rng.normal(size=pack_params(cfg, tcfg).size)
+            staged = SceneLoss(small_scene, cfg, tcfg).gradient(vec)
+
+            def pipeline_loss(v):
+                probe = unpack_params(v, cfg, tcfg)
+                pred = run_pipeline(small_scene.rgb, small_scene.d_lr, probe)
+                return loss_total(small_scene.d_gt, pred, probe.alpha_loss).l_total
+
+            plain = central_difference(pipeline_loss, vec, tcfg.fd_epsilon)
+            np.testing.assert_allclose(staged, plain, rtol=0, atol=1e-12)
+            if fit_detector:
+                # alpha_det and beta are the last two coordinates.
+                assert np.all(staged[-2:] != 0.0) if detector else np.all(staged[-2:] == 0.0)
+
+    def test_gradient_gates_first_iteration_once(self, small_scene, monkeypatch):
+        # Every probe re-matches iterations 2.. and gates their blocks; the
+        # first iteration's blocks are gated once for the base detector
+        # setting and reused by all fuse probes.
+        cfg = PipelineConfig.tiny(scale=4, moma_iters=3)
+        tcfg = TrainConfig(fit_head=True, fit_fuse=True)
         loss = SceneLoss(small_scene, cfg, tcfg)
-        staged = loss.gradient(vec)
-        plain = central_difference(lambda v: loss.report(v).l_total, vec, tcfg.fd_epsilon)
-        np.testing.assert_allclose(staged, plain, rtol=0, atol=1e-12)
+        calls = []
+        detect = fusion.detect
+        monkeypatch.setattr(fusion, "detect", lambda f, p: calls.append(p) or detect(f, p))
+        loss.gradient(pack_params(cfg, tcfg))
+        rematch_probes = 2 * cfg.w_fuse.size
+        orders = len(cfg.orders)
+        assert orders == 3
+        assert len(calls) == orders + orders * (cfg.moma_iters - 1) * (rematch_probes + 1)
 
 
 class TestTrainerRunsThePipeline:
