@@ -94,9 +94,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--depth", required=True, help="LR depth PFM")
     p.add_argument("--out", required=True)
     p.add_argument("--order", default="zero", choices=matcher.ORDERS)
-    p.add_argument("--k", type=int, default=fusion.PipelineConfig.k)
-    p.add_argument("--scale", type=int, default=fusion.PipelineConfig.scale)
-    p.add_argument("--channels", type=int, default=fusion.PipelineConfig.channels)
+    p.add_argument("--k", type=int)
+    p.add_argument("--scale", type=int)
+    p.add_argument("--channels", type=int)
 
     scene_inputs = _Parser(add_help=False)
     scene_inputs.add_argument("--rgb", required=True)
@@ -190,20 +190,21 @@ def cmd_synth(args) -> int:
 
 
 def cmd_match(args) -> int:
+    cfg = fusion.PipelineConfig(**_given(args, fusion.PipelineConfig))
     rgb = read_ppm8(args.rgb)
     d_lr = read_depth_pfm(args.depth)
-    fusion.check_scaled("RGB", rgb.shape[1:], d_lr, args.scale)
+    fusion.check_scaled("RGB", rgb.shape[1:], d_lr, cfg.scale)
     hw = d_lr.height * d_lr.width
-    if not 1 <= args.k <= hw:
-        raise ValueError(f"k must be in [1, {hw}], got {args.k}")
-    f_r = fusion.encode_rgb(rgb, args.scale, args.channels)
-    f_d = fusion.encode_depth(d_lr, args.channels)
+    if cfg.k > hw:
+        raise ValueError(f"k must be in [1, {hw}], got {cfg.k}")
+    f_r = fusion.encode_rgb(rgb, cfg.scale, cfg.channels)
+    f_d = fusion.encode_depth(d_lr, cfg.channels)
     target = matcher.order_map(f_d, args.order)
     source = matcher.order_map(f_r, args.order)
     # Top-k is prefix-consistent, so the first k columns are top_k at k; the
     # second column tells self_match_stats whether a row's maximum is unique.
-    wide_eta, wide_psi = matcher.top_k_streamed(target, source, min(max(args.k, 2), hw))
-    eta, psi = wide_eta[:, : args.k], wide_psi[:, : args.k]
+    wide_eta, wide_psi = matcher.top_k_streamed(target, source, min(max(cfg.k, 2), hw))
+    eta, psi = wide_eta[:, : cfg.k], wide_psi[:, : cfg.k]
     matched = matcher.matching_selection(extract_patches(f_r), f_r.shape, eta, psi)
 
     out = Path(args.out)
@@ -216,7 +217,7 @@ def cmd_match(args) -> int:
     stats = _lines({
         "order": args.order,
         "rows": hw,
-        "k": args.k,
+        "k": cfg.k,
         "unique_max_rows": unique,
         "self_match_fraction": hits / unique if unique else 0.0,
         "matched_mean_abs_distance": matched_dist,

@@ -9,10 +9,11 @@ and fuses everything through a 1x1 linear map; the head predicts a
 pixel-shuffled residual over bicubic upsampling, so an untrained model
 reproduces bicubic exactly.
 
-Per run: the RGB features and their order maps (rgb_order_maps), which
-no iteration changes. Per iteration: the depth-side order maps and the
-matches (order_matches), the detector gating (gated_blocks) and the 1x1
-fuse (aggregate). The gating and the fuse are separate stages so that a
+Per run: one rgb_maps value (rgb_order_maps), the RGB features under
+"zero" and their order map for every enabled order, which no iteration
+changes. Per iteration: the depth-side order maps and the matches
+(order_matches), the detector gating (gated_blocks) and the 1x1 fuse
+(aggregate). The gating and the fuse are separate stages so that a
 caller holding fixed matches and detector scalars, such as the trainer's
 first iteration, can gate once and fuse many weight settings.
 """
@@ -167,20 +168,19 @@ def encode_depth(d: DepthMap, channels: int) -> FeatureMap:
 
 
 def rgb_order_maps(f_r: FeatureMap, cfg: PipelineConfig) -> dict[str, FeatureMap]:
-    """order_map of the RGB features for every enabled order. The RGB
-    features stay fixed across MOMA iterations, so a run maps them once."""
-    return {order: order_map(f_r, order) for order in cfg.orders}
+    """The run's RGB side: the features `f_r` under "zero", plus order_map
+    of them for every enabled order. The RGB features stay fixed across
+    MOMA iterations, so a run maps them once."""
+    return {"zero": f_r} | {order: order_map(f_r, order) for order in cfg.orders}
 
 
 def order_matches(
-    f_r: FeatureMap, rgb_maps: dict[str, FeatureMap], f_d: FeatureMap, cfg: PipelineConfig
+    rgb_maps: dict[str, FeatureMap], f_d: FeatureMap, cfg: PipelineConfig
 ) -> dict[str, tuple[FeatureMap, FeatureMap | None]]:
     """(matched RGB, matched prior) of every enabled order, as `match_order`
-    returns them; the prior is None at zero order. `rgb_maps` is
-    rgb_order_maps(f_r, cfg)."""
-    return {
-        order: match_order(f_r, rgb_maps[order], f_d, order, cfg.k) for order in cfg.orders
-    }
+    returns them; the prior is None at zero order. `rgb_maps` is the run's
+    rgb_order_maps."""
+    return {order: match_order(rgb_maps, f_d, order, cfg.k) for order in cfg.orders}
 
 
 def gated_blocks(
@@ -215,18 +215,17 @@ def aggregate(blocks: np.ndarray, cfg: PipelineConfig) -> FeatureMap:
     return FeatureMap(np.einsum("oc,chw->ohw", cfg.w_fuse, blocks))
 
 
-def moma_step(
-    f_d: FeatureMap, f_r: FeatureMap, rgb_maps: dict[str, FeatureMap], cfg: PipelineConfig
-) -> FeatureMap:
+def moma_step(f_d: FeatureMap, rgb_maps: dict[str, FeatureMap], cfg: PipelineConfig) -> FeatureMap:
     """One matching + aggregation iteration; returns the refined depth features.
 
-    The RGB features stay fixed across iterations and must have the depth
-    features' shape, which is checked here even when no order is enabled.
-    `rgb_maps` is rgb_order_maps(f_r, cfg).
+    `rgb_maps` is the run's rgb_order_maps. Its RGB features must have the
+    depth features' shape, which is checked here even when no order is
+    enabled.
     """
+    f_r = rgb_maps["zero"]
     if f_d.shape != f_r.shape:
         raise ValueError(f"feature shape mismatch: depth {f_d.shape}, rgb {f_r.shape}")
-    matches = order_matches(f_r, rgb_maps, f_d, cfg)
+    matches = order_matches(rgb_maps, f_d, cfg)
     return aggregate(gated_blocks(f_d, matches, cfg), cfg)
 
 
@@ -252,9 +251,8 @@ def check_scaled(name: str, shape: tuple[int, int], d_lr: DepthMap, scale: int) 
 def run_pipeline(img: FeatureMap, d_lr: DepthMap, cfg: PipelineConfig) -> DepthMap:
     """Encode both modalities, iterate MOMA steps, reconstruct HR depth."""
     check_scaled("RGB", (img.height, img.width), d_lr, cfg.scale)
-    f_r = encode_rgb(img, cfg.scale, cfg.channels)
-    rgb_maps = rgb_order_maps(f_r, cfg)
+    rgb_maps = rgb_order_maps(encode_rgb(img, cfg.scale, cfg.channels), cfg)
     f_d = encode_depth(d_lr, cfg.channels)
     for _ in range(cfg.moma_iters):
-        f_d = moma_step(f_d, f_r, rgb_maps, cfg)
+        f_d = moma_step(f_d, rgb_maps, cfg)
     return reconstruct(f_d, d_lr, cfg)

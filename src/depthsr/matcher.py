@@ -2,39 +2,38 @@
 
 The correlation between two c x h x w maps is an hw x hw matrix of cosine
 similarities over flattened, L2-normalized 3x3 patches. Matching streams it
-in row blocks and keeps each block's top-k, so it holds one block of at
-most max(MATCH_BLOCK_BYTES, 8 * MATCH_TILE_ROWS * hw) bytes, its (rows, g)
-group maxima and the groups top_k gathers from it (up to a whole block when
-scores tie), never hw^2 floats. A match is the plain array pair (eta, psi),
-each (hw, k): per target patch, the source indices of its k best patches
-and their cosines, scores non-increasing along each row. The naive
+one tile of MATCH_TILE_ROWS target rows at a time and keeps each tile's
+top-k, so it never holds hw^2 floats: one (MATCH_TILE_ROWS, hw) cosine
+buffer, reused by every tile, plus what top_k takes from it, which is at
+most about 9 times the tile's bytes when every score ties and top_k
+gathers the whole tile. A match is the plain array pair (eta, psi), each
+(hw, k): per target patch, the source indices of its k best patches and
+their cosines, scores non-increasing along each row. The naive
 double-loop oracles live permanently in tests/oracles.py.
 
-What is computed per run and per call: the RGB side of an order, the map
-order_map(rgb, order), is fixed for a run, so match_order takes it from its
-caller (fusion.rgb_order_maps maps once per run) and maps only the depth
-side. Within one call each patch matrix is extracted once: the source's
-gives both the unit rows of the cosines and the prior selection, and at
-zero order it is the RGB one too. No (hw, 9c) matrix outlives the call,
-and the selection gathers matched patches for SELECT_ROWS target rows at
-a time instead of holding the (hw, k, 9c) gather.
+What is computed per run and per call: the RGB side is fixed for a run,
+so match_order takes it as one value (fusion.rgb_order_maps) and maps
+only the depth side. Within one call each patch matrix is extracted once:
+the source's gives both the unit rows of the cosines and the prior
+selection, and at zero order it is the RGB one too. No (hw, 9c) matrix
+outlives the call, and the selection gathers matched patches for
+SELECT_ROWS target rows at a time instead of holding the (hw, k, 9c)
+gather.
 
-The cosines are BLAS GEMM calls over fixed tiles of MATCH_TILE_ROWS target
-rows: tiles start at multiples of the tile size and the last one is
-zero-padded, so every cosine comes from a call of one shape on the same
-rows whatever the block size (a per-block product would reach gemv or edge
-kernels for some row counts and differ in the last bit). OpenBLAS splits a
-GEMM across threads by output rows and columns, never inside one dot
-product, so the thread count changes no bit either. TestTopK's
-test_streamed_equals_full guards the block size and tests/test_package.py
-the thread count, at the LR 64^2 shape among others.
+Each tile's cosines are one BLAS GEMM call of one shape: tiles start at
+multiples of the tile size and the last one is zero-padded (a product of
+another row count would reach gemv or edge kernels and differ in the last
+bit). OpenBLAS splits a GEMM across threads by output rows and columns,
+never inside one dot product, so the thread count changes no bit either;
+tests/test_package.py guards that at the LR 64^2 shape and at a padded
+tail tile.
 
-Top-k reads a block once. Column j lies in group j mod g, g the largest
+Top-k reads a tile once. Column j lies in group j mod g, g the largest
 divisor of hw in [k, 64] (hw when there is none), and the k-th largest
 group maximum of a row bounds its k-th largest cosine from below, so only
 the groups that reach it are gathered and sorted. The cosines are clipped
 to [-1, 1] inside top_k, on those groups only: top_k returns the top-k of
-the clipped block. Top-k is exact with a lowest-index tie-break, so the
+the clipped tile. Top-k is exact with a lowest-index tie-break, so the
 first k columns of a top-k' result (k' > k) equal top-k.
 """
 
@@ -50,11 +49,7 @@ ORDERS = ("zero", "first", "second")
 # Patches with a smaller L2 norm correlate as 0 instead of dividing by ~0.
 MIN_PATCH_NORM = 1e-12
 
-# Bytes of correlations one streamed block may hold (a row takes 8 * hw);
-# a block is at least one tile.
-MATCH_BLOCK_BYTES = 2 << 20
-
-# Target rows per cosine GEMM call.
+# Target rows per cosine GEMM call and per top_k call.
 MATCH_TILE_ROWS = 64
 
 # Target rows whose matched patches matching_selection gathers and blends
@@ -109,27 +104,25 @@ def top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def top_k_rows(t: np.ndarray, s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k (eta, psi) of the cosines between unit target rows t and unit
-    source rows s (both from unit_rows), one row block at a time.
+    source rows s (both from unit_rows), one tile of MATCH_TILE_ROWS target
+    rows at a time.
 
-    A block holds as many whole tiles as fit in MATCH_BLOCK_BYTES (at least
-    one, and no more than cover the target). Each tile is one GEMM written
-    in place into the block buffer, which every block reuses. The tile never
-    shares memory with the source matrix, so numpy does not switch to SYRK.
+    Each tile is one GEMM written in place into a buffer that every tile
+    reuses. The tile never shares memory with the source matrix, so numpy
+    does not switch to SYRK.
     """
     n, tile = t.shape[0], MATCH_TILE_ROWS
-    step = min(max(1, MATCH_BLOCK_BYTES // (8 * n * tile)), -(-n // tile)) * tile
-    block = np.empty((step, n))
+    cosines = np.empty((tile, n))
     pad = np.zeros((tile, t.shape[1]))
     matches = []
-    for r0 in range(0, n, step):
-        rows = min(step, n - r0)
-        for a in range(0, rows, tile):
-            part = t[r0 + a : r0 + a + tile]
-            if len(part) < tile:
-                pad[: len(part)] = part
-                part = pad
-            np.matmul(part, s.T, out=block[a : a + tile])
-        matches.append(top_k(block[:rows], k))
+    for r0 in range(0, n, tile):
+        part = t[r0 : r0 + tile]
+        rows = len(part)
+        if rows < tile:
+            pad[:rows] = part
+            part = pad
+        np.matmul(part, s.T, out=cosines)
+        matches.append(top_k(cosines[:rows], k))
     eta, psi = zip(*matches)
     return np.concatenate(eta), np.concatenate(psi)
 
@@ -185,24 +178,21 @@ def order_map(f: FeatureMap, order: str) -> FeatureMap:
 
 
 def match_order(
-    rgb: FeatureMap, source: FeatureMap, depth: FeatureMap, order: str, k: int
+    rgb_maps: dict[str, FeatureMap], depth: FeatureMap, order: str, k: int
 ) -> tuple[FeatureMap, FeatureMap | None]:
     """Run one matching order and select matched features.
 
-    `source` is order_map(rgb, order): the RGB features stay fixed, so the
-    caller maps them once per run and only the depth side is mapped here.
+    `rgb_maps` is the run's RGB side (fusion.rgb_order_maps): the RGB
+    features under "zero" and order_map of them under `order`.
 
     zero:   correlate raw depth vs raw RGB, select from RGB -> (matched, None)
     first:  correlate gradient maps, select from RGB and from the RGB
             gradient -> (matched RGB, matched gradient)
     second: correlate Hessian-norm maps, select from RGB and from the RGB
             Hessian norm -> (matched RGB, matched Hessian)
-
-    Each patch matrix is extracted once per call: the source's gives both
-    the unit rows of the cosines and the prior selection, and at zero order
-    it is the RGB one too. None outlives the call.
     """
     target = order_map(depth, order)
+    rgb, source = rgb_maps["zero"], rgb_maps[order]
     _check_same_shape(target, source)
     source_patches = extract_patches(source)
     eta, psi = top_k_rows(unit_rows(extract_patches(target)), unit_rows(source_patches), k)

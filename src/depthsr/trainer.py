@@ -10,10 +10,10 @@ weight matrices start from a seeded fan-in-scaled random init (set
 ``init_scale = 0`` to fit from the config's weights as-is).
 
 Probes are evaluated in stages of the real pipeline. Per scene: the
-encoders, the RGB order maps and the first iteration's matches, which
-depend on no trainable parameter. Per detector setting: the first
-iteration's gated blocks (`fusion.gated_blocks`), so fuse probes reuse
-them and only detector-scalar probes gate again. Per probe: the 1x1 fuse
+encoders, the one rgb_maps value (`fusion.rgb_order_maps`) and the first
+iteration's matches, which depend on no trainable parameter. Per detector
+setting: the first iteration's gated blocks (`fusion.gated_blocks`), so
+fuse probes reuse them and only detector-scalar probes gate again. Per probe: the 1x1 fuse
 (`fusion.aggregate`) of those blocks, `fusion.moma_step` for the remaining
 iterations, and `fusion.reconstruct` with `losses.loss_total` on the
 result. Head-weight probes reuse the fused features of the base point.
@@ -125,7 +125,7 @@ def unpack_params(vec: np.ndarray, cfg: PipelineConfig, tcfg: TrainConfig) -> Pi
 class SceneLoss:
     """Loss evaluator for one scene with parameter-independent work cached.
 
-    Cached once per scene: both encoders, the RGB order maps and the first
+    Cached once per scene: both encoders, the rgb_maps value and the first
     iteration's matches (the matching inputs cannot depend on any trainable
     parameter there). The first iteration's gated blocks are cached once per
     detector setting: they are gated again only when an evaluation's
@@ -137,10 +137,9 @@ class SceneLoss:
         self.tcfg = tcfg
         self.d_lr = scene.d_lr
         self.d_gt = scene.d_gt
-        self.f_r = encode_rgb(scene.rgb, cfg.scale, cfg.channels)
-        self.rgb_maps = rgb_order_maps(self.f_r, cfg)
+        self.rgb_maps = rgb_order_maps(encode_rgb(scene.rgb, cfg.scale, cfg.channels), cfg)
         self.f_d0 = encode_depth(scene.d_lr, cfg.channels)
-        self.first_matches = order_matches(self.f_r, self.rgb_maps, self.f_d0, cfg)
+        self.first_matches = order_matches(self.rgb_maps, self.f_d0, cfg)
         self._first_gated: tuple[object, np.ndarray] | None = None
         # Leading head coordinates, for stage-aware probing (see _layout).
         self.n_head = cfg.w_head.size if tcfg.fit_head else 0
@@ -160,7 +159,7 @@ class SceneLoss:
         """Run the MOMA iterations under a probe config."""
         f_d = aggregate(self._first_blocks(cfg), cfg)
         for _ in range(cfg.moma_iters - 1):
-            f_d = moma_step(f_d, self.f_r, self.rgb_maps, cfg)
+            f_d = moma_step(f_d, self.rgb_maps, cfg)
         return f_d
 
     def head_report(self, f_d: FeatureMap, cfg: PipelineConfig) -> LossReport:

@@ -80,16 +80,17 @@ class TestSynth:
 
 class TestMatch:
     def test_identical_inputs_self_match(self, tmp_path, capsys):
-        # RGB gray and depth built from the same quantized plane, so both
-        # encoders see identical inputs at scale 1.
+        # RGB gray and depth built from the same quantized plane; the RGB
+        # repeats each pixel over a 4 x 4 block, which the scale-4 bicubic
+        # downsample maps back to the plane, so both encoders see identical
+        # inputs.
         plane = np.round(value_noise(12, 12, 3, seed=2) * 255) / 255 + 1.0
-        rgb = FeatureMap(np.stack([plane - 1.0] * 3))
+        rgb = FeatureMap(np.stack([np.kron(plane - 1.0, np.ones((4, 4)))] * 3))
         write_ppm8(tmp_path / "rgb.ppm", rgb)
         write_depth_pfm(tmp_path / "d.pfm", DepthMap.all_valid(plane - 1.0 + 1e-3))
         code = main(
             ["match", "--rgb", str(tmp_path / "rgb.ppm"), "--depth", str(tmp_path / "d.pfm"),
-             "--out", str(tmp_path), "--order", "zero", "--k", "1", "--scale", "1",
-             "--channels", "1"]
+             "--out", str(tmp_path), "--order", "zero", "--k", "1", "--channels", "1"]
         )
         assert code == EXIT_OK
         stats = dict(
@@ -132,7 +133,7 @@ class TestMatch:
              "--depth", str(scene_dir / "d_lr.pfm"), "--out", str(out), "--k", "0"]
         )
         assert code == EXIT_USAGE
-        assert "k must be in [1, 64], got 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == "usage error: k must be positive\n"
         assert not out.exists()
 
     def test_rgb_size_checked_before_encoding(self, scene_dir, tmp_path, capsys, monkeypatch):
@@ -149,12 +150,27 @@ class TestMatch:
         assert calls == []
         assert not out.exists()
 
-    def test_peak_memory_stays_below_one_dense_matrix(self, tmp_path, monkeypatch):
-        # LR 32^2: hw = 1024, so one dense correlation matrix takes 8 MiB; a
-        # 64 KiB budget streams it in 8-row blocks.
+    @pytest.mark.parametrize("flag", (["--scale", "2"], ["--channels", "9"]), ids=("scale", "channels"))
+    def test_settings_checked_before_reading(self, tmp_path, monkeypatch, flag):
+        # The 32^2 RGB and 16^2 LR depth fit scale 2, which sr rejects too.
+        write_ppm8(tmp_path / "rgb.ppm", FeatureMap(np.full((3, 32, 32), 0.5)))
+        write_depth_pfm(tmp_path / "d.pfm", DepthMap.all_valid(np.full((16, 16), 2.0)))
+        reads = []
+        monkeypatch.setattr(cli, "read_ppm8", reads.append)
+        out = tmp_path / "m"
+        code = main(
+            ["match", "--rgb", str(tmp_path / "rgb.ppm"), "--depth", str(tmp_path / "d.pfm"),
+             "--out", str(out), *flag]
+        )
+        assert code == EXIT_USAGE
+        assert reads == []
+        assert not out.exists()
+
+    def test_peak_memory_stays_below_one_dense_matrix(self, tmp_path):
+        # LR 32^2: hw = 1024, so one dense correlation matrix takes 8 MiB,
+        # one 64-row tile of cosines 512 KiB.
         scene = tmp_path / "scene"
         assert main(["synth", "--out", str(scene), "--width", "128", "--height", "128"]) == EXIT_OK
-        monkeypatch.setattr(matcher, "MATCH_BLOCK_BYTES", 64 << 10)
         argv = ["match", "--rgb", str(scene / "rgb.ppm"), "--depth", str(scene / "d_lr.pfm")]
         assert main(argv + ["--out", str(tmp_path / "warm")]) == EXIT_OK
         tracemalloc.start()

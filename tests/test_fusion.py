@@ -195,7 +195,7 @@ class TestAggregate:
             scale=4, channels=c, moma_iters=1, orders=("zero",),
             detector=False, w_fuse=w_fuse,
         )
-        matches = order_matches(f_r, rgb_order_maps(f_r, cfg), f_d0, cfg)
+        matches = order_matches(rgb_order_maps(f_r, cfg), f_d0, cfg)
         fused = aggregate(gated_blocks(f_d0, matches, cfg), cfg)
         addition = 0.5 * (f_d0.data + f_r.data)
         d_matched = np.abs(fused.data - reference.data).mean()
@@ -209,7 +209,7 @@ class TestMomaStep:
         cfg = PipelineConfig.tiny(scale=4)
         f_d, f_r = encode_depth(d_lr, cfg.channels), encode_rgb(rgb, 1, cfg.channels)
         before = f_r.data.copy()
-        out = moma_step(f_d, f_r, rgb_order_maps(f_r, cfg), cfg)
+        out = moma_step(f_d, rgb_order_maps(f_r, cfg), cfg)
         assert out.shape == f_d.shape
         np.testing.assert_array_equal(f_r.data, before)
 
@@ -217,7 +217,7 @@ class TestMomaStep:
         # No enabled order, so only moma_step's own check can catch it.
         cfg = PipelineConfig(channels=2, orders=())
         with pytest.raises(ValueError):
-            moma_step(FeatureMap(np.zeros((2, 4, 4))), FeatureMap(np.zeros((2, 4, 5))), {}, cfg)
+            moma_step(FeatureMap(np.zeros((2, 4, 4))), {"zero": FeatureMap(np.zeros((2, 4, 5)))}, cfg)
 
 
 class TestReconstruct:

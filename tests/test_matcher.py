@@ -173,32 +173,24 @@ class TestTopK:
             with pytest.raises(ValueError):
                 top_k_streamed(f, f, k)
 
-    def test_streamed_equals_full(self, monkeypatch):
-        # Budgets of 1, 7 and 13 rows still give one-tile blocks; then two
-        # tiles and the whole matrix. The 5 x 6 maps fit in one padded tile;
-        # the quantized pair has values in {-1, 0, 1}, so many cosines tie
-        # exactly. The 8-channel 12 x 12 pair (hw = 144, d = 72) has two full
-        # tiles and a 16-row tail. A per-block product without fixed tiles
-        # takes other BLAS paths (gemv, edge kernels) for some budgets and
-        # drifts in the last bit.
+    def test_streamed_equals_full(self):
+        # The 5 x 6 maps fit in one padded tile; the quantized pair has
+        # values in {-1, 0, 1}, so many cosines tie exactly. The 8 x 8 pair
+        # fills exactly one tile. The 8-channel 12 x 12 pair (hw = 144,
+        # d = 72) has two full tiles and a 16-row tail.
         rng = np.random.default_rng(10)
         normal = [FeatureMap(rng.normal(size=(1, 5, 6))) for _ in range(2)]
         quantized = [quantized_map(rng, 1, 5, 6) for _ in range(2)]
+        one_tile = [FeatureMap(rng.normal(size=(2, 8, 8))) for _ in range(2)]
         wide = [FeatureMap(rng.normal(size=(8, 12, 12))) for _ in range(2)]
-        tile = matcher.MATCH_TILE_ROWS
-        for t, s in (normal, quantized, wide):
+        for t, s in (normal, quantized, one_tile, wide):
             n = t.height * t.width
             values = all_cosines(t, s)
             for k in (1, 3, n):
-                full = top_k(values, k)
-                naive = top_k_naive(values, k)
-                for rows in (1, 7, 13, tile, 2 * tile, n):
-                    budget = 8 * n * rows
-                    monkeypatch.setattr(matcher, "MATCH_BLOCK_BYTES", budget)
-                    eta, psi = top_k_streamed(t, s, k)
-                    for ref_eta, ref_psi in (full, naive):
-                        np.testing.assert_array_equal(eta, ref_eta)
-                        np.testing.assert_array_equal(psi, ref_psi)
+                eta, psi = top_k_streamed(t, s, k)
+                for ref_eta, ref_psi in (top_k(values, k), top_k_naive(values, k)):
+                    np.testing.assert_array_equal(eta, ref_eta)
+                    np.testing.assert_array_equal(psi, ref_psi)
 
     def test_rerun_bit_identical(self):
         t = textured_map(6, 6, seed=1)
@@ -315,7 +307,7 @@ class TestMatchingSelection:
 class TestMatchOrder:
     def test_zero_order_self_is_identity(self):
         f = textured_map(5, 5, seed=5)
-        matched, prior = match_order(f, f, f, "zero", 1)
+        matched, prior = match_order({"zero": f}, f, "zero", 1)
         assert prior is None
         np.testing.assert_allclose(matched.data, f.data, atol=1e-12)
 
@@ -324,7 +316,7 @@ class TestMatchOrder:
         # resolve to the first k indices with uniform softmax weights.
         c = FeatureMap(np.full((1, 4, 4), 3.0))
         k = 3
-        matched, prior = match_order(c, order_map(c, "first"), c, "first", k)
+        matched, prior = match_order({"zero": c, "first": order_map(c, "first")}, c, "first", k)
         mixed = extract_patches(c)[:k].mean(axis=0)
         ref = fold_patches(np.tile(mixed, (16, 1)), c.shape)
         np.testing.assert_allclose(matched.data, ref.data, atol=1e-12)
@@ -352,24 +344,23 @@ class TestMatchOrder:
     def test_unknown_order(self):
         f = textured_map(3, 3)
         with pytest.raises(ValueError):
-            match_order(f, f, f, "third", 1)
+            match_order({"zero": f}, f, "third", 1)
 
-    def test_peak_memory_stays_below_one_dense_matrix(self, monkeypatch):
-        # hw = 1024: one dense correlation matrix takes 8 MiB; a 64 KiB
-        # budget streams it in 8-row blocks. On constant maps every cosine
-        # ties, so each block's top-k candidates are the whole block.
-        monkeypatch.setattr(matcher, "MATCH_BLOCK_BYTES", 64 << 10)
+    def test_peak_memory_stays_below_one_dense_matrix(self):
+        # hw = 1024: one dense correlation matrix takes 8 MiB, one 64-row
+        # tile 512 KiB. On constant maps every cosine ties, so each tile's
+        # top-k candidates are the whole tile.
         constant = FeatureMap(np.full((2, 32, 32), 0.5))
         pairs = (
             (textured_map(32, 32, c=2, seed=1), textured_map(32, 32, c=2, seed=3)),
             (constant, constant),
         )
         for rgb, depth in pairs:
-            source = order_map(rgb, "first")
-            match_order(rgb, source, depth, "first", 4)  # warm up lazy allocations
+            rgb_maps = {"zero": rgb, "first": order_map(rgb, "first")}
+            match_order(rgb_maps, depth, "first", 4)  # warm up lazy allocations
             tracemalloc.start()
             try:
-                match_order(rgb, source, depth, "first", 4)
+                match_order(rgb_maps, depth, "first", 4)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

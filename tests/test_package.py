@@ -9,23 +9,21 @@ from pathlib import Path
 
 import depthsr
 
-# Prints a digest of the streamed matches on an LR 32^2 scene (hw = 1024 in
-# 100-row blocks, the last one short) and of a weighted LR 16^2 pipeline run.
+# Prints digests of the streamed matches on LR 64^2, 32^2 and 12^2 scenes and
+# of a weighted LR 16^2 pipeline run. At LR 12^2 (hw = 144) the last of three
+# 64-row tiles holds 16 rows and is zero-padded.
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
 from depthsr import fusion, matcher, scenes
 
-# LR 64^2 at the default budget: each GEMM tile is split across threads.
-lr64 = scenes.render_scene(scenes.SceneSpec(width=256, height=256))
-eta64, psi64 = matcher.top_k_streamed(
-    fusion.encode_depth(lr64.d_lr, 8), fusion.encode_rgb(lr64.rgb, 4, 8), 4
-)
-matcher.MATCH_BLOCK_BYTES = 100 * 8 * 1024
-big = scenes.render_scene(scenes.SceneSpec(width=128, height=128))
-eta, psi = matcher.top_k_streamed(
-    fusion.encode_depth(big.d_lr, 8), fusion.encode_rgb(big.rgb, 4, 8), 4
-)
+streamed = []
+for hr in (256, 128, 48):
+    # At LR 64^2 each GEMM tile is split across threads.
+    scene = scenes.render_scene(scenes.SceneSpec(width=hr, height=hr))
+    streamed += matcher.top_k_streamed(
+        fusion.encode_depth(scene.d_lr, 8), fusion.encode_rgb(scene.rgb, 4, 8), 4
+    )
 rng = np.random.default_rng(0)
 cfg = fusion.PipelineConfig(
     w_fuse=fusion.default_fuse_weights(8) + 0.1 * rng.normal(size=(8, 32)),
@@ -33,7 +31,7 @@ cfg = fusion.PipelineConfig(
 )
 small = scenes.render_scene(scenes.SceneSpec())
 pred = fusion.run_pipeline(small.rgb, small.d_lr, cfg)
-for arr in (eta64, psi64, eta, psi, pred.depth):
+for arr in (*streamed, pred.depth):
     print(hashlib.sha256(arr.tobytes()).hexdigest())
 """
 
@@ -81,5 +79,5 @@ def test_outputs_do_not_depend_on_thread_count():
             env=env, capture_output=True, text=True, check=True, timeout=300,
         )
         digests.append(run.stdout.split())
-    assert len(digests[0]) == 5
+    assert len(digests[0]) == 7
     assert digests[0] == digests[1]
