@@ -59,7 +59,8 @@ class PipelineConfig:
     assigned afterwards; the weight matrices are read-only float64 copies.
     Derive a variant with `dataclasses.replace`, which checks it again.
     Equal configs have equal fields and element-wise equal weights, and
-    hash alike, so a config can key a dict.
+    hash alike, so a config can key a dict. A pickled config comes back
+    through the constructor, so it is an equal value with read-only weights.
     """
 
     scale: int = 4
@@ -110,6 +111,11 @@ class PipelineConfig:
     def __hash__(self):
         # Weights stay out: configs equal under np.array_equal hash alike.
         return hash(self._scalars())
+
+    def __reduce__(self):
+        # Unpickle (and copy) through the constructor, which checks the
+        # fields and makes the weights read-only again.
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
     @classmethod
     def tiny(cls, **kwargs) -> "PipelineConfig":

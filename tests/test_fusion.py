@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -24,6 +25,7 @@ from depthsr.grid import DepthMap, FeatureMap, bicubic_resample, sigmoid
 from depthsr.losses import add_noise
 from depthsr.matcher import ORDERS
 from depthsr.scenes import SceneSpec, render_scene
+from depthsr.structdet import DetectorParams
 
 
 def gray_image(plane):
@@ -95,6 +97,17 @@ class TestPipelineConfig:
         assert replace(cfg, k=2) != cfg
         assert replace(cfg, w_head=np.ones((16, 8))) != cfg
         assert cfg != "not a config"
+
+    def test_pickle_round_trip_is_an_equal_value(self):
+        rng = np.random.default_rng(0)
+        cfg = PipelineConfig(
+            k=2, orders=("zero", "second"), detector_params=DetectorParams(alpha_det=0.5, beta=2.0),
+            w_fuse=default_fuse_weights(8) + rng.normal(size=(8, 32)), w_head=rng.normal(size=(16, 8)),
+        )
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back == cfg and hash(back) == hash(cfg)
+        for matrix in (back.w_head, back.w_fuse):
+            assert not matrix.flags.writeable
 
 
 class TestEncoders:

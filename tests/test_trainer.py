@@ -1,4 +1,6 @@
 import csv
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from dataclasses import FrozenInstanceError, fields, replace
 from oracles import central_difference
 
-from depthsr import fusion
+from depthsr import fusion, trainer
 from depthsr.fusion import PipelineConfig, default_fuse_weights, run_pipeline
 from depthsr.grid import DepthMap
 from depthsr.losses import add_noise, loss_total
@@ -130,6 +132,38 @@ class TestNumericGrad:
         assert len(calls) == orders + orders * (cfg.moma_iters - 1) * (rematch_probes + 1)
 
 
+def _no_workers(*args, **kwargs):
+    raise AssertionError("fit started worker processes")
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="probe workers need two CPUs")
+class TestProbeWorkers:
+    def test_pooled_gradient_equals_in_process(self, small_scene):
+        # Detector-scalar probes gate the first iteration again in a worker.
+        cfg = PipelineConfig.tiny(scale=4)
+        tcfg = TrainConfig(fit_head=True, fit_fuse=True, fit_alpha=True, fit_beta=True)
+        vec = pack_params(cfg, tcfg)
+        vec = vec + 0.05 * np.random.default_rng(0).normal(size=vec.size)
+        with trainer._probe_workers(small_scene, cfg, tcfg, vec.size) as pooled:
+            assert multiprocessing.active_children() != []
+            grad = pooled(vec)
+        assert multiprocessing.active_children() == []
+        assert np.array_equal(grad, SceneLoss(small_scene, cfg, tcfg).gradient(vec))
+        assert np.all(grad[-2:] != 0.0)
+
+    def test_pooled_fit_equals_in_process_fit(self, small_scene, monkeypatch):
+        cfg = PipelineConfig.tiny(scale=4)
+        tcfg = TrainConfig(steps=2, seed=1, fit_alpha=True, fit_beta=True)
+        pooled = fit(small_scene, tcfg, cfg)
+        assert multiprocessing.active_children() == []
+        # One CPU: the probes run in-process and no worker starts.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(multiprocessing, "get_context", _no_workers)
+        alone = fit(small_scene, tcfg, cfg)
+        assert pooled.history == alone.history
+        assert pooled.config == alone.config
+
+
 class TestTrainerRunsThePipeline:
     @pytest.mark.parametrize("preset, gt_hole", [("boxes", False), ("ridge", True)])
     def test_report_equals_pipeline_loss(self, preset, gt_hole):
@@ -155,9 +189,10 @@ class TestTrainerRunsThePipeline:
 
 
 class TestFit:
-    def test_no_enabled_parameters_returns_config_unchanged(self, small_scene):
+    def test_no_enabled_parameters_returns_config_unchanged(self, small_scene, monkeypatch):
         cfg = PipelineConfig.tiny(scale=4)
         tcfg = TrainConfig(steps=2, fit_head=False, fit_fuse=False)
+        monkeypatch.setattr(multiprocessing, "get_context", _no_workers)
         result = fit(small_scene, tcfg, cfg)
         np.testing.assert_array_equal(result.config.w_head, cfg.w_head)
         np.testing.assert_array_equal(result.config.w_fuse, cfg.w_fuse)
@@ -214,6 +249,19 @@ class TestFit:
             with pytest.raises(DivergenceError) as err:
                 fit(small_scene, tcfg, cfg)
         assert err.value.step == 0
+        assert multiprocessing.active_children() == []
+
+    def test_divergent_probe_raises_with_step(self, small_scene):
+        cfg = PipelineConfig.tiny(scale=4)
+        # A colossal probe step overflows only in the gradient's probes,
+        # which run in the probe workers when there are two CPUs.
+        tcfg = TrainConfig(steps=2, seed=0, fd_epsilon=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError) as err:
+                fit(small_scene, tcfg, cfg)
+        assert err.value.step == 1
+        assert multiprocessing.active_children() == []
 
     def test_config_is_frozen(self):
         tcfg = TrainConfig()
