@@ -20,17 +20,18 @@ result. Head-weight probes reuse the fused features of the base point.
 Staging changes nothing numerically, every probe value equals a full
 pipeline run.
 
-`fit` evaluates each gradient's probes in one pool of spawned worker
-processes that lasts the whole call. There is one worker per CPU this
-process may run on (`os.sched_getaffinity`), at most one per coordinate;
-each starts with one BLAS thread and builds its own `SceneLoss`.
-Coordinate i goes to worker i mod n, so every worker gets the same mix of
-head and full probes; the line search, best-so-far tracking and the log
-stay in the calling process. With one CPU the probes run in-process. Both
-ways run the same code on the same inputs, so the gradient, the loss
-history and the fitted weights are bit-identical. Because the workers are
-spawned, a script that calls `fit` must guard its entry point with
-``if __name__ == "__main__"``.
+`fit` evaluates each gradient's probes in spawned worker processes, one
+pool for the whole call and the same path for any CPU count. There are
+max(1, min(CPUs this process may run on, coordinates)) workers, each
+started with one BLAS thread, and each builds its own `SceneLoss`. Of n
+workers, chunk w holds coordinates w, w + n, ..., so every chunk gets the
+same mix of head and full probes; a chunk goes to whichever worker is
+free, and the gradient is bit-identical either way, since every probe runs
+the same code on the same inputs. The line search, best-so-far tracking
+and the log stay in the calling process. Because the workers are spawned,
+a script that calls `fit` must guard its entry point with
+``if __name__ == "__main__"``; without the guard the workers cannot start
+and `fit` raises `concurrent.futures.process.BrokenProcessPool`.
 """
 
 from __future__ import annotations
@@ -190,20 +191,14 @@ class SceneLoss:
         cfg = unpack_params(vec, self.cfg, self.tcfg)
         return self.head_report(self.fused_features(cfg), cfg)
 
-    def gradient(self, vec: np.ndarray) -> np.ndarray:
-        """Central-difference gradient, every probe in this process (see
-        `_probe_values`). Values equal plain central differences."""
-        return _probe_values(vec, np.arange(vec.size), self)
-
 
 def _probe_values(vec: np.ndarray, coords: np.ndarray, loss: SceneLoss) -> np.ndarray:
     """Central differences of the total loss at `vec` along each of `coords`.
 
-    The one probe evaluation, in-process and in the probe workers. Head
-    coordinates do not influence the fused features, so their probes reuse
-    the base point's features; all other coordinates run the matching
-    iterations. Float overflow and invalid operations raise, as under
-    `_guarded`.
+    The one probe evaluation, run in every probe worker. Head coordinates
+    do not influence the fused features, so their probes reuse the base
+    point's features; all other coordinates run the matching iterations.
+    Float overflow and invalid operations raise, as under `_guarded`.
     """
     eps = loss.tcfg.fd_epsilon
     values = np.empty(len(coords))
@@ -228,8 +223,8 @@ def _probe_values(vec: np.ndarray, coords: np.ndarray, loss: SceneLoss) -> np.nd
     return values
 
 
-# A probe worker's SceneLoss, built by its first task (a pool serves one
-# `fit` call, so every task carries the same scene); None elsewhere.
+# A probe worker's SceneLoss, built by its first task (an executor serves
+# one `fit` call, so every task carries the same scene); None elsewhere.
 _worker_loss: SceneLoss | None = None
 
 
@@ -237,10 +232,10 @@ def _worker_probes(scene: Scene, cfg: PipelineConfig, tcfg: TrainConfig, vec: np
                    coords: np.ndarray) -> np.ndarray:
     """`_probe_values` in a probe worker, on the worker's own SceneLoss.
 
-    The scene comes with every task rather than as pool initializer
-    arguments: those are written to each worker's pipe in turn as it
-    starts, and at over 64 KiB that blocks the pool's constructor until
-    each worker has imported numpy.
+    The scene comes with every task rather than as executor initializer
+    arguments: those are written to each worker's pipe in turn as it is
+    spawned, and at over 64 KiB every spawn then waits until that worker
+    has imported numpy, which serializes the workers' start-up.
     """
     global _worker_loss
     if _worker_loss is None:
@@ -249,48 +244,19 @@ def _worker_probes(scene: Scene, cfg: PipelineConfig, tcfg: TrainConfig, vec: np
 
 
 @contextmanager
-def _probe_workers(scene: Scene, cfg: PipelineConfig, tcfg: TrainConfig, size: int):
-    """Yield a gradient function over spawned probe workers, or None when
-    the probes should run in-process (one CPU, or no coordinate).
-
-    One worker per CPU this process may run on, at most `size`, and one
-    task per worker: task w holds coordinates w, w + n, ... The BLAS thread
-    variables read 1 only while the pool starts, which starts every worker
-    in its constructor. The workers are stopped and joined on exit, also
-    on an error.
-    """
-    workers = min(len(os.sched_getaffinity(0)), size)
-    if workers < 2:
-        yield None
-        return
-    # Imported here, so that runs which never fit (every `sr`) do not pay
-    # about 11 ms and 0.4 MB for it at start-up.
-    import multiprocessing
-
+def _one_blas_thread():
+    """The BLAS thread variables read 1 inside the block, so that workers
+    spawned in it start with one BLAS thread each."""
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
-        pool = multiprocessing.get_context("spawn").Pool(workers)
+        yield
     finally:
         for name, value in saved.items():
             if value is None:
                 os.environ.pop(name)
             else:
                 os.environ[name] = value
-
-    def gradient(vec: np.ndarray) -> np.ndarray:
-        chunks = [np.arange(w, vec.size, workers) for w in range(workers)]
-        grad = np.empty_like(vec)
-        tasks = [(scene, cfg, tcfg, vec, coords) for coords in chunks]
-        for coords, values in zip(chunks, pool.starmap(_worker_probes, tasks)):
-            grad[coords] = values
-        return grad
-
-    try:
-        yield gradient
-    finally:
-        pool.terminate()
-        pool.join()
 
 
 @dataclass(frozen=True)
@@ -323,19 +289,38 @@ def fit(scene: Scene, tcfg: TrainConfig, cfg: PipelineConfig) -> FitResult:
     """Descent on the enabled parameters; returns the best parameters seen.
 
     Each gradient's probes run in spawned worker processes with one BLAS
-    thread each, one worker per CPU this process may run on (in-process on
-    one CPU); see the module docstring. A script that calls `fit` must
-    guard its entry point with ``if __name__ == "__main__"``. No worker
-    outlives the call.
+    thread each, one worker per CPU this process may run on and at most one
+    per coordinate; see the module docstring. A script that calls `fit`
+    must guard its entry point with ``if __name__ == "__main__"``; a worker
+    that cannot start raises `BrokenProcessPool`. No worker outlives the
+    call.
 
     When `tcfg.log_path` is set, writes a step,l_rec,l_grad,l_hes,l_total
     CSV covering the whole trajectory. Aborts with DivergenceError
     (carrying the step index) if the loss goes non-finite.
     """
+    # Imported here, so that runs which never fit (every `sr`) do not pay
+    # for them at start-up.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     params = _initial_params(cfg, tcfg)
-    with _probe_workers(scene, cfg, tcfg, params.size) as pooled:
-        loss = SceneLoss(scene, cfg, tcfg)
-        best_params, history = _descend(loss, pooled or loss.gradient, params)
+    workers = max(1, min(len(os.sched_getaffinity(0)), params.size))
+    chunks = [np.arange(w, params.size, workers) for w in range(workers)]
+    # Leaving the block joins every worker, on return and on error.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+
+        def gradient(vec: np.ndarray) -> np.ndarray:
+            # The executor spawns its workers inside `submit`.
+            with _one_blas_thread():
+                futures = [pool.submit(_worker_probes, scene, cfg, tcfg, vec, coords)
+                           for coords in chunks]
+            grad = np.empty_like(vec)
+            for coords, future in zip(chunks, futures):
+                grad[coords] = future.result()
+            return grad
+
+        best_params, history = _descend(SceneLoss(scene, cfg, tcfg), gradient, params)
     _write_log(tcfg, history)
     return FitResult(unpack_params(best_params, cfg, tcfg), history)
 

@@ -9,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from depthsr.grid import PATCH_SIZE, FeatureMap, conv2d, extract_patches, fold_patches, sigmoid
 from depthsr.matcher import MIN_PATCH_NORM, softmax_rows
+from depthsr.trainer import _probe_values
 
 
 def correlation_set_naive(target: FeatureMap, source: FeatureMap) -> np.ndarray:
@@ -89,6 +90,12 @@ def central_difference(fn, x: np.ndarray, eps: float) -> np.ndarray:
         lo = fn(probe)
         grad[i] = (hi - lo) / (2.0 * eps)
     return grad
+
+
+def scene_loss_gradient(loss, vec: np.ndarray) -> np.ndarray:
+    """The central-difference gradient of a `trainer.SceneLoss` at `vec`,
+    every probe in this process, by the evaluator `fit`'s workers run."""
+    return _probe_values(vec, np.arange(vec.size), loss)
 
 
 def refine_gate_stack(s: FeatureMap, width: int = 4) -> FeatureMap:

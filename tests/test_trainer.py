@@ -1,12 +1,16 @@
 import csv
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from dataclasses import FrozenInstanceError, fields, replace
-from oracles import central_difference
+from oracles import central_difference, scene_loss_gradient
 
 from depthsr import fusion, trainer
 from depthsr.fusion import PipelineConfig, default_fuse_weights, run_pipeline
@@ -82,13 +86,13 @@ class TestNumericGrad:
         )
         cfg = PipelineConfig.tiny(scale=4)
         tcfg = TrainConfig(fit_head=True, fit_fuse=False)
-        grad = SceneLoss(flat, cfg, tcfg).gradient(pack_params(cfg, tcfg))
+        grad = scene_loss_gradient(SceneLoss(flat, cfg, tcfg), pack_params(cfg, tcfg))
         np.testing.assert_allclose(grad, 0.0, atol=1e-9)
 
     def test_detector_scalars_dead_when_detector_disabled(self, small_scene):
         cfg = PipelineConfig.tiny(scale=4, detector=False)
         tcfg = TrainConfig(fit_head=False, fit_fuse=False, fit_alpha=True, fit_beta=True)
-        grad = SceneLoss(small_scene, cfg, tcfg).gradient(pack_params(cfg, tcfg))
+        grad = scene_loss_gradient(SceneLoss(small_scene, cfg, tcfg), pack_params(cfg, tcfg))
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_staged_probes_match_plain_central_differences(self, small_scene):
@@ -102,7 +106,7 @@ class TestNumericGrad:
             )
             rng = np.random.default_rng(0)
             vec = pack_params(cfg, tcfg) + 0.05 * rng.normal(size=pack_params(cfg, tcfg).size)
-            staged = SceneLoss(small_scene, cfg, tcfg).gradient(vec)
+            staged = scene_loss_gradient(SceneLoss(small_scene, cfg, tcfg), vec)
 
             def pipeline_loss(v):
                 probe = unpack_params(v, cfg, tcfg)
@@ -125,7 +129,7 @@ class TestNumericGrad:
         calls = []
         detect = fusion.detect
         monkeypatch.setattr(fusion, "detect", lambda f, p: calls.append(p) or detect(f, p))
-        loss.gradient(pack_params(cfg, tcfg))
+        scene_loss_gradient(loss, pack_params(cfg, tcfg))
         rematch_probes = 2 * cfg.w_fuse.size
         orders = len(cfg.orders)
         assert orders == 3
@@ -136,32 +140,64 @@ def _no_workers(*args, **kwargs):
     raise AssertionError("fit started worker processes")
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="probe workers need two CPUs")
+# Calls `fit` at module level: spawned workers re-run it and cannot start.
+_UNGUARDED_SCRIPT = """
+from depthsr.fusion import PipelineConfig
+from depthsr.scenes import SceneSpec, render_scene
+from depthsr.trainer import TrainConfig, fit
+
+scene = render_scene(SceneSpec(width=32, height=32, scale=4))
+fit(scene, TrainConfig(steps=1), PipelineConfig.tiny(scale=4))
+"""
+
+
 class TestProbeWorkers:
-    def test_pooled_gradient_equals_in_process(self, small_scene):
+    def test_fit_gradient_equals_in_process(self, small_scene, monkeypatch):
         # Detector-scalar probes gate the first iteration again in a worker.
         cfg = PipelineConfig.tiny(scale=4)
-        tcfg = TrainConfig(fit_head=True, fit_fuse=True, fit_alpha=True, fit_beta=True)
-        vec = pack_params(cfg, tcfg)
-        vec = vec + 0.05 * np.random.default_rng(0).normal(size=vec.size)
-        with trainer._probe_workers(small_scene, cfg, tcfg, vec.size) as pooled:
-            assert multiprocessing.active_children() != []
-            grad = pooled(vec)
+        tcfg = TrainConfig(steps=1, seed=0, fit_alpha=True, fit_beta=True)
+        seen = []
+
+        def descend(loss, gradient, params):
+            seen.append((params, gradient(params), multiprocessing.active_children()))
+            return params, []
+
+        monkeypatch.setattr(trainer, "_descend", descend)
+        fit(small_scene, tcfg, cfg)
         assert multiprocessing.active_children() == []
-        assert np.array_equal(grad, SceneLoss(small_scene, cfg, tcfg).gradient(vec))
+        [(params, grad, children)] = seen
+        assert children != []
+        assert np.array_equal(grad, scene_loss_gradient(SceneLoss(small_scene, cfg, tcfg), params))
         assert np.all(grad[-2:] != 0.0)
 
-    def test_pooled_fit_equals_in_process_fit(self, small_scene, monkeypatch):
+    def test_one_worker_fit_equals_two_worker_fit(self, small_scene, monkeypatch):
         cfg = PipelineConfig.tiny(scale=4)
         tcfg = TrainConfig(steps=2, seed=1, fit_alpha=True, fit_beta=True)
-        pooled = fit(small_scene, tcfg, cfg)
-        assert multiprocessing.active_children() == []
-        # One CPU: the probes run in-process and no worker starts.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        two = fit(small_scene, tcfg, cfg)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(multiprocessing, "get_context", _no_workers)
-        alone = fit(small_scene, tcfg, cfg)
-        assert pooled.history == alone.history
-        assert pooled.config == alone.config
+        one = fit(small_scene, tcfg, cfg)
+        assert multiprocessing.active_children() == []
+        assert two.history == one.history
+        assert two.config == one.config
+
+    def test_unguarded_script_raises_instead_of_hanging(self, tmp_path):
+        script = tmp_path / "unguarded.py"
+        script.write_text(_UNGUARDED_SCRIPT)
+        src = str(Path(trainer.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        # A session of its own, so that a hang can be killed with every worker.
+        proc = subprocess.Popen([sys.executable, str(script)], env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            _, stderr = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("fit hung on workers that cannot start")
+        assert proc.returncode != 0
+        assert "BrokenProcessPool" in stderr
 
 
 class TestTrainerRunsThePipeline:
@@ -192,7 +228,7 @@ class TestFit:
     def test_no_enabled_parameters_returns_config_unchanged(self, small_scene, monkeypatch):
         cfg = PipelineConfig.tiny(scale=4)
         tcfg = TrainConfig(steps=2, fit_head=False, fit_fuse=False)
-        monkeypatch.setattr(multiprocessing, "get_context", _no_workers)
+        monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", _no_workers)
         result = fit(small_scene, tcfg, cfg)
         np.testing.assert_array_equal(result.config.w_head, cfg.w_head)
         np.testing.assert_array_equal(result.config.w_fuse, cfg.w_fuse)
@@ -254,7 +290,7 @@ class TestFit:
     def test_divergent_probe_raises_with_step(self, small_scene):
         cfg = PipelineConfig.tiny(scale=4)
         # A colossal probe step overflows only in the gradient's probes,
-        # which run in the probe workers when there are two CPUs.
+        # which run in the probe workers.
         tcfg = TrainConfig(steps=2, seed=0, fd_epsilon=1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
