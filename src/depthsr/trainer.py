@@ -9,23 +9,25 @@ linear, so a fixed raw-gradient step either stalls or diverges). Enabled
 weight matrices start from a seeded fan-in-scaled random init (set
 ``init_scale = 0`` to fit from the config's weights as-is).
 
-Probes are evaluated in stages of the real pipeline. Per scene: the
-encoders, the one rgb_maps value (`fusion.rgb_order_maps`) and the first
-iteration's matches, which depend on no trainable parameter. Per detector
-setting: the first iteration's gated blocks (`fusion.gated_blocks`), so
-fuse probes reuse them and only detector-scalar probes gate again. Per probe: the 1x1 fuse
-(`fusion.aggregate`) of those blocks, `fusion.moma_step` for the remaining
-iterations, and `fusion.reconstruct` with `losses.loss_total` on the
-result. Head-weight probes reuse the fused features of the base point.
-Staging changes nothing numerically, every probe value equals a full
-pipeline run.
+Every loss evaluation, probe or not, is one `SceneLoss.report`, which runs
+the stages of the real pipeline and keeps each stage's last result while
+what it depends on is unchanged. Per scene: the encoders, the one rgb_maps
+value (`fusion.rgb_order_maps`) and the first iteration's matches, which
+depend on no trainable parameter. Per detector setting: the first
+iteration's gated blocks (`fusion.gated_blocks`). Per detector setting and
+fuse weights: the fused features, the 1x1 fuse (`fusion.aggregate`) of
+those blocks and `fusion.moma_step` for the remaining iterations. Per
+evaluation: `fusion.reconstruct` with `losses.loss_total`. So a head-weight
+probe costs one reconstruct and loss, a fuse probe re-runs the matching
+iterations, and only a detector-scalar probe gates again. The reuse changes
+nothing numerically, every value equals a full pipeline run.
 
 `fit` evaluates each gradient's probes in spawned worker processes, one
 pool for the whole call and the same path for any CPU count. There are
 max(1, min(CPUs this process may run on, coordinates)) workers, each
 started with one BLAS thread, and each builds its own `SceneLoss`. Of n
 workers, chunk w holds coordinates w, w + n, ..., so every chunk gets the
-same mix of head and full probes; a chunk goes to whichever worker is
+same mix of head and re-matching probes; a chunk goes to whichever worker is
 free, and the gradient is bit-identical either way, since every probe runs
 the same code on the same inputs. The line search, best-so-far tracking
 and the log stay in the calling process. Because the workers are spawned,
@@ -106,8 +108,11 @@ def _layout(cfg: PipelineConfig, tcfg: TrainConfig) -> list[tuple[str, np.ndarra
     """The enabled parameter blocks in vector order: (name, value, init fan-in).
 
     A fan-in of 0 marks a detector scalar: it starts at its configured value
-    and stays at least _PARAM_FLOOR. `w_head` always comes first.
+    and stays at least _PARAM_FLOOR. The detector scalars gate nothing with
+    the detector off, so enabling one there raises ValueError.
     """
+    if not cfg.detector and (tcfg.fit_alpha or tcfg.fit_beta):
+        raise ValueError("alpha_det and beta can be fitted only with the detector on")
     dp = cfg.detector_params
     blocks = (
         (tcfg.fit_head, "w_head", cfg.w_head, cfg.channels),
@@ -141,13 +146,13 @@ def unpack_params(vec: np.ndarray, cfg: PipelineConfig, tcfg: TrainConfig) -> Pi
 
 
 class SceneLoss:
-    """Loss evaluator for one scene with parameter-independent work cached.
+    """Loss evaluator for one scene; `report` is its one public method.
 
     Cached once per scene: both encoders, the rgb_maps value and the first
     iteration's matches (the matching inputs cannot depend on any trainable
-    parameter there). The first iteration's gated blocks are cached once per
-    detector setting: they are gated again only when an evaluation's
-    detector scalars differ from the last ones gated.
+    parameter there). Cached while their key holds: the first iteration's
+    gated blocks, keyed on the detector setting, and the fused features,
+    keyed on the detector setting and the fuse weights.
     """
 
     def __init__(self, scene: Scene, cfg: PipelineConfig, tcfg: TrainConfig):
@@ -159,68 +164,32 @@ class SceneLoss:
         self.f_d0 = encode_depth(scene.d_lr, cfg.channels)
         self.first_matches = order_matches(self.rgb_maps, self.f_d0, cfg)
         self._first_gated: tuple[object, np.ndarray] | None = None
-        # Leading head coordinates, for stage-aware probing (see _layout).
-        self.n_head = cfg.w_head.size if tcfg.fit_head else 0
+        self._fused: tuple[object, FeatureMap] | None = None
 
-    def _first_blocks(self, cfg: PipelineConfig) -> np.ndarray:
-        """The first iteration's gated blocks under `cfg`'s detector setting.
+    def _fused_features(self, cfg: PipelineConfig) -> FeatureMap:
+        """The MOMA iterations' output under `cfg`. The first iteration's gated
+        blocks depend on the detector setting alone (`detector` itself is not
+        trainable); the fused features also on the fuse weights, keyed on
+        their exact bytes so that -0.0 and 0.0 never share an entry."""
+        setting = cfg.detector_params
+        key = (setting, cfg.w_fuse.tobytes())
+        if self._fused is None or self._fused[0] != key:
+            if self._first_gated is None or self._first_gated[0] != setting:
+                self._first_gated = (setting, gated_blocks(self.f_d0, self.first_matches, cfg))
+            f_d = aggregate(self._first_gated[1], cfg)
+            for _ in range(cfg.moma_iters - 1):
+                f_d = moma_step(f_d, self.rgb_maps, cfg)
+            self._fused = (key, f_d)
+        return self._fused[1]
 
-        Only `detector_params` can vary between evaluations (`detector` is
-        not trainable), and they gate nothing when the detector is off.
-        """
-        setting = cfg.detector_params if cfg.detector else None
-        if self._first_gated is None or self._first_gated[0] != setting:
-            self._first_gated = (setting, gated_blocks(self.f_d0, self.first_matches, cfg))
-        return self._first_gated[1]
-
-    def fused_features(self, cfg: PipelineConfig) -> FeatureMap:
-        """Run the MOMA iterations under a probe config."""
-        f_d = aggregate(self._first_blocks(cfg), cfg)
-        for _ in range(cfg.moma_iters - 1):
-            f_d = moma_step(f_d, self.rgb_maps, cfg)
-        return f_d
-
-    def head_report(self, f_d: FeatureMap, cfg: PipelineConfig) -> LossReport:
-        """Reconstruct from fused features and evaluate the loss (finite, or NonFiniteError)."""
-        report = loss_total(self.d_gt, reconstruct(f_d, self.d_lr, cfg), cfg.alpha_loss)
+    def report(self, vec: np.ndarray) -> LossReport:
+        """The loss at parameter vector `vec` (finite, or NonFiniteError)."""
+        cfg = unpack_params(vec, self.cfg, self.tcfg)
+        pred = reconstruct(self._fused_features(cfg), self.d_lr, cfg)
+        report = loss_total(self.d_gt, pred, cfg.alpha_loss)
         if not np.isfinite(report.l_total):
             raise NonFiniteError(f"l_total is {report.l_total}")
         return report
-
-    def report(self, vec: np.ndarray) -> LossReport:
-        cfg = unpack_params(vec, self.cfg, self.tcfg)
-        return self.head_report(self.fused_features(cfg), cfg)
-
-
-def _probe_values(vec: np.ndarray, coords: np.ndarray, loss: SceneLoss) -> np.ndarray:
-    """Central differences of the total loss at `vec` along each of `coords`.
-
-    The one probe evaluation, run in every probe worker. Head coordinates
-    do not influence the fused features, so their probes reuse the base
-    point's features; all other coordinates run the matching iterations.
-    Float overflow and invalid operations raise, as under `_guarded`.
-    """
-    eps = loss.tcfg.fd_epsilon
-    values = np.empty(len(coords))
-    with np.errstate(over="raise", invalid="raise"):
-        base_features = loss.fused_features(unpack_params(vec, loss.cfg, loss.tcfg))
-
-        def head_value(probe: np.ndarray) -> float:
-            cfg = unpack_params(probe, loss.cfg, loss.tcfg)
-            return loss.head_report(base_features, cfg).l_total
-
-        def full_value(probe: np.ndarray) -> float:
-            return loss.report(probe).l_total
-
-        for j, i in enumerate(coords):
-            value = head_value if i < loss.n_head else full_value
-            probe = vec.copy()
-            probe[i] = vec[i] + eps
-            hi = value(probe)
-            probe[i] = vec[i] - eps
-            lo = value(probe)
-            values[j] = (hi - lo) / (2.0 * eps)
-    return values
 
 
 # A probe worker's SceneLoss, built by its first task (an executor serves
@@ -230,7 +199,9 @@ _worker_loss: SceneLoss | None = None
 
 def _worker_probes(scene: Scene, cfg: PipelineConfig, tcfg: TrainConfig, vec: np.ndarray,
                    coords: np.ndarray) -> np.ndarray:
-    """`_probe_values` in a probe worker, on the worker's own SceneLoss.
+    """Central differences of the total loss at `vec` along each of `coords`,
+    run in a probe worker on the worker's own SceneLoss. Float overflow and
+    invalid operations raise, as under `_guarded`.
 
     The scene comes with every task rather than as executor initializer
     arguments: those are written to each worker's pipe in turn as it is
@@ -240,7 +211,17 @@ def _worker_probes(scene: Scene, cfg: PipelineConfig, tcfg: TrainConfig, vec: np
     global _worker_loss
     if _worker_loss is None:
         _worker_loss = SceneLoss(scene, cfg, tcfg)
-    return _probe_values(vec, coords, _worker_loss)
+    eps = tcfg.fd_epsilon
+    values = np.empty(len(coords))
+    with np.errstate(over="raise", invalid="raise"):
+        for j, i in enumerate(coords):
+            probe = vec.copy()
+            probe[i] = vec[i] + eps
+            hi = _worker_loss.report(probe).l_total
+            probe[i] = vec[i] - eps
+            lo = _worker_loss.report(probe).l_total
+            values[j] = (hi - lo) / (2.0 * eps)
+    return values
 
 
 @contextmanager
@@ -288,12 +269,14 @@ def _initial_params(cfg: PipelineConfig, tcfg: TrainConfig) -> np.ndarray:
 def fit(scene: Scene, tcfg: TrainConfig, cfg: PipelineConfig) -> FitResult:
     """Descent on the enabled parameters; returns the best parameters seen.
 
-    Each gradient's probes run in spawned worker processes with one BLAS
-    thread each, one worker per CPU this process may run on and at most one
-    per coordinate; see the module docstring. A script that calls `fit`
-    must guard its entry point with ``if __name__ == "__main__"``; a worker
-    that cannot start raises `BrokenProcessPool`. No worker outlives the
-    call.
+    Every loss it evaluates, probes included, is a `SceneLoss.report`. Each
+    gradient's probes run in spawned worker processes with one BLAS thread
+    each, one worker per CPU this process may run on and at most one per
+    coordinate; see the module docstring. Fitting `alpha_det` or `beta`
+    with the detector off raises ValueError before any worker starts. A
+    script that calls `fit` must guard its entry point with
+    ``if __name__ == "__main__"``; a worker that cannot start raises
+    `BrokenProcessPool`. No worker outlives the call.
 
     When `tcfg.log_path` is set, writes a step,l_rec,l_grad,l_hes,l_total
     CSV covering the whole trajectory. Aborts with DivergenceError

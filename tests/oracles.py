@@ -9,7 +9,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from depthsr.grid import PATCH_SIZE, FeatureMap, conv2d, extract_patches, fold_patches, sigmoid
 from depthsr.matcher import MIN_PATCH_NORM, softmax_rows
-from depthsr.trainer import _probe_values
 
 
 def correlation_set_naive(target: FeatureMap, source: FeatureMap) -> np.ndarray:
@@ -93,9 +92,11 @@ def central_difference(fn, x: np.ndarray, eps: float) -> np.ndarray:
 
 
 def scene_loss_gradient(loss, vec: np.ndarray) -> np.ndarray:
-    """The central-difference gradient of a `trainer.SceneLoss` at `vec`,
-    every probe in this process, by the evaluator `fit`'s workers run."""
-    return _probe_values(vec, np.arange(vec.size), loss)
+    """The central-difference gradient of a `trainer.SceneLoss` at `vec`:
+    `central_difference` of its `report`, every probe in this process, with
+    float overflow and invalid operations raising."""
+    with np.errstate(over="raise", invalid="raise"):
+        return central_difference(lambda v: loss.report(v).l_total, vec, loss.tcfg.fd_epsilon)
 
 
 def refine_gate_stack(s: FeatureMap, width: int = 4) -> FeatureMap:

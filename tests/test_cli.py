@@ -552,6 +552,19 @@ class TestFitCommand:
         )
         assert code == EXIT_USAGE
 
+    def test_detector_scalar_with_detector_off_usage_error(self, scene_dir, tmp_path, capsys):
+        # `fit` has no --detector flag; the loaded config turns it off.
+        cfg_path = tmp_path / "off.cfg"
+        dump_config(PipelineConfig.tiny(scale=4, detector=False), cfg_path)
+        out_cfg = tmp_path / "fit.cfg"
+        code = main(
+            ["fit", *scene_inputs(scene_dir), "--config", str(cfg_path),
+             "--fit-params", "alpha", "--out-config", str(out_cfg)]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: alpha_det and beta")
+        assert not out_cfg.exists()
+
 
 class TestOutFile:
     @pytest.mark.parametrize("below", ["", "sub"])

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import os
@@ -81,3 +82,17 @@ def test_outputs_do_not_depend_on_thread_count():
         digests.append(run.stdout.split())
     assert len(digests[0]) == 7
     assert digests[0] == digests[1]
+
+
+def test_oracles_share_no_private_code():
+    """The oracles are references the fast paths are checked against, so they
+    import no private helper from the package."""
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "depthsr"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -89,16 +89,10 @@ class TestNumericGrad:
         grad = scene_loss_gradient(SceneLoss(flat, cfg, tcfg), pack_params(cfg, tcfg))
         np.testing.assert_allclose(grad, 0.0, atol=1e-9)
 
-    def test_detector_scalars_dead_when_detector_disabled(self, small_scene):
-        cfg = PipelineConfig.tiny(scale=4, detector=False)
-        tcfg = TrainConfig(fit_head=False, fit_fuse=False, fit_alpha=True, fit_beta=True)
-        grad = scene_loss_gradient(SceneLoss(small_scene, cfg, tcfg), pack_params(cfg, tcfg))
-        np.testing.assert_allclose(grad, 0.0, atol=1e-12)
-
     def test_staged_probes_match_plain_central_differences(self, small_scene):
         # The plain side runs the whole pipeline per probe, so gated blocks
         # reused across probes must follow every detector-scalar probe.
-        cases = ((2, True, False), (3, True, True), (3, False, True))
+        cases = ((2, True, False), (3, True, True), (3, False, False))
         for moma_iters, detector, fit_detector in cases:
             cfg = PipelineConfig.tiny(scale=4, moma_iters=moma_iters, detector=detector)
             tcfg = TrainConfig(
@@ -117,7 +111,7 @@ class TestNumericGrad:
             np.testing.assert_allclose(staged, plain, rtol=0, atol=1e-12)
             if fit_detector:
                 # alpha_det and beta are the last two coordinates.
-                assert np.all(staged[-2:] != 0.0) if detector else np.all(staged[-2:] == 0.0)
+                assert np.all(staged[-2:] != 0.0)
 
     def test_gradient_gates_first_iteration_once(self, small_scene, monkeypatch):
         # Every probe re-matches iterations 2.. and gates their blocks; the
@@ -134,6 +128,21 @@ class TestNumericGrad:
         orders = len(cfg.orders)
         assert orders == 3
         assert len(calls) == orders + orders * (cfg.moma_iters - 1) * (rematch_probes + 1)
+
+    @pytest.mark.parametrize("fit_fuse", [False, True])
+    def test_fused_features_computed_once_per_fuse_weights(self, small_scene, monkeypatch,
+                                                          fit_fuse):
+        # Head probes leave the detector setting and the fuse weights
+        # unchanged, so they share one fused-features evaluation; each fuse
+        # probe needs its own.
+        cfg = PipelineConfig.tiny(scale=4)
+        tcfg = TrainConfig(fit_head=True, fit_fuse=fit_fuse)
+        loss = SceneLoss(small_scene, cfg, tcfg)
+        calls = []
+        aggregate = trainer.aggregate
+        monkeypatch.setattr(trainer, "aggregate", lambda *a: calls.append(1) or aggregate(*a))
+        scene_loss_gradient(loss, pack_params(cfg, tcfg))
+        assert len(calls) == 1 + (2 * cfg.w_fuse.size if fit_fuse else 0)
 
 
 def _no_workers(*args, **kwargs):
@@ -225,6 +234,17 @@ class TestTrainerRunsThePipeline:
 
 
 class TestFit:
+    @pytest.mark.parametrize("scalar", ["fit_alpha", "fit_beta"])
+    def test_detector_scalars_rejected_with_detector_off(self, small_scene, monkeypatch, scalar):
+        # With the detector off, alpha_det and beta gate nothing.
+        cfg = PipelineConfig.tiny(scale=4, detector=False)
+        tcfg = TrainConfig(steps=1, **{scalar: True})
+        monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", _no_workers)
+        with pytest.raises(ValueError, match="only with the detector on"):
+            fit(small_scene, tcfg, cfg)
+        with pytest.raises(ValueError, match="only with the detector on"):
+            pack_params(cfg, tcfg)
+
     def test_no_enabled_parameters_returns_config_unchanged(self, small_scene, monkeypatch):
         cfg = PipelineConfig.tiny(scale=4)
         tcfg = TrainConfig(steps=2, fit_head=False, fit_fuse=False)
