@@ -29,15 +29,24 @@ tests/test_package.py guards that at the LR 64^2 shape and at a padded
 tail tile.
 
 Top-k reads a tile once. Column j lies in group j mod g, g the largest
-divisor of hw in [k, 64] (hw when there is none), and the k-th largest
-group maximum of a row bounds its k-th largest cosine from below, so only
-the groups that reach it are gathered and sorted. The cosines are clipped
-to [-1, 1] inside top_k, on those groups only: top_k returns the top-k of
-the clipped tile. Top-k is exact with a lowest-index tie-break, so the
-first k columns of a top-k' result (k' > k) equal top-k.
+divisor of hw in [k, max(64, 4 isqrt(hw))] (hw when there is none): 64
+groups at hw 256, 128 at 1024, 256 at 4096 and 512 at 16384. The k-th
+largest group maximum of a row bounds its k-th largest cosine from below,
+so only the groups that reach it are gathered and sorted. A row thus
+costs one pass for its g group maxima, a partition of those g maxima and
+a gather of at least k groups of hw/g cosines; a g that grows as sqrt(hw)
+keeps both the partition and the gather short. In a fully tied tile every
+group reaches the bound, so top_k gathers the whole tile, once: the 9
+tiles' bytes above. The cosines are clipped to [-1, 1] inside top_k, on
+the gathered groups only: top_k returns the top-k of the clipped tile.
+Top-k is exact with a lowest-index tie-break, so the first k columns of a
+top-k' result (k' > k) equal top-k.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -71,31 +80,45 @@ def _check_same_shape(target: FeatureMap, source: FeatureMap) -> None:
         raise ValueError(f"target shape {target.shape} != source shape {source.shape}")
 
 
+@lru_cache(maxsize=64)
+def _group_count(m: int, k: int) -> int:
+    """top_k's group count g for rows of m columns, computed once per (m, k)."""
+    top = min(m, max(64, 4 * isqrt(m)))
+    return next((d for d in range(top, k - 1, -1) if m % d == 0), m)
+
+
 def top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-row top-k of clip(values, -1, 1) as (eta, psi), each (rows, k).
 
     eta holds source indices and psi their clipped scores, non-increasing
     per row. Column j lies in group j mod g, where g is the largest divisor
-    of m in [k, 64], or m if there is none. A row has at least k groups
-    whose maximum reaches the k-th largest group maximum, so that value
-    bounds the row's k-th largest score from below. Only the groups that
-    reach the bound are gathered and clipped, and their entries that reach
-    it are the candidates. The bound is clamped to 1 (-inf at or below -1),
-    so a score that clips to the bound still ties. One stable sort by (row,
-    descending score, column) keeps tied scores index-ascending, and each
-    row keeps its first k candidates: the full-sort oracle, bit for bit.
+    of m in [k, max(64, 4 isqrt(m))], or m if there is none. A row has at
+    least k groups whose maximum reaches the k-th largest group maximum, so
+    that value bounds the row's k-th largest score from below. Only the
+    groups that reach the bound are gathered and clipped, and their entries
+    that reach it are the candidates. The bound is clamped to 1 (-inf at or
+    below -1), so a score that clips to the bound still ties. One stable
+    sort by (row, descending score, column) keeps tied scores
+    index-ascending, and each row keeps its first k candidates: the
+    full-sort oracle, bit for bit.
+
+    A larger g shortens the gather of m/g scores per hit group and gives
+    the group-maximum pass fewer, longer slices; a smaller g shortens the
+    partition. g near 4 sqrt(m) was the fastest divisor when timed on
+    64-row tiles of m = 1024 to 16384 (numpy 2.4, x86-64). A fully tied
+    tile is gathered whole, once.
     """
     n, m = values.shape
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
-    g = max((d for d in range(k, min(m, 64) + 1) if m % d == 0), default=m)
+    g = _group_count(m, k)
     groups = values.reshape(n, m // g, g)
     peaks = groups.max(axis=1)
     bound = np.partition(peaks, g - k, axis=1)[:, g - k]
     bound = np.where(bound > -1.0, np.minimum(bound, 1.0), -np.inf)
-    hit_rows, hit_groups = np.nonzero(peaks >= bound[:, None])
+    hit_rows, hit_groups = np.divmod(np.flatnonzero(peaks >= bound[:, None]), g)
     gathered = np.clip(groups[hit_rows, :, hit_groups], -1.0, 1.0)
-    hit, offset = np.nonzero(gathered >= bound[hit_rows, None])
+    hit, offset = np.divmod(np.flatnonzero(gathered >= bound[hit_rows, None]), m // g)
     rows, cols, scores = hit_rows[hit], offset * g + hit_groups[hit], gathered[hit, offset]
     order = np.lexsort((cols, -scores, rows))
     pick = order[np.searchsorted(rows, np.arange(n))[:, None] + np.arange(k)]
@@ -113,14 +136,12 @@ def top_k_rows(t: np.ndarray, s: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     """
     n, tile = t.shape[0], MATCH_TILE_ROWS
     cosines = np.empty((tile, n))
-    pad = np.zeros((tile, t.shape[1]))
     matches = []
     for r0 in range(0, n, tile):
         part = t[r0 : r0 + tile]
         rows = len(part)
         if rows < tile:
-            pad[:rows] = part
-            part = pad
+            part = np.pad(part, ((0, tile - rows), (0, 0)))
         np.matmul(part, s.T, out=cosines)
         matches.append(top_k(cosines[:rows], k))
     eta, psi = zip(*matches)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import correlation_set_naive, matching_selection_einsum, top_k_naive
 
 from depthsr import matcher
+from depthsr.fusion import encode_depth, encode_rgb
 from depthsr.grid import DepthMap, FeatureMap, extract_patches, fold_patches
 from depthsr.matcher import (
     match_order,
@@ -18,8 +19,9 @@ from depthsr.matcher import (
     softmax_rows,
     top_k,
     top_k_streamed,
+    unit_rows,
 )
-from depthsr.scenes import render_depth, value_noise
+from depthsr.scenes import SceneSpec, render_depth, render_scene, value_noise
 
 
 def textured_map(h, w, c=1, seed=0):
@@ -142,13 +144,17 @@ class TestTopK:
     def test_matches_full_sort_oracle_with_ties(self):
         # Quantized correlations force plenty of exact ties; -0.0 ties 0.0,
         # a constant block ties every entry of a row, and scores beyond +-1
-        # tie once clipped. Widths 256 and 4096 split into 64 column groups
-        # for k <= 64; width 97 has no divisor in [4, 64], so k = 4 takes
-        # the whole row as its groups, and k = 1 takes one group.
+        # tie once clipped. Widths 256, 1024, 4096 and 16384 split into 64,
+        # 128, 256 and 512 column groups up to that k, and into one column
+        # per group above it. The primes 97 and 1031 have no divisor in
+        # [k, 64] and [k, 128] for k > 1, so those k put one column in each
+        # group, and k = 1 takes the whole row as one group.
         rng = np.random.default_rng(9)
         ulp = np.nextafter(1.0, 2.0)
         for m, ks in ((12, (1, 3, 7, 12)), (97, (1, 4, 64, 65, 97)),
-                      (256, (1, 4, 64, 65, 256)), (4096, (1, 4, 64, 65, 4096))):
+                      (256, (1, 4, 64, 65, 256)), (1024, (1, 4, 65, 128, 129, 1024)),
+                      (1031, (1, 4, 129, 1031)), (4096, (1, 4, 64, 65, 256, 257, 4096)),
+                      (16384, (1, 4, 65, 512, 513))):
             blocks = (
                 np.round(rng.uniform(-1, 1, size=(12, m)), 1),
                 rng.choice([-0.0, 0.0, 0.5], size=(12, m)),
@@ -163,6 +169,20 @@ class TestTopK:
                     np.testing.assert_array_equal(fast_eta, ref_eta)
                     np.testing.assert_array_equal(fast_psi, ref_psi)
                     assert np.array_equal(np.signbit(fast_psi), np.signbit(ref_psi))
+
+    def test_real_lr64_tile_matches_full_sort_oracle(self):
+        # One 64-row tile of the LR 64^2 boxes pair at first order, as
+        # top_k_rows computes it: hw = 4096, 256 column groups for each k.
+        scene = render_scene(SceneSpec(width=256, height=256))
+        target = order_map(encode_depth(scene.d_lr, 8), "first")
+        source = order_map(encode_rgb(scene.rgb, 4, 8), "first")
+        t, s = (unit_rows(extract_patches(f)) for f in (target, source))
+        tile = t[2048:2112] @ s.T
+        for k in (1, 4, 65):
+            eta, psi = top_k(tile, k)
+            ref_eta, ref_psi = top_k_naive(np.clip(tile, -1.0, 1.0), k)
+            np.testing.assert_array_equal(eta, ref_eta)
+            np.testing.assert_array_equal(psi, ref_psi)
 
     def test_k_out_of_range(self):
         f = textured_map(3, 3)
