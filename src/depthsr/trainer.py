@@ -22,18 +22,19 @@ probe costs one reconstruct and loss, a fuse probe re-runs the matching
 iterations, and only a detector-scalar probe gates again. The reuse changes
 nothing numerically, every value equals a full pipeline run.
 
-`fit` evaluates each gradient's probes in spawned worker processes, one
-pool for the whole call and the same path for any CPU count. There are
-max(1, min(CPUs this process may run on, coordinates)) workers, each
-started with one BLAS thread, and each builds its own `SceneLoss`. Of n
-workers, chunk w holds coordinates w, w + n, ..., so every chunk gets the
-same mix of head and re-matching probes; a chunk goes to whichever worker is
-free, and the gradient is bit-identical either way, since every probe runs
-the same code on the same inputs. The line search, best-so-far tracking
-and the log stay in the calling process. Because the workers are spawned,
-a script that calls `fit` must guard its entry point with
-``if __name__ == "__main__"``; without the guard the workers cannot start
-and `fit` raises `concurrent.futures.process.BrokenProcessPool`.
+`fit` builds one `SceneLoss` and evaluates each gradient's probes on it in
+spawned worker processes, one pool for the whole call and the same path for
+any CPU count. There are max(1, min(CPUs this process may run on,
+coordinates)) workers, each started with one BLAS thread. Each task carries
+the `SceneLoss` with the vector and one chunk, and a worker keeps nothing
+between tasks. Of n workers, chunk w holds coordinates w, w + n, ..., so
+every chunk gets the same mix of head and re-matching probes; a chunk goes
+to whichever worker is free, and the gradient is bit-identical either way,
+since every probe runs the same code on the same inputs. The line search,
+best-so-far tracking and the log stay in the calling process. Because the
+workers are spawned, a script that calls `fit` must guard its entry point
+with ``if __name__ == "__main__"``; without the guard the workers cannot
+start and `fit` raises `concurrent.futures.process.BrokenProcessPool`.
 """
 
 from __future__ import annotations
@@ -192,34 +193,26 @@ class SceneLoss:
         return report
 
 
-# A probe worker's SceneLoss, built by its first task (an executor serves
-# one `fit` call, so every task carries the same scene); None elsewhere.
-_worker_loss: SceneLoss | None = None
+def _worker_probes(loss: SceneLoss, vec: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Central differences of `loss` at `vec` along each of `coords`, with
+    float overflow and invalid operations raising, as under `_guarded`.
 
-
-def _worker_probes(scene: Scene, cfg: PipelineConfig, tcfg: TrainConfig, vec: np.ndarray,
-                   coords: np.ndarray) -> np.ndarray:
-    """Central differences of the total loss at `vec` along each of `coords`,
-    run in a probe worker on the worker's own SceneLoss. Float overflow and
-    invalid operations raise, as under `_guarded`.
-
-    The scene comes with every task rather than as executor initializer
-    arguments: those are written to each worker's pipe in turn as it is
-    spawned, and at over 64 KiB every spawn then waits until that worker
-    has imported numpy, which serializes the workers' start-up.
+    A probe worker runs it on the `SceneLoss` that came with the task and
+    keeps nothing between tasks. The evaluator comes with every task rather
+    than as executor initializer arguments: those are written to each
+    worker's pipe in turn as it is spawned, and at over 64 KiB every spawn
+    then waits until that worker has imported numpy, which serializes the
+    workers' start-up.
     """
-    global _worker_loss
-    if _worker_loss is None:
-        _worker_loss = SceneLoss(scene, cfg, tcfg)
-    eps = tcfg.fd_epsilon
+    eps = loss.tcfg.fd_epsilon
     values = np.empty(len(coords))
     with np.errstate(over="raise", invalid="raise"):
         for j, i in enumerate(coords):
             probe = vec.copy()
             probe[i] = vec[i] + eps
-            hi = _worker_loss.report(probe).l_total
+            hi = loss.report(probe).l_total
             probe[i] = vec[i] - eps
-            lo = _worker_loss.report(probe).l_total
+            lo = loss.report(probe).l_total
             values[j] = (hi - lo) / (2.0 * eps)
     return values
 
@@ -269,14 +262,14 @@ def _initial_params(cfg: PipelineConfig, tcfg: TrainConfig) -> np.ndarray:
 def fit(scene: Scene, tcfg: TrainConfig, cfg: PipelineConfig) -> FitResult:
     """Descent on the enabled parameters; returns the best parameters seen.
 
-    Every loss it evaluates, probes included, is a `SceneLoss.report`. Each
-    gradient's probes run in spawned worker processes with one BLAS thread
-    each, one worker per CPU this process may run on and at most one per
-    coordinate; see the module docstring. Fitting `alpha_det` or `beta`
-    with the detector off raises ValueError before any worker starts. A
-    script that calls `fit` must guard its entry point with
-    ``if __name__ == "__main__"``; a worker that cannot start raises
-    `BrokenProcessPool`. No worker outlives the call.
+    Every loss it evaluates, probes included, is a `report` of the one
+    `SceneLoss` it builds. Each gradient's probes run on that evaluator in
+    spawned worker processes with one BLAS thread each, one worker per CPU
+    this process may run on and at most one per coordinate; see the module
+    docstring. Fitting `alpha_det` or `beta` with the detector off raises
+    ValueError before any worker starts. A script that calls `fit` must
+    guard its entry point with ``if __name__ == "__main__"``; a worker that
+    cannot start raises `BrokenProcessPool`. No worker outlives the call.
 
     When `tcfg.log_path` is set, writes a step,l_rec,l_grad,l_hes,l_total
     CSV covering the whole trajectory. Aborts with DivergenceError
@@ -288,22 +281,23 @@ def fit(scene: Scene, tcfg: TrainConfig, cfg: PipelineConfig) -> FitResult:
     from concurrent.futures import ProcessPoolExecutor
 
     params = _initial_params(cfg, tcfg)
+    loss = SceneLoss(scene, cfg, tcfg)
     workers = max(1, min(len(os.sched_getaffinity(0)), params.size))
     chunks = [np.arange(w, params.size, workers) for w in range(workers)]
-    # Leaving the block joins every worker, on return and on error.
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+    spawn = multiprocessing.get_context("spawn")
+    # The executor spawns its workers at the first gradient's submits, so
+    # they start with one BLAS thread; leaving the block joins every worker,
+    # on return and on error.
+    with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=spawn) as pool:
 
         def gradient(vec: np.ndarray) -> np.ndarray:
-            # The executor spawns its workers inside `submit`.
-            with _one_blas_thread():
-                futures = [pool.submit(_worker_probes, scene, cfg, tcfg, vec, coords)
-                           for coords in chunks]
             grad = np.empty_like(vec)
-            for coords, future in zip(chunks, futures):
-                grad[coords] = future.result()
+            values = pool.map(_worker_probes, [loss] * workers, [vec] * workers, chunks)
+            for coords, chunk in zip(chunks, values):
+                grad[coords] = chunk
             return grad
 
-        best_params, history = _descend(SceneLoss(scene, cfg, tcfg), gradient, params)
+        best_params, history = _descend(loss, gradient, params)
     _write_log(tcfg, history)
     return FitResult(unpack_params(best_params, cfg, tcfg), history)
 

@@ -96,3 +96,16 @@ def test_oracles_share_no_private_code():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_no_module_has_a_global_statement():
+    """Module state that a function rebinds is per process, so a probe worker
+    holding some could make the gradient depend on the worker count."""
+    pkg = Path(depthsr.__file__).parent
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(pkg.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []

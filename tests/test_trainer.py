@@ -1,6 +1,7 @@
 import csv
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -209,6 +210,27 @@ class TestProbeWorkers:
         assert "BrokenProcessPool" in stderr
 
 
+class TestSceneLossTravels:
+    def test_pickled_scene_loss_reports_bit_identically(self, small_scene):
+        # A probe task carries the parent's SceneLoss with both caches warm.
+        cfg = PipelineConfig.tiny(scale=4)
+        tcfg = TrainConfig(fit_alpha=True, fit_beta=True)
+        loss = SceneLoss(small_scene, cfg, tcfg)
+        base = pack_params(cfg, tcfg)
+        vec = base + 0.05 * np.random.default_rng(2).normal(size=base.size)
+        loss.report(vec)
+        copy = pickle.loads(pickle.dumps(loss))
+        fuse, alpha = vec.copy(), vec.copy()
+        # The vector holds w_head, w_fuse, alpha_det and beta, in that order.
+        fuse[cfg.w_head.size] += 0.1
+        alpha[-2] += 0.1
+        for probe in (vec, fuse, alpha):
+            assert copy.report(probe) == loss.report(probe)
+        chunk = np.arange(1, vec.size, 2)
+        assert np.array_equal(trainer._worker_probes(loss, vec, chunk),
+                              scene_loss_gradient(loss, vec)[chunk])
+
+
 class TestTrainerRunsThePipeline:
     @pytest.mark.parametrize("preset, gt_hole", [("boxes", False), ("ridge", True)])
     def test_report_equals_pipeline_loss(self, preset, gt_hole):
@@ -318,6 +340,24 @@ class TestFit:
                 fit(small_scene, tcfg, cfg)
         assert err.value.step == 1
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("diverge", [False, True])
+    @pytest.mark.parametrize("value", [None, "3"])
+    def test_blas_thread_vars_restored(self, small_scene, monkeypatch, value, diverge):
+        for name in trainer._BLAS_THREAD_VARS:
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        cfg = PipelineConfig.tiny(scale=4)
+        # fd_epsilon=1e200 overflows in the first gradient's probes.
+        tcfg = TrainConfig(steps=1, seed=0, fd_epsilon=1e200 if diverge else 1e-3)
+        if diverge:
+            with pytest.raises(DivergenceError):
+                fit(small_scene, tcfg, cfg)
+        else:
+            fit(small_scene, tcfg, cfg)
+        assert [os.environ.get(name) for name in trainer._BLAS_THREAD_VARS] == [value] * 3
 
     def test_config_is_frozen(self):
         tcfg = TrainConfig()
