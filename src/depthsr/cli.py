@@ -1,7 +1,9 @@
 """Command-line front end: synth | match | sr | detect | eval | fit.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numeric failure.
-Every command is deterministic given its flags and seed.
+Every command is deterministic given its flags and seed. A flag that sets a
+pipeline config key (`sr`, `fit` and `match`) parses its text the same way
+as that key's line in a config file.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ class _UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     """Raises _UsageError on bad usage. A flag with no explicit default is
     absent when left out, so the settings dataclass whose field it names (its
-    `dest`) supplies the value: each default is stated once."""
+    `dest`) supplies the value: each default is stated once. A flag whose
+    dest is a PipelineConfig field stays text here and is parsed by that
+    config key's `configio` row, exactly as a config file's line is."""
 
     def __init__(self, **kwargs):
         super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
@@ -94,25 +98,26 @@ def _build_parser() -> _Parser:
     p.add_argument("--depth", required=True, help="LR depth PFM")
     p.add_argument("--out", required=True)
     p.add_argument("--order", default="zero", choices=matcher.ORDERS)
-    p.add_argument("--k", type=int)
-    p.add_argument("--scale", type=int)
-    p.add_argument("--channels", type=int)
+    p.add_argument("--k")
+    p.add_argument("--scale")
+    p.add_argument("--channels")
 
-    scene_inputs = _Parser(add_help=False)
-    scene_inputs.add_argument("--rgb", required=True)
-    scene_inputs.add_argument("--d-lr", required=True)
-    scene_inputs.add_argument("--d-gt", required=True)
-    scene_inputs.add_argument("--config", default=None)
-    scene_inputs.add_argument("--scale", type=int, choices=fusion.SCALES)
-    scene_inputs.add_argument("--tiny", action="store_true", default=False,
-                              help="quarter channels, 2 iterations (not with --config)")
+    # The scene files and every pipeline setting of `sr` and `fit`.
+    pipeline = _Parser(add_help=False)
+    pipeline.add_argument("--rgb", required=True)
+    pipeline.add_argument("--d-lr", required=True)
+    pipeline.add_argument("--d-gt", required=True)
+    pipeline.add_argument("--config", default=None)
+    pipeline.add_argument("--scale")
+    pipeline.add_argument("--channels")
+    pipeline.add_argument("--k")
+    pipeline.add_argument("--iters", dest="moma_iters")
+    pipeline.add_argument("--orders", help="z/f/s letters, names joined by commas, or 'none'; "
+                          "parsed as the config key")
+    pipeline.add_argument("--detector", help="on/off, true/false or 1/0; parsed as the config key")
 
-    p = sub.add_parser("sr", help="run the super-resolution pipeline", parents=[scene_inputs])
+    p = sub.add_parser("sr", help="run the super-resolution pipeline", parents=[pipeline])
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--iters", dest="moma_iters", type=int)
-    p.add_argument("--orders", help="subset of z/f/s, or 'none'")
-    p.add_argument("--detector", choices=("on", "off"))
     p.add_argument("--ablate", action="store_true", default=False,
                    help="run all 8 order subsets")
 
@@ -128,12 +133,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
 
-    p = sub.add_parser("fit", help="fit head/fuse weights on a scene", parents=[scene_inputs])
+    p = sub.add_parser("fit", help="fit head/fuse weights on a scene", parents=[pipeline])
     p.add_argument("--out-config", required=True)
     p.add_argument("--steps", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--fd-eps", dest="fd_epsilon", type=float)
-    p.add_argument("--fit-params", help="comma subset of head,fuse,alpha,beta")
+    p.add_argument("--fit-params", help="comma subset of head,fuse,alpha,beta",
+                   type=lambda text: tuple(filter(None, map(str.strip, text.split(",")))))
     p.add_argument("--seed", type=int)
     p.add_argument("--log", dest="log_path", help="CSV loss log path")
     return parser
@@ -145,21 +151,18 @@ def _given(args, settings) -> dict:
 
 
 def _load_pipeline_config(args) -> fusion.PipelineConfig:
-    """The config file, or the default (--tiny: tiny) config, with the given flags applied."""
-    given = _given(args, fusion.PipelineConfig)
-    if "orders" in given:
-        given["orders"] = configio.token_to_orders(given["orders"])
-    if "detector" in given:
-        given["detector"] = given["detector"] == "on"
+    """The config file, or the default config, with the given flags applied.
+    Scale and channels set the weights' shapes, so with a config file their
+    flags may only repeat the file's value."""
+    given = configio.parse_scalars(_given(args, fusion.PipelineConfig))
     if args.config is None:
-        return (fusion.PipelineConfig.tiny if args.tiny else fusion.PipelineConfig)(**given)
-    if args.tiny:
-        raise _UsageError(f"--tiny cannot combine with --config {args.config}, which sets its own")
+        return fusion.PipelineConfig(**given)
     cfg = configio.load_config(args.config)
-    if given.get("scale", cfg.scale) != cfg.scale:
-        raise _UsageError(
-            f"--scale {given['scale']} differs from scale {cfg.scale} of config {args.config}"
-        )
+    for key, value in (("scale", cfg.scale), ("channels", cfg.channels)):
+        if given.get(key, value) != value:
+            raise _UsageError(
+                f"--{key} {given[key]} differs from {key} {value} of config {args.config}"
+            )
     return replace(cfg, **given)
 
 
@@ -190,7 +193,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_match(args) -> int:
-    cfg = fusion.PipelineConfig(**_given(args, fusion.PipelineConfig))
+    cfg = fusion.PipelineConfig(**configio.parse_scalars(_given(args, fusion.PipelineConfig)))
     rgb = read_ppm8(args.rgb)
     d_lr = read_depth_pfm(args.depth)
     fusion.check_scaled("RGB", rgb.shape[1:], d_lr, cfg.scale)
@@ -338,24 +341,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    given = _given(args, trainer.TrainConfig)
-    if "fit_params" in args:
-        parts = ("head", "fuse", "alpha", "beta")
-        subset = {part.strip() for part in args.fit_params.split(",") if part.strip()}
-        unknown = subset - set(parts)
-        if unknown:
-            raise ValueError(f"unknown fit parameters {sorted(unknown)}")
-        given.update({f"fit_{part}": part in subset for part in parts})
-    tcfg = trainer.TrainConfig(**given)
+    tcfg = trainer.TrainConfig(**_given(args, trainer.TrainConfig))
     cfg = _load_pipeline_config(args)
     rgb, d_lr, d_gt = _read_scene_inputs(args, cfg.scale)
-    scene = scenes.Scene(
-        rgb=rgb, d_gt=d_gt, d_lr=d_lr, d_lr_noisy=None,
-        spec=scenes.SceneSpec(
-            width=rgb.width, height=rgb.height, scale=cfg.scale
-        ),
-    )
-    result = trainer.fit(scene, tcfg, cfg)
+    result = trainer.fit(scenes.Scene(rgb=rgb, d_gt=d_gt, d_lr=d_lr), tcfg, cfg)
     configio.dump_config(result.config, args.out_config)
     first, last = result.history[0], result.history[-1]
     best = min(rep.l_total for rep in result.history)

@@ -2,9 +2,10 @@
 
 Lines starting with '#' are comments; unknown or duplicate keys are
 rejected. One table, `_SCALARS`, gives each scalar key in file order with
-its parser and formatter; the two weight keys follow. Weight matrices live
-in PFM sidecars referenced by relative path (or the literal `default`), so
-dump -> load -> dump is byte-identical.
+its parser and formatter; the two weight keys follow. Through `parse_scalars`
+the table parses the command-line flags that set a key, too. Weight matrices
+live in PFM sidecars referenced by relative path (or the literal `default`),
+so dump -> load -> dump is byte-identical.
 The sidecars are `<f4`, so weights round-trip at float32 precision: a
 loaded fitted config reproduces the fit's loss only to about 1e-7 relative.
 """
@@ -51,7 +52,7 @@ def _parse_switch(token: str) -> bool:
         return True
     if token in ("off", "false", "0"):
         return False
-    raise ValueError(f"expected on/off, got {token!r}")
+    raise ValueError(f"expected on/off, true/false or 1/0, got {token!r}")
 
 
 _FLOAT = (float, lambda value: repr(float(value)))
@@ -71,6 +72,17 @@ _SCALARS = {
 }
 _DETECTOR_KEYS = ("alpha_det", "beta")
 _KEYS = (*_SCALARS, "w_fuse", "w_head")
+
+
+def parse_scalars(texts: dict[str, str]) -> dict:
+    """Each key's text parsed by its `_SCALARS` row; ValueError names a bad key."""
+    values = {}
+    for key, text in texts.items():
+        try:
+            values[key] = _SCALARS[key][0](text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return values
 
 
 def dump_config(cfg: PipelineConfig, path) -> None:
@@ -126,7 +138,7 @@ def load_config(path) -> PipelineConfig:
     """Parse a config file; missing keys take the PipelineConfig defaults."""
     path = Path(path)
     kv = _parse_lines(path.read_text(encoding="ascii"))
-    scalars = {key: parse(kv[key]) for key, (parse, _) in _SCALARS.items() if key in kv}
+    scalars = parse_scalars({key: kv[key] for key in _SCALARS if key in kv})
     detector = {key: scalars.pop(key) for key in _DETECTOR_KEYS if key in scalars}
     cfg = PipelineConfig(**scalars, detector_params=DetectorParams(**detector))
     c = cfg.channels

@@ -117,13 +117,6 @@ class PipelineConfig:
         # fields and makes the weights read-only again.
         return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
-    @classmethod
-    def tiny(cls, **kwargs) -> "PipelineConfig":
-        """Lightweight profile: a quarter of the channels, 2 iterations."""
-        kwargs.setdefault("channels", cls.channels // 4)
-        kwargs.setdefault("moma_iters", 2)
-        return cls(**kwargs)
-
 
 def _weight_matrix(value, shape: tuple[int, int], name: str) -> np.ndarray:
     """A read-only float64 copy of `value`, checked against `shape`."""

@@ -61,13 +61,13 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class Scene:
-    """Rendered scene: RGB, GT depth, LR depth, optional noisy LR depth."""
+    """Scene: RGB, GT depth, LR depth; a rendered one adds its spec and noisy LR depth."""
 
     rgb: FeatureMap
     d_gt: DepthMap
     d_lr: DepthMap
-    d_lr_noisy: DepthMap | None
-    spec: SceneSpec
+    d_lr_noisy: DepthMap | None = None
+    spec: SceneSpec | None = None
 
 
 def _unit_grid(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:

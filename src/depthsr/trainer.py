@@ -80,15 +80,14 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Descent settings and the enabled-parameter subset; a frozen value."""
+    """Descent settings and the enabled-parameter subset; a frozen value.
+    `fit_params` names the fitted parameters among head (w_head), fuse
+    (w_fuse), alpha (alpha_det) and beta, kept in that order."""
 
     steps: int = 50
     lr: float = 0.05
     fd_epsilon: float = 1e-3
-    fit_head: bool = True
-    fit_fuse: bool = True
-    fit_alpha: bool = False
-    fit_beta: bool = False
+    fit_params: tuple[str, ...] = ("head", "fuse")
     seed: int = 0
     init_scale: float = 1.0
     log_path: str | None = None
@@ -103,6 +102,11 @@ class TrainConfig:
             raise ValueError("fd_epsilon must be positive")
         if self.init_scale < 0:
             raise ValueError("init_scale must be non-negative")
+        names = ("head", "fuse", "alpha", "beta")
+        unknown = set(self.fit_params) - set(names)
+        if unknown:
+            raise ValueError(f"unknown fit parameters {sorted(unknown)}")
+        object.__setattr__(self, "fit_params", tuple(n for n in names if n in self.fit_params))
 
 
 def _layout(cfg: PipelineConfig, tcfg: TrainConfig) -> list[tuple[str, np.ndarray, int]]:
@@ -112,16 +116,16 @@ def _layout(cfg: PipelineConfig, tcfg: TrainConfig) -> list[tuple[str, np.ndarra
     and stays at least _PARAM_FLOOR. The detector scalars gate nothing with
     the detector off, so enabling one there raises ValueError.
     """
-    if not cfg.detector and (tcfg.fit_alpha or tcfg.fit_beta):
+    if not cfg.detector and {"alpha", "beta"} & set(tcfg.fit_params):
         raise ValueError("alpha_det and beta can be fitted only with the detector on")
     dp = cfg.detector_params
-    blocks = (
-        (tcfg.fit_head, "w_head", cfg.w_head, cfg.channels),
-        (tcfg.fit_fuse, "w_fuse", cfg.w_fuse, 4 * cfg.channels),
-        (tcfg.fit_alpha, "alpha_det", np.array([dp.alpha_det]), 0),
-        (tcfg.fit_beta, "beta", np.array([dp.beta]), 0),
-    )
-    return [(name, value, fan_in) for enabled, name, value, fan_in in blocks if enabled]
+    blocks = {
+        "head": ("w_head", cfg.w_head, cfg.channels),
+        "fuse": ("w_fuse", cfg.w_fuse, 4 * cfg.channels),
+        "alpha": ("alpha_det", np.array([dp.alpha_det]), 0),
+        "beta": ("beta", np.array([dp.beta]), 0),
+    }
+    return [blocks[part] for part in tcfg.fit_params]
 
 
 def pack_params(cfg: PipelineConfig, tcfg: TrainConfig) -> np.ndarray:

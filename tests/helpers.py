@@ -1,9 +1,15 @@
-"""Scene helpers that only the tests use."""
+"""Scene and config helpers that only the tests use."""
 
 import numpy as np
 
+from depthsr.fusion import PipelineConfig
 from depthsr.grid import DepthMap, FeatureMap
 from depthsr.scenes import _CHECKER_CELLS, _unit_grid, render_depth, shade, value_noise
+
+
+def tiny_config(**kwargs) -> PipelineConfig:
+    """A quick config: 2 channels and 2 iterations unless given."""
+    return PipelineConfig(**{"channels": 2, "moma_iters": 2, **kwargs})
 
 
 def shift_plane(plane: np.ndarray, dy: int, dx: int) -> np.ndarray:

@@ -1,7 +1,10 @@
+import argparse
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from helpers import tiny_config
 
 from depthsr import cli, configio, fusion, matcher, scenes, structdet, trainer
 from depthsr.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _build_parser, _load_pipeline_config, main
@@ -29,9 +32,18 @@ def scene_dir(tmp_path_factory):
     return out
 
 
+# The quick pipeline settings of tests.helpers.tiny_config.
+TINY = ("--channels", "2", "--iters", "2")
+
+
 def scene_inputs(scene_dir):
     return ["--rgb", str(scene_dir / "rgb.ppm"), "--d-lr", str(scene_dir / "d_lr.pfm"),
             "--d-gt", str(scene_dir / "d_gt.pfm")]
+
+
+def subparser(command):
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
 
 
 def empty_gt(path):
@@ -190,7 +202,7 @@ class TestSr:
             ["sr", "--rgb", str(scene_dir / "rgb.ppm"),
              "--d-lr", str(scene_dir / "d_lr.pfm"),
              "--d-gt", str(scene_dir / "d_gt.pfm"),
-             "--out", str(out), "--tiny"]
+             "--out", str(out), *TINY]
         )
         assert code == EXIT_OK
         report = dict(
@@ -216,7 +228,7 @@ class TestSr:
             ["sr", "--rgb", str(scene_dir / "rgb.ppm"),
              "--d-lr", str(scene_dir / "d_gt.pfm"),
              "--d-gt", str(scene_dir / "d_gt.pfm"),
-             "--out", str(tmp_path), "--tiny"]
+             "--out", str(tmp_path), *TINY]
         )
         assert code == EXIT_USAGE
 
@@ -226,7 +238,7 @@ class TestSr:
             ["sr", "--rgb", str(scene_dir / "rgb.ppm"),
              "--d-lr", str(scene_dir / "d_lr.pfm"),
              "--d-gt", str(scene_dir / "d_gt.pfm"),
-             "--out", str(out), "--tiny", "--k", "1000"]
+             "--out", str(out), *TINY, "--k", "1000"]
         )
         assert code == EXIT_USAGE
         assert "k must be in [1, 64], got 1000" in capsys.readouterr().err
@@ -240,7 +252,7 @@ class TestSr:
             ["sr", "--rgb", str(scene_dir / "rgb.ppm"),
              "--d-lr", str(scene_dir / "d_lr.pfm"),
              "--d-gt", str(scene_dir / "d_lr.pfm"),
-             "--out", str(out), "--tiny"]
+             "--out", str(out), *TINY]
         )
         assert code == EXIT_USAGE
         assert "GT depth 8x8 is not 4x the LR depth 8x8" in capsys.readouterr().err
@@ -257,7 +269,7 @@ class TestSr:
             ["sr", "--rgb", str(scene_dir / "rgb.ppm"),
              "--d-lr", str(scene_dir / "d_lr.pfm"),
              "--d-gt", str(empty_gt(tmp_path / "d_gt.pfm")),
-             "--out", str(out), "--tiny"]
+             "--out", str(out), *TINY]
         )
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "usage error: no valid pixels in GT depth\n"
@@ -269,7 +281,7 @@ class TestSr:
             ["sr", "--rgb", str(scene_dir / "rgb.ppm"),
              "--d-lr", str(scene_dir / "d_lr.pfm"),
              "--d-gt", str(scene_dir / "d_gt.pfm"),
-             "--out", str(tmp_path), "--tiny", "--orders", "z"]
+             "--out", str(tmp_path), *TINY, "--orders", "z"]
         )
         assert code == EXIT_OK
 
@@ -279,7 +291,7 @@ class TestSr:
             ["sr", "--rgb", str(scene_dir / "rgb.ppm"),
              "--d-lr", str(scene_dir / "d_lr.pfm"),
              "--d-gt", str(scene_dir / "d_gt.pfm"),
-             "--out", str(out), "--tiny", "--ablate"]
+             "--out", str(out), *TINY, "--ablate"]
         )
         assert code == EXIT_OK
         rows = (out / "ablation.txt").read_text().splitlines()
@@ -351,21 +363,76 @@ class TestSrConfigOverrides:
         assert main(self.sr_argv(scene_dir, tmp_path / "sr", path, "--k", "0")) == EXIT_USAGE
 
     @pytest.mark.parametrize("command, out_flag", [("sr", "--out"), ("fit", "--out-config")])
-    def test_tiny_with_config_is_usage_error_before_reading(
+    def test_channels_change_with_config_usage_error(
         self, scene_dir, tmp_path, weighted, capsys, monkeypatch, command, out_flag
     ):
-        # The config sets channels and iterations, so --tiny would be ignored.
+        # Like the scale, the channel count sets the shapes of the config's weights.
         _, path = weighted
         reads = []
-        for module, name in ((configio, "load_config"), (cli, "read_ppm8"), (cli, "read_depth_pfm")):
-            monkeypatch.setattr(module, name, lambda *args: reads.append(args))
+        for name in ("read_ppm8", "read_depth_pfm"):
+            monkeypatch.setattr(cli, name, lambda *args: reads.append(args))
         out = tmp_path / "out"
         code = main(
-            [command, *scene_inputs(scene_dir), "--config", str(path), "--tiny", out_flag, str(out)]
+            [command, *scene_inputs(scene_dir), "--config", str(path), "--channels", "8",
+             out_flag, str(out)]
         )
         assert code == EXIT_USAGE
-        assert f"--tiny cannot combine with --config {path}" in capsys.readouterr().err
+        assert f"--channels 8 differs from channels 2 of config {path}" in capsys.readouterr().err
         assert reads == []
+        assert not out.exists()
+        same = self.build(scene_dir, tmp_path, path, "--channels", "2")
+        np.testing.assert_array_equal(same.w_fuse, weighted[0].w_fuse)
+
+
+class TestFlagsParseAsConfigKeys:
+    """A flag that sets a config key reads its text as the key's file line does."""
+
+    # Texts for each key that has a flag; orders and detector in each form a file takes.
+    TEXTS = {
+        "scale": ["8"],
+        "channels": ["2"],
+        "k": ["2"],
+        "moma_iters": ["1"],
+        "orders": ["zero,second", "none", "zf"],
+        "detector": ["true", "0", "off", "on"],
+    }
+
+    @staticmethod
+    def flags(command):
+        actions = subparser(command)._actions
+        return {a.dest: a.option_strings[0] for a in actions if a.dest in configio._SCALARS}
+
+    @pytest.mark.parametrize("command", ["sr", "fit"])
+    def test_every_flagged_key_has_texts(self, command):
+        assert set(self.flags(command)) == set(self.TEXTS)
+
+    @pytest.mark.parametrize("command, out_flag", [("sr", "--out"), ("fit", "--out-config")])
+    @pytest.mark.parametrize("key, text", [(k, t) for k, ts in TEXTS.items() for t in ts])
+    def test_flag_and_file_build_equal_configs(
+        self, scene_dir, tmp_path, command, out_flag, key, text
+    ):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{key} = {text}\n")
+        argv = [command, *scene_inputs(scene_dir), out_flag, str(tmp_path / "out")]
+        flag = self.flags(command)[key]
+        by_flag = _load_pipeline_config(_build_parser().parse_args([*argv, flag, text]))
+        by_file = _load_pipeline_config(_build_parser().parse_args([*argv, "--config", str(path)]))
+        assert by_flag == by_file
+
+    @pytest.mark.parametrize(
+        "key, flag, text", [("detector", "--detector", "maybe"), ("moma_iters", "--iters", "two"),
+                            ("orders", "--orders", "zero,third"), ("k", "--k", "1.5")]
+    )
+    def test_bad_value_names_the_key(self, scene_dir, tmp_path, capsys, key, flag, text):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{key} = {text}\n")
+        out = tmp_path / "sr"
+        argv = ["sr", *scene_inputs(scene_dir), "--out", str(out)]
+        assert main([*argv, flag, text]) == EXIT_USAGE
+        by_flag = capsys.readouterr().err
+        assert main([*argv, "--config", str(path)]) == EXIT_USAGE
+        assert by_flag == capsys.readouterr().err
+        assert by_flag.startswith(f"usage error: {key}: ")
         assert not out.exists()
 
 
@@ -455,7 +522,7 @@ class TestFitCommand:
             ["fit", "--rgb", str(scene_dir / "rgb.ppm"),
              "--d-lr", str(scene_dir / "d_lr_noisy.pfm"),
              "--d-gt", str(scene_dir / "d_gt.pfm"),
-             "--out-config", str(out_cfg), "--tiny", "--steps", "3",
+             "--out-config", str(out_cfg), *TINY, "--steps", "3",
              "--log", str(log)]
         )
         assert code == EXIT_OK
@@ -481,7 +548,7 @@ class TestFitCommand:
         rgb = tmp_path / "rgb.ppm"
         write_ppm8(rgb, FeatureMap(np.full((3, rgb_edge, rgb_edge), 0.5)))
         inputs = ["--rgb", str(rgb), "--d-lr", str(scene_dir / "d_lr.pfm"),
-                  "--d-gt", str(scene_dir / d_gt), "--tiny"]
+                  "--d-gt", str(scene_dir / d_gt), *TINY]
         out_cfg = tmp_path / "fit.cfg"
         assert main(["fit", *inputs, "--out-config", str(out_cfg)]) == EXIT_USAGE
         fit_err = capsys.readouterr().err
@@ -500,7 +567,7 @@ class TestFitCommand:
             ["fit", "--rgb", str(scene_dir / "rgb.ppm"),
              "--d-lr", str(scene_dir / "d_lr.pfm"),
              "--d-gt", str(empty_gt(tmp_path / "d_gt.pfm")),
-             "--out-config", str(out_cfg), "--tiny"]
+             "--out-config", str(out_cfg), *TINY]
         )
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "usage error: no valid pixels in GT depth\n"
@@ -516,7 +583,7 @@ class TestFitCommand:
         outputs = {"--out-config": tmp_path / "fit.cfg", "--log": tmp_path / "loss.csv"}
         outputs[flag] = tmp_path / "missing" / outputs[flag].name
         code = main(
-            ["fit", *scene_inputs(scene_dir), "--tiny",
+            ["fit", *scene_inputs(scene_dir), *TINY,
              *(arg for name, path in outputs.items() for arg in (name, str(path)))]
         )
         assert code == EXIT_IO
@@ -535,7 +602,7 @@ class TestFitCommand:
         outputs[flag].mkdir()
         listing = sorted(tmp_path.rglob("*"))
         code = main(
-            ["fit", *scene_inputs(scene_dir), "--tiny",
+            ["fit", *scene_inputs(scene_dir), *TINY,
              *(arg for name, path in outputs.items() for arg in (name, str(path)))]
         )
         assert code == EXIT_IO
@@ -553,9 +620,9 @@ class TestFitCommand:
         assert code == EXIT_USAGE
 
     def test_detector_scalar_with_detector_off_usage_error(self, scene_dir, tmp_path, capsys):
-        # `fit` has no --detector flag; the loaded config turns it off.
+        # The loaded config turns the detector off.
         cfg_path = tmp_path / "off.cfg"
-        dump_config(PipelineConfig.tiny(scale=4, detector=False), cfg_path)
+        dump_config(tiny_config(detector=False), cfg_path)
         out_cfg = tmp_path / "fit.cfg"
         code = main(
             ["fit", *scene_inputs(scene_dir), "--config", str(cfg_path),
@@ -583,7 +650,7 @@ class TestOutFile:
         calls = []
         monkeypatch.setattr(module, compute, lambda *args: calls.append(args))
         inputs = {
-            "sr": [*scene_inputs(scene_dir), "--tiny"],
+            "sr": [*scene_inputs(scene_dir), *TINY],
             "match": ["--rgb", str(scene_dir / "rgb.ppm"), "--depth", str(scene_dir / "d_lr.pfm")],
             "detect": ["--rgb", str(scene_dir / "rgb.ppm")],
             "synth": [],
@@ -637,7 +704,7 @@ class TestNonFiniteSettings:
         code = main(
             ["fit", "--rgb", str(scene_dir / "rgb.ppm"), "--d-lr", str(scene_dir / "d_lr.pfm"),
              "--d-gt", str(scene_dir / "d_gt.pfm"), "--out-config", str(out_cfg),
-             "--tiny", "--steps", "1", *flags]
+             *TINY, "--steps", "1", *flags]
         )
         assert code == EXIT_USAGE
         assert not out_cfg.exists()
@@ -679,6 +746,32 @@ class TestParser:
                 main(argv)
             assert seen[0][-len(expected):] == expected, argv[0]
         assert list(tmp_path.iterdir()) == []
+
+    def test_every_option_sets_a_field_or_names_a_file(self):
+        # A flag is a settings field, an input or output path, or --ablate.
+        settings = {f.name for f in (*fields(PipelineConfig), *fields(TrainConfig))}
+        files = {"rgb", "d_lr", "d_gt", "config", "out", "out_config"}
+        allowed = settings | files | {"ablate", "help"}
+        stray = {
+            (command, action.dest)
+            for command in ("sr", "fit")
+            for action in subparser(command)._actions
+            if action.dest not in allowed
+        }
+        assert stray == set()
+
+    def test_fit_params_flag_sets_the_field(self, scene_dir, tmp_path, monkeypatch):
+        seen = []
+
+        def stop(scene, tcfg, cfg):
+            seen.append(tcfg.fit_params)
+            raise self.Stop
+
+        monkeypatch.setattr(trainer, "fit", stop)
+        argv = ["fit", *scene_inputs(scene_dir), "--out-config", str(tmp_path / "f.cfg")]
+        with pytest.raises(self.Stop):
+            main([*argv, "--fit-params", "beta, head"])
+        assert seen == [("head", "beta")]
 
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE

@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from helpers import render_shifted_pair
+from helpers import render_shifted_pair, tiny_config
 
 from depthsr import fusion, matcher
 from depthsr.fusion import (
@@ -45,11 +45,6 @@ class TestPipelineConfig:
     def test_non_finite_alpha_loss_rejected(self, value):
         with pytest.raises(ValueError, match="alpha_loss must be finite"):
             PipelineConfig(alpha_loss=value)
-
-    def test_tiny_profile(self):
-        cfg = PipelineConfig.tiny(scale=8)
-        assert cfg.channels == 2
-        assert cfg.moma_iters == 2
 
     def test_scale_restricted(self):
         with pytest.raises(ValueError):
@@ -219,7 +214,7 @@ class TestAggregate:
 class TestMomaStep:
     def test_shapes_preserved_and_rgb_untouched(self):
         d_lr, rgb = render_shifted_pair("boxes", 16, 16, 1, 1)
-        cfg = PipelineConfig.tiny(scale=4)
+        cfg = tiny_config(scale=4)
         f_d, f_r = encode_depth(d_lr, cfg.channels), encode_rgb(rgb, 1, cfg.channels)
         before = f_r.data.copy()
         out = moma_step(f_d, rgb_order_maps(f_r, cfg), cfg)
@@ -264,7 +259,7 @@ class TestReconstruct:
 class TestRunPipeline:
     def test_rgb_order_maps_computed_once_per_run(self, monkeypatch):
         scene = render_scene(SceneSpec(width=32, height=32, scale=4, noise_sigma=0.0))
-        cfg = PipelineConfig.tiny(scale=4, moma_iters=3)
+        cfg = tiny_config(scale=4, moma_iters=3)
         assert cfg.orders == ORDERS
         f_r = encode_rgb(scene.rgb, cfg.scale, cfg.channels)
         rgb_calls, depth_calls = Counter(), Counter()
@@ -282,7 +277,7 @@ class TestRunPipeline:
         assert depth_calls == {order: cfg.moma_iters for order in ORDERS}
 
     def test_size_mismatch_rejected(self):
-        cfg = PipelineConfig.tiny(scale=4)
+        cfg = tiny_config(scale=4)
         rgb = gray_image(np.zeros((16, 16)))
         d_lr = DepthMap.all_valid(np.full((5, 4), 2.0))
         with pytest.raises(ValueError):
@@ -291,7 +286,7 @@ class TestRunPipeline:
     def test_deterministic_rerun(self):
         spec = SceneSpec(width=32, height=32, scale=4, noise_sigma=0.0)
         scene = render_scene(spec)
-        cfg = PipelineConfig.tiny(scale=4)
+        cfg = tiny_config(scale=4)
         a = run_pipeline(scene.rgb, scene.d_lr, cfg)
         b = run_pipeline(scene.rgb, scene.d_lr, cfg)
         np.testing.assert_array_equal(a.depth, b.depth)
@@ -299,7 +294,7 @@ class TestRunPipeline:
     def test_zero_head_pipeline_is_bicubic(self):
         spec = SceneSpec(width=32, height=32, scale=4, noise_sigma=0.0)
         scene = render_scene(spec)
-        cfg = PipelineConfig.tiny(scale=4)
+        cfg = tiny_config(scale=4)
         out = run_pipeline(scene.rgb, scene.d_lr, cfg)
         base = bicubic_resample(scene.d_lr, 4.0)
         np.testing.assert_array_equal(out.depth, base.depth)
@@ -309,8 +304,8 @@ class TestRunPipeline:
         # multiplied by zero and any order subset yields the same output.
         spec = SceneSpec(width=32, height=32, scale=4, noise_sigma=0.0)
         scene = render_scene(spec)
-        full = PipelineConfig.tiny(scale=4)
-        none = PipelineConfig.tiny(scale=4, orders=())
+        full = tiny_config(scale=4)
+        none = tiny_config(scale=4, orders=())
         np.testing.assert_array_equal(
             run_pipeline(scene.rgb, scene.d_lr, full).depth,
             run_pipeline(scene.rgb, scene.d_lr, none).depth,
@@ -319,7 +314,7 @@ class TestRunPipeline:
     def test_fused_blocks_reach_output_with_mixing_weights(self):
         spec = SceneSpec(width=32, height=32, scale=4, noise_sigma=0.0)
         scene = render_scene(spec)
-        cfg = PipelineConfig.tiny(scale=4)
+        cfg = tiny_config(scale=4)
         c = cfg.channels
         rng = np.random.default_rng(6)
         cfg = replace(
@@ -328,6 +323,6 @@ class TestRunPipeline:
             w_head=0.01 * rng.normal(size=(16, c)),
         )
         mixed = run_pipeline(scene.rgb, scene.d_lr, cfg)
-        cfg_skip = replace(PipelineConfig.tiny(scale=4), w_head=cfg.w_head)
+        cfg_skip = replace(tiny_config(scale=4), w_head=cfg.w_head)
         skip = run_pipeline(scene.rgb, scene.d_lr, cfg_skip)
         assert np.any(mixed.depth != skip.depth)

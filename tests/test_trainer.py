@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from dataclasses import FrozenInstanceError, fields, replace
+from helpers import tiny_config
 from oracles import central_difference, scene_loss_gradient
 
 from depthsr import fusion, trainer
-from depthsr.fusion import PipelineConfig, default_fuse_weights, run_pipeline
+from depthsr.fusion import default_fuse_weights, run_pipeline
 from depthsr.grid import DepthMap
 from depthsr.losses import add_noise, loss_total
 from depthsr.scenes import SceneSpec, render_scene
@@ -50,8 +51,8 @@ class TestCentralDifference:
 
 class TestPacking:
     def test_round_trip(self):
-        cfg = PipelineConfig.tiny(scale=4)
-        tcfg = TrainConfig(fit_head=True, fit_fuse=True, fit_alpha=True, fit_beta=True)
+        cfg = tiny_config()
+        tcfg = TrainConfig(fit_params=("head", "fuse", "alpha", "beta"))
         vec = pack_params(cfg, tcfg)
         assert vec.size == cfg.w_head.size + cfg.w_fuse.size + 2
         out = unpack_params(vec + 0.5, cfg, tcfg)
@@ -60,15 +61,15 @@ class TestPacking:
         assert out.detector_params.alpha_det == pytest.approx(1.5)
 
     def test_detector_scalars_clamped_positive(self):
-        cfg = PipelineConfig.tiny(scale=4)
-        tcfg = TrainConfig(fit_head=False, fit_fuse=False, fit_alpha=True, fit_beta=True)
+        cfg = tiny_config()
+        tcfg = TrainConfig(fit_params=("alpha", "beta"))
         out = unpack_params(np.array([-5.0, -1.0]), cfg, tcfg)
         assert out.detector_params.alpha_det > 0
         assert out.detector_params.beta > 0
 
     def test_empty_subset(self):
-        cfg = PipelineConfig.tiny(scale=4)
-        tcfg = TrainConfig(fit_head=False, fit_fuse=False)
+        cfg = tiny_config()
+        tcfg = TrainConfig(fit_params=())
         assert pack_params(cfg, tcfg).size == 0
 
 
@@ -85,8 +86,8 @@ class TestNumericGrad:
                 np.full_like(scene.d_lr.depth, 2.0), scene.d_lr.valid.copy()
             ),
         )
-        cfg = PipelineConfig.tiny(scale=4)
-        tcfg = TrainConfig(fit_head=True, fit_fuse=False)
+        cfg = tiny_config()
+        tcfg = TrainConfig(fit_params=("head",))
         grad = scene_loss_gradient(SceneLoss(flat, cfg, tcfg), pack_params(cfg, tcfg))
         np.testing.assert_allclose(grad, 0.0, atol=1e-9)
 
@@ -95,10 +96,9 @@ class TestNumericGrad:
         # reused across probes must follow every detector-scalar probe.
         cases = ((2, True, False), (3, True, True), (3, False, False))
         for moma_iters, detector, fit_detector in cases:
-            cfg = PipelineConfig.tiny(scale=4, moma_iters=moma_iters, detector=detector)
-            tcfg = TrainConfig(
-                fit_head=True, fit_fuse=True, fit_alpha=fit_detector, fit_beta=fit_detector, seed=1
-            )
+            cfg = tiny_config(moma_iters=moma_iters, detector=detector)
+            extra = ("alpha", "beta") if fit_detector else ()
+            tcfg = TrainConfig(fit_params=("head", "fuse", *extra), seed=1)
             rng = np.random.default_rng(0)
             vec = pack_params(cfg, tcfg) + 0.05 * rng.normal(size=pack_params(cfg, tcfg).size)
             staged = scene_loss_gradient(SceneLoss(small_scene, cfg, tcfg), vec)
@@ -118,8 +118,8 @@ class TestNumericGrad:
         # Every probe re-matches iterations 2.. and gates their blocks; the
         # first iteration's blocks are gated once for the base detector
         # setting and reused by all fuse probes.
-        cfg = PipelineConfig.tiny(scale=4, moma_iters=3)
-        tcfg = TrainConfig(fit_head=True, fit_fuse=True)
+        cfg = tiny_config(moma_iters=3)
+        tcfg = TrainConfig()
         loss = SceneLoss(small_scene, cfg, tcfg)
         calls = []
         detect = fusion.detect
@@ -136,8 +136,8 @@ class TestNumericGrad:
         # Head probes leave the detector setting and the fuse weights
         # unchanged, so they share one fused-features evaluation; each fuse
         # probe needs its own.
-        cfg = PipelineConfig.tiny(scale=4)
-        tcfg = TrainConfig(fit_head=True, fit_fuse=fit_fuse)
+        cfg = tiny_config()
+        tcfg = TrainConfig(fit_params=("head", "fuse") if fit_fuse else ("head",))
         loss = SceneLoss(small_scene, cfg, tcfg)
         calls = []
         aggregate = trainer.aggregate
@@ -157,15 +157,15 @@ from depthsr.scenes import SceneSpec, render_scene
 from depthsr.trainer import TrainConfig, fit
 
 scene = render_scene(SceneSpec(width=32, height=32, scale=4))
-fit(scene, TrainConfig(steps=1), PipelineConfig.tiny(scale=4))
+fit(scene, TrainConfig(steps=1), PipelineConfig(channels=2, moma_iters=2))
 """
 
 
 class TestProbeWorkers:
     def test_fit_gradient_equals_in_process(self, small_scene, monkeypatch):
         # Detector-scalar probes gate the first iteration again in a worker.
-        cfg = PipelineConfig.tiny(scale=4)
-        tcfg = TrainConfig(steps=1, seed=0, fit_alpha=True, fit_beta=True)
+        cfg = tiny_config()
+        tcfg = TrainConfig(steps=1, seed=0, fit_params=("head", "fuse", "alpha", "beta"))
         seen = []
 
         def descend(loss, gradient, params):
@@ -181,8 +181,8 @@ class TestProbeWorkers:
         assert np.all(grad[-2:] != 0.0)
 
     def test_one_worker_fit_equals_two_worker_fit(self, small_scene, monkeypatch):
-        cfg = PipelineConfig.tiny(scale=4)
-        tcfg = TrainConfig(steps=2, seed=1, fit_alpha=True, fit_beta=True)
+        cfg = tiny_config()
+        tcfg = TrainConfig(steps=2, seed=1, fit_params=("head", "fuse", "alpha", "beta"))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         two = fit(small_scene, tcfg, cfg)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -213,8 +213,8 @@ class TestProbeWorkers:
 class TestSceneLossTravels:
     def test_pickled_scene_loss_reports_bit_identically(self, small_scene):
         # A probe task carries the parent's SceneLoss with both caches warm.
-        cfg = PipelineConfig.tiny(scale=4)
-        tcfg = TrainConfig(fit_alpha=True, fit_beta=True)
+        cfg = tiny_config()
+        tcfg = TrainConfig(fit_params=("head", "fuse", "alpha", "beta"))
         loss = SceneLoss(small_scene, cfg, tcfg)
         base = pack_params(cfg, tcfg)
         vec = base + 0.05 * np.random.default_rng(2).normal(size=base.size)
@@ -242,7 +242,7 @@ class TestTrainerRunsThePipeline:
             valid[8:14, 20:30] = False
             scene = replace(scene, d_gt=DepthMap(scene.d_gt.depth, valid))
         rng = np.random.default_rng(11)
-        cfg = PipelineConfig.tiny(scale=4)
+        cfg = tiny_config()
         c = cfg.channels
         cfg = replace(
             cfg,
@@ -256,11 +256,11 @@ class TestTrainerRunsThePipeline:
 
 
 class TestFit:
-    @pytest.mark.parametrize("scalar", ["fit_alpha", "fit_beta"])
+    @pytest.mark.parametrize("scalar", ["alpha", "beta"], ids=lambda name: f"fit_{name}")
     def test_detector_scalars_rejected_with_detector_off(self, small_scene, monkeypatch, scalar):
         # With the detector off, alpha_det and beta gate nothing.
-        cfg = PipelineConfig.tiny(scale=4, detector=False)
-        tcfg = TrainConfig(steps=1, **{scalar: True})
+        cfg = tiny_config(detector=False)
+        tcfg = TrainConfig(steps=1, fit_params=(scalar,))
         monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", _no_workers)
         with pytest.raises(ValueError, match="only with the detector on"):
             fit(small_scene, tcfg, cfg)
@@ -268,8 +268,8 @@ class TestFit:
             pack_params(cfg, tcfg)
 
     def test_no_enabled_parameters_returns_config_unchanged(self, small_scene, monkeypatch):
-        cfg = PipelineConfig.tiny(scale=4)
-        tcfg = TrainConfig(steps=2, fit_head=False, fit_fuse=False)
+        cfg = tiny_config()
+        tcfg = TrainConfig(steps=2, fit_params=())
         monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", _no_workers)
         result = fit(small_scene, tcfg, cfg)
         np.testing.assert_array_equal(result.config.w_head, cfg.w_head)
@@ -277,14 +277,14 @@ class TestFit:
         assert len(result.history) == 1
 
     def test_lr_zero_keeps_loss_constant(self, small_scene):
-        cfg = PipelineConfig.tiny(scale=4)
+        cfg = tiny_config()
         tcfg = TrainConfig(steps=3, lr=0.0, seed=0)
         result = fit(small_scene, tcfg, cfg)
         totals = [r.l_total for r in result.history]
         assert all(t == pytest.approx(totals[0], rel=1e-12) for t in totals)
 
     def test_best_so_far_property(self, small_scene):
-        cfg = PipelineConfig.tiny(scale=4)
+        cfg = tiny_config()
         tcfg = TrainConfig(steps=8, seed=0)
         result = fit(small_scene, tcfg, cfg)
         best = min(r.l_total for r in result.history)
@@ -293,14 +293,14 @@ class TestFit:
         assert achieved == pytest.approx(best, rel=1e-12)
 
     def test_deterministic_trajectory(self, small_scene):
-        cfg = PipelineConfig.tiny(scale=4)
+        cfg = tiny_config()
         tcfg = TrainConfig(steps=4, seed=3)
         a = fit(small_scene, tcfg, cfg)
         b = fit(small_scene, tcfg, cfg)
         assert [r.l_total for r in a.history] == [r.l_total for r in b.history]
 
     def test_loss_decreases_in_few_steps(self, small_scene):
-        cfg = PipelineConfig.tiny(scale=4)
+        cfg = tiny_config()
         tcfg = TrainConfig(steps=10, seed=0)
         result = fit(small_scene, tcfg, cfg)
         totals = [r.l_total for r in result.history]
@@ -308,7 +308,7 @@ class TestFit:
 
     def test_csv_log_schema(self, small_scene, tmp_path):
         log_path = tmp_path / "loss.csv"
-        cfg = PipelineConfig.tiny(scale=4)
+        cfg = tiny_config()
         tcfg = TrainConfig(steps=2, seed=0, log_path=str(log_path))
         result = fit(small_scene, tcfg, cfg)
         with log_path.open(newline="") as fh:
@@ -318,7 +318,7 @@ class TestFit:
         assert float(rows[1][4]) == pytest.approx(result.history[0].l_total, abs=1e-6)
 
     def test_divergent_loss_raises_with_step(self, small_scene):
-        cfg = PipelineConfig.tiny(scale=4)
+        cfg = tiny_config()
         # A colossal init throws the first loss evaluation into overflow,
         # which must surface as the typed error, not a numpy warning.
         tcfg = TrainConfig(steps=2, seed=0, init_scale=1e200)
@@ -330,7 +330,7 @@ class TestFit:
         assert multiprocessing.active_children() == []
 
     def test_divergent_probe_raises_with_step(self, small_scene):
-        cfg = PipelineConfig.tiny(scale=4)
+        cfg = tiny_config()
         # A colossal probe step overflows only in the gradient's probes,
         # which run in the probe workers.
         tcfg = TrainConfig(steps=2, seed=0, fd_epsilon=1e200)
@@ -349,7 +349,7 @@ class TestFit:
                 monkeypatch.delenv(name, raising=False)
             else:
                 monkeypatch.setenv(name, value)
-        cfg = PipelineConfig.tiny(scale=4)
+        cfg = tiny_config()
         # fd_epsilon=1e200 overflows in the first gradient's probes.
         tcfg = TrainConfig(steps=1, seed=0, fd_epsilon=1e200 if diverge else 1e-3)
         if diverge:
@@ -374,6 +374,13 @@ class TestFit:
             TrainConfig(fd_epsilon=0.0)
         with pytest.raises(ValueError):
             TrainConfig(init_scale=-0.1)
+
+    def test_fit_params_canonicalized_and_checked(self):
+        # Like PipelineConfig.orders: any order in, the vector's order kept.
+        assert TrainConfig(fit_params=("beta", "head", "beta")).fit_params == ("head", "beta")
+        assert TrainConfig().fit_params == ("head", "fuse")
+        with pytest.raises(ValueError, match=r"unknown fit parameters \['gamma'\]"):
+            TrainConfig(fit_params=("head", "gamma"))
 
     def test_negative_lr_rejected_and_zero_allowed(self):
         with pytest.raises(ValueError, match="lr must be non-negative"):
