@@ -24,7 +24,7 @@ from .fileio import (
     write_pfm,
     write_ppm8,
 )
-from .grid import DepthMap, FeatureMap, NonFiniteError, bicubic_resample, extract_patches
+from .grid import DepthMap, FeatureMap, NonFiniteError, bicubic_resample
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -202,13 +202,12 @@ def cmd_match(args) -> int:
         raise ValueError(f"k must be in [1, {hw}], got {cfg.k}")
     f_r = fusion.encode_rgb(rgb, cfg.scale, cfg.channels)
     f_d = fusion.encode_depth(d_lr, cfg.channels)
-    target = matcher.order_map(f_d, args.order)
-    source = matcher.order_map(f_r, args.order)
+    rgb_maps = {"zero": f_r, args.order: matcher.order_map(f_r, args.order)}
     # Top-k is prefix-consistent, so the first k columns are top_k at k; the
     # second column tells self_match_stats whether a row's maximum is unique.
-    wide_eta, wide_psi = matcher.top_k_streamed(target, source, min(max(cfg.k, 2), hw))
+    wide_eta, wide_psi = matcher.match_order(rgb_maps, f_d, args.order, min(max(cfg.k, 2), hw))
     eta, psi = wide_eta[:, : cfg.k], wide_psi[:, : cfg.k]
-    matched = matcher.matching_selection(extract_patches(f_r), f_r.shape, eta, psi)
+    matched, _ = matcher.select_order(rgb_maps, args.order, eta, psi)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .grid import GAUSS_3X3, MIN_DEPTH_M, DepthMap, FeatureMap, bicubic_resample, check_finite_settings, conv2d, pixel_shuffle, sigmoid, standardize
 from .losses import DEFAULT_ALPHA_LOSS
-from .matcher import ORDERS, match_order, order_map
+from .matcher import ORDERS, match_order, order_map, select_order
 from .structdet import DetectorParams, detect
 
 SCALES = (4, 8, 16)
@@ -176,10 +176,13 @@ def rgb_order_maps(f_r: FeatureMap, cfg: PipelineConfig) -> dict[str, FeatureMap
 def order_matches(
     rgb_maps: dict[str, FeatureMap], f_d: FeatureMap, cfg: PipelineConfig
 ) -> dict[str, tuple[FeatureMap, FeatureMap | None]]:
-    """(matched RGB, matched prior) of every enabled order, as `match_order`
-    returns them; the prior is None at zero order. `rgb_maps` is the run's
-    rgb_order_maps."""
-    return {order: match_order(rgb_maps, f_d, order, cfg.k) for order in cfg.orders}
+    """(matched RGB, matched prior) of every enabled order: select_order at
+    that order's match_order. The prior is None at zero order. `rgb_maps` is
+    the run's rgb_order_maps."""
+    return {
+        order: select_order(rgb_maps, order, *match_order(rgb_maps, f_d, order, cfg.k))
+        for order in cfg.orders
+    }
 
 
 def gated_blocks(

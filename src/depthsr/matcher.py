@@ -12,11 +12,13 @@ their cosines, scores non-increasing along each row. The naive
 double-loop oracles live permanently in tests/oracles.py.
 
 What is computed per run and per call: the RGB side is fixed for a run,
-so match_order takes it as one value (fusion.rgb_order_maps) and maps
-only the depth side. Within one call each patch matrix is extracted once:
-the source's gives both the unit rows of the cosines and the prior
-selection, and at zero order it is the RGB one too. No (hw, 9c) matrix
-outlives the call, and the selection gathers matched patches for
+so both stages take it as one value (fusion.rgb_order_maps) and
+match_order maps only the depth side. match_order returns one order's
+(eta, psi) and select_order blends the RGB side at them. Each stage
+extracts the patch matrices it reads and frees them when it returns, so
+the matching's are gone before the selection's are made, which lowers the
+peak; extracting the source once more costs about what selecting from a
+matrix gone cold in cache would. The selection gathers matched patches for
 SELECT_ROWS target rows at a time instead of holding the (hw, k, 9c)
 gather.
 
@@ -73,11 +75,6 @@ def unit_rows(patches: np.ndarray) -> np.ndarray:
     unit = patches / np.where(degenerate, 1.0, norms)[:, None]
     unit[degenerate] = 0.0
     return unit
-
-
-def _check_same_shape(target: FeatureMap, source: FeatureMap) -> None:
-    if target.shape != source.shape:
-        raise ValueError(f"target shape {target.shape} != source shape {source.shape}")
 
 
 @lru_cache(maxsize=64)
@@ -148,14 +145,6 @@ def top_k_rows(t: np.ndarray, s: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     return np.concatenate(eta), np.concatenate(psi)
 
 
-def top_k_streamed(
-    target: FeatureMap, source: FeatureMap, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k (eta, psi) per target patch of two maps of one shape (top_k_rows)."""
-    _check_same_shape(target, source)
-    return top_k_rows(unit_rows(extract_patches(target)), unit_rows(extract_patches(source)), k)
-
-
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax over the k retained scores."""
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -198,29 +187,29 @@ def order_map(f: FeatureMap, order: str) -> FeatureMap:
     raise ValueError(f"unknown matching order {order!r}")
 
 
+# perfbench's matcher.match_order.calls metric reads this name.
 def match_order(
     rgb_maps: dict[str, FeatureMap], depth: FeatureMap, order: str, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k (eta, psi) of one order, each (hw, k): the patches of
+    order_map(depth, order) against those of rgb_maps[order] (top_k_rows).
+    `rgb_maps` is the run's RGB side (fusion.rgb_order_maps)."""
+    target, source = order_map(depth, order), rgb_maps[order]
+    if target.shape != source.shape:
+        raise ValueError(f"target shape {target.shape} != source shape {source.shape}")
+    return top_k_rows(unit_rows(extract_patches(target)), unit_rows(extract_patches(source)), k)
+
+
+def select_order(
+    rgb_maps: dict[str, FeatureMap], order: str, eta: np.ndarray, psi: np.ndarray
 ) -> tuple[FeatureMap, FeatureMap | None]:
-    """Run one matching order and select matched features.
-
-    `rgb_maps` is the run's RGB side (fusion.rgb_order_maps): the RGB
-    features under "zero" and order_map of them under `order`.
-
-    zero:   correlate raw depth vs raw RGB, select from RGB -> (matched, None)
-    first:  correlate gradient maps, select from RGB and from the RGB
-            gradient -> (matched RGB, matched gradient)
-    second: correlate Hessian-norm maps, select from RGB and from the RGB
-            Hessian norm -> (matched RGB, matched Hessian)
-    """
-    target = order_map(depth, order)
+    """(matched RGB, matched prior): matching_selection at (eta, psi) of the
+    RGB features and of rgb_maps[order]; the prior is None at zero order."""
     rgb, source = rgb_maps["zero"], rgb_maps[order]
-    _check_same_shape(target, source)
-    source_patches = extract_patches(source)
-    eta, psi = top_k_rows(unit_rows(extract_patches(target)), unit_rows(source_patches), k)
-    if order == "zero":
-        return matching_selection(source_patches, rgb.shape, eta, psi), None
     matched_rgb = matching_selection(extract_patches(rgb), rgb.shape, eta, psi)
-    return matched_rgb, matching_selection(source_patches, source.shape, eta, psi)
+    if order == "zero":
+        return matched_rgb, None
+    return matched_rgb, matching_selection(extract_patches(source), source.shape, eta, psi)
 
 
 def self_match_stats(eta: np.ndarray, psi: np.ndarray) -> tuple[int, int]:

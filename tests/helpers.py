@@ -4,12 +4,18 @@ import numpy as np
 
 from depthsr.fusion import PipelineConfig
 from depthsr.grid import DepthMap, FeatureMap
+from depthsr.matcher import match_order
 from depthsr.scenes import _CHECKER_CELLS, _unit_grid, render_depth, shade, value_noise
 
 
 def tiny_config(**kwargs) -> PipelineConfig:
     """A quick config: 2 channels and 2 iterations unless given."""
     return PipelineConfig(**{"channels": 2, "moma_iters": 2, **kwargs})
+
+
+def match_pair(target: FeatureMap, source: FeatureMap, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k (eta, psi) of two maps of one shape: match_order at zero order."""
+    return match_order({"zero": source}, target, "zero", k)
 
 
 def shift_plane(plane: np.ndarray, dy: int, dx: int) -> np.ndarray:

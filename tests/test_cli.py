@@ -178,6 +178,26 @@ class TestMatch:
         assert reads == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("order", matcher.ORDERS)
+    def test_files_are_the_shared_match_stages(self, scene_dir, tmp_path, order):
+        out = tmp_path / "m"
+        code = main(
+            ["match", "--rgb", str(scene_dir / "rgb.ppm"), "--depth", str(scene_dir / "d_lr.pfm"),
+             "--out", str(out), "--order", order, "--k", "4"]
+        )
+        assert code == EXIT_OK
+        cfg = PipelineConfig(k=4)
+        f_r = fusion.encode_rgb(read_ppm8(scene_dir / "rgb.ppm"), cfg.scale, cfg.channels)
+        f_d = fusion.encode_depth(read_depth_pfm(scene_dir / "d_lr.pfm"), cfg.channels)
+        rgb_maps = fusion.rgb_order_maps(f_r, cfg)
+        eta, psi = matcher.match_order(rgb_maps, f_d, order, 4)
+        np.testing.assert_array_equal(read_pfm(out / "eta.pfm").data[0], eta)
+        np.testing.assert_array_equal(read_pfm(out / "psi.pfm").data[0], psi.astype(np.float32))
+        matched, _ = matcher.select_order(rgb_maps, order, eta, psi)
+        stats = dict(line.split("=", 1) for line in (out / "stats.txt").read_text().splitlines())
+        distance = float(np.mean(np.abs(matched.data - f_d.data)))
+        assert stats["matched_mean_abs_distance"] == f"{distance:.6f}"
+
     def test_peak_memory_stays_below_one_dense_matrix(self, tmp_path):
         # LR 32^2: hw = 1024, so one dense correlation matrix takes 8 MiB,
         # one 64-row tile of cosines 512 KiB.
@@ -639,7 +659,7 @@ class TestOutFile:
         "command, module, compute",
         [
             ("sr", fusion, "run_pipeline"),
-            ("match", matcher, "top_k_streamed"),
+            ("match", matcher, "match_order"),
             ("detect", structdet, "compute_descriptor"),
             ("synth", scenes, "render_scene"),
         ],

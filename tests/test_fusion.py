@@ -272,9 +272,20 @@ class TestRunPipeline:
 
         monkeypatch.setattr(matcher, "order_map", counted)
         monkeypatch.setattr(fusion, "order_map", counted)
+        stage_calls, stages = Counter(), ("match_order", "select_order")
+
+        def counting(name, stage):
+            def wrapper(*args):
+                stage_calls[name] += 1
+                return stage(*args)
+            return wrapper
+
+        for name in stages:
+            monkeypatch.setattr(fusion, name, counting(name, getattr(fusion, name)))
         run_pipeline(scene.rgb, scene.d_lr, cfg)
         assert rgb_calls == {order: 1 for order in ORDERS}
         assert depth_calls == {order: cfg.moma_iters for order in ORDERS}
+        assert stage_calls == {name: len(cfg.orders) * cfg.moma_iters for name in stages}
 
     def test_size_mismatch_rejected(self):
         cfg = tiny_config(scale=4)

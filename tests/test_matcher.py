@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import shift_plane
+from helpers import match_pair, shift_plane
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import correlation_set_naive, matching_selection_einsum, top_k_naive
@@ -12,13 +12,14 @@ from depthsr import matcher
 from depthsr.fusion import encode_depth, encode_rgb
 from depthsr.grid import DepthMap, FeatureMap, extract_patches, fold_patches
 from depthsr.matcher import (
+    ORDERS,
     match_order,
     matching_selection,
     order_map,
+    select_order,
     self_match_stats,
     softmax_rows,
     top_k,
-    top_k_streamed,
     unit_rows,
 )
 from depthsr.scenes import SceneSpec, render_depth, render_scene, value_noise
@@ -32,7 +33,7 @@ def textured_map(h, w, c=1, seed=0):
 
 def all_cosines(target, source):
     """hw x hw cosines from the production kernel: top-k at k = hw, back in column order."""
-    eta, psi = top_k_streamed(target, source, target.height * target.width)
+    eta, psi = match_pair(target, source, target.height * target.width)
     values = np.empty(psi.shape)
     np.put_along_axis(values, eta, psi, axis=1)
     return values
@@ -69,7 +70,7 @@ class TestCorrelationSet:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            top_k_streamed(textured_map(3, 3), textured_map(3, 4), 9)
+            match_pair(textured_map(3, 3), textured_map(3, 4), 9)
 
     def test_fast_path_matches_naive(self):
         # The 8-channel 12 x 12 pair spans three tiles, the last one padded.
@@ -102,18 +103,18 @@ class TestCorrelationSet:
 class TestTopK:
     def test_self_match_top1(self):
         f = textured_map(6, 6, seed=3)
-        unique, hits = self_match_stats(*top_k_streamed(f, f, 2))
+        unique, hits = self_match_stats(*match_pair(f, f, 2))
         assert unique > 0
         assert hits == unique
 
     def test_constant_rows_tie_to_lowest_indices(self):
         f = FeatureMap(np.full((1, 3, 3), 2.0))
-        eta, _ = top_k_streamed(f, f, 2)
+        eta, _ = match_pair(f, f, 2)
         np.testing.assert_array_equal(eta, np.tile([0, 1], (9, 1)))
         # At hw = 256 top_k works on column groups. Equal patches of this
         # map have GEMM cosines of 1 + ulp, which clip to a 1.0 tie.
         f = FeatureMap(np.full((1, 16, 16), 0.7))
-        eta, psi = top_k_streamed(f, f, 2)
+        eta, psi = match_pair(f, f, 2)
         np.testing.assert_array_equal(eta, np.tile([0, 1], (256, 1)))
         np.testing.assert_array_equal(psi, 1.0)
         # A group maximum of 1 + ulp clamps the bound to 1, so the group of
@@ -191,7 +192,7 @@ class TestTopK:
             with pytest.raises(ValueError):
                 top_k(values, k)
             with pytest.raises(ValueError):
-                top_k_streamed(f, f, k)
+                match_pair(f, f, k)
 
     def test_streamed_equals_full(self):
         # The 5 x 6 maps fit in one padded tile; the quantized pair has
@@ -207,7 +208,7 @@ class TestTopK:
             n = t.height * t.width
             values = all_cosines(t, s)
             for k in (1, 3, n):
-                eta, psi = top_k_streamed(t, s, k)
+                eta, psi = match_pair(t, s, k)
                 for ref_eta, ref_psi in (top_k(values, k), top_k_naive(values, k)):
                     np.testing.assert_array_equal(eta, ref_eta)
                     np.testing.assert_array_equal(psi, ref_psi)
@@ -215,8 +216,8 @@ class TestTopK:
     def test_rerun_bit_identical(self):
         t = textured_map(6, 6, seed=1)
         s = textured_map(6, 6, seed=2)
-        a_eta, a_psi = top_k_streamed(t, s, 4)
-        b_eta, b_psi = top_k_streamed(t, s, 4)
+        a_eta, a_psi = match_pair(t, s, 4)
+        b_eta, b_psi = match_pair(t, s, 4)
         np.testing.assert_array_equal(a_eta, b_eta)
         np.testing.assert_array_equal(a_psi, b_psi)
 
@@ -224,9 +225,9 @@ class TestTopK:
         # `depthsr match` keeps the first k columns of a wider request.
         rng = np.random.default_rng(13)
         t, s = quantized_map(rng, 1, 5, 6), quantized_map(rng, 1, 5, 6)
-        wide_eta, wide_psi = top_k_streamed(t, s, 30)
+        wide_eta, wide_psi = match_pair(t, s, 30)
         for k in (1, 2, 7, 29):
-            eta, psi = top_k_streamed(t, s, k)
+            eta, psi = match_pair(t, s, k)
             np.testing.assert_array_equal(wide_eta[:, :k], eta)
             np.testing.assert_array_equal(wide_psi[:, :k], psi)
 
@@ -252,16 +253,16 @@ class TestSelfMatchStats:
                 assert np.abs(values - correlation_set_naive(t, s)).max() <= 1e-12
                 hw = h * w
                 for k in range(1, hw + 1):
-                    wide = top_k_streamed(t, s, min(max(k, 2), hw))
+                    wide = match_pair(t, s, min(max(k, 2), hw))
                     expected = self.dense_stats(values, top_k_naive(values, 1)[0][:, 0])
                     assert self_match_stats(*wide) == expected
 
     def test_one_column_needs_a_single_patch(self):
         f = textured_map(3, 3)
         with pytest.raises(ValueError):
-            self_match_stats(*top_k_streamed(f, f, 1))
+            self_match_stats(*match_pair(f, f, 1))
         one = textured_map(1, 1)
-        assert self_match_stats(*top_k_streamed(one, one, 1)) == (1, 1)
+        assert self_match_stats(*match_pair(one, one, 1)) == (1, 1)
 
 
 class TestMatchingSelection:
@@ -276,7 +277,7 @@ class TestMatchingSelection:
 
     def test_self_match_identity(self):
         f = textured_map(5, 5, seed=4)
-        out = matching_selection(extract_patches(f), f.shape, *top_k_streamed(f, f, 1))
+        out = matching_selection(extract_patches(f), f.shape, *match_pair(f, f, 1))
         np.testing.assert_allclose(out.data, f.data, atol=1e-12)
 
     def test_equal_scores_average_patches(self):
@@ -327,7 +328,7 @@ class TestMatchingSelection:
 class TestMatchOrder:
     def test_zero_order_self_is_identity(self):
         f = textured_map(5, 5, seed=5)
-        matched, prior = match_order({"zero": f}, f, "zero", 1)
+        matched, prior = select_order({"zero": f}, "zero", *match_order({"zero": f}, f, "zero", 1))
         assert prior is None
         np.testing.assert_allclose(matched.data, f.data, atol=1e-12)
 
@@ -336,12 +337,30 @@ class TestMatchOrder:
         # resolve to the first k indices with uniform softmax weights.
         c = FeatureMap(np.full((1, 4, 4), 3.0))
         k = 3
-        matched, prior = match_order({"zero": c, "first": order_map(c, "first")}, c, "first", k)
+        rgb_maps = {"zero": c, "first": order_map(c, "first")}
+        matched, prior = select_order(rgb_maps, "first", *match_order(rgb_maps, c, "first", k))
         mixed = extract_patches(c)[:k].mean(axis=0)
         ref = fold_patches(np.tile(mixed, (16, 1)), c.shape)
         np.testing.assert_allclose(matched.data, ref.data, atol=1e-12)
         assert prior is not None
         np.testing.assert_allclose(prior.data, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_select_order_equals_einsum_gather_oracle(self, order):
+        # The 8-channel 20 x 20 pair selects in two blocks of SELECT_ROWS rows.
+        rgb, depth = textured_map(20, 20, c=8, seed=6), textured_map(20, 20, c=8, seed=7)
+        rgb_maps = {"zero": rgb, order: order_map(rgb, order)}
+        eta, psi = match_order(rgb_maps, depth, order, 4)
+        matched, prior = select_order(rgb_maps, order, eta, psi)
+
+        def oracle(f):
+            return matching_selection_einsum(extract_patches(f), f.shape, eta, psi).data
+
+        assert np.array_equal(matched.data, oracle(rgb))
+        if order == "zero":
+            assert prior is None
+        else:
+            assert np.array_equal(prior.data, oracle(rgb_maps[order]))
 
     def test_second_order_recovers_shift_on_structured_scene(self):
         h = w = 32
@@ -353,7 +372,7 @@ class TestMatchOrder:
 
         target = hessian_norm(depth)
         source = hessian_norm(rgb)
-        eta, _ = top_k_streamed(target, source, 1)
+        eta, _ = match_pair(target, source, 1)
         idx = np.arange(h * w)
         expected = np.clip(idx // w + 3, 0, h - 1) * w + np.clip(idx % w + 4, 0, w - 1)
         hn = target.data[0].ravel()
@@ -377,10 +396,10 @@ class TestMatchOrder:
         )
         for rgb, depth in pairs:
             rgb_maps = {"zero": rgb, "first": order_map(rgb, "first")}
-            match_order(rgb_maps, depth, "first", 4)  # warm up lazy allocations
+            select_order(rgb_maps, "first", *match_order(rgb_maps, depth, "first", 4))  # warm up
             tracemalloc.start()
             try:
-                match_order(rgb_maps, depth, "first", 4)
+                select_order(rgb_maps, "first", *match_order(rgb_maps, depth, "first", 4))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -22,8 +22,8 @@ streamed = []
 for hr in (256, 128, 48):
     # At LR 64^2 each GEMM tile is split across threads.
     scene = scenes.render_scene(scenes.SceneSpec(width=hr, height=hr))
-    streamed += matcher.top_k_streamed(
-        fusion.encode_depth(scene.d_lr, 8), fusion.encode_rgb(scene.rgb, 4, 8), 4
+    streamed += matcher.match_order(
+        {"zero": fusion.encode_rgb(scene.rgb, 4, 8)}, fusion.encode_depth(scene.d_lr, 8), "zero", 4
     )
 rng = np.random.default_rng(0)
 cfg = fusion.PipelineConfig(

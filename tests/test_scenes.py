@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from helpers import checker_corner_mask, render_shifted_pair, shift_plane
+from helpers import checker_corner_mask, match_pair, render_shifted_pair, shift_plane
 
 from depthsr.grid import FeatureMap, bicubic_resample
-from depthsr.matcher import top_k_streamed
 from depthsr.scenes import (
     PRESETS,
     Scene,
@@ -123,7 +122,7 @@ class TestRenderScene:
         # With no misalignment the depth-vs-depth match oracle reports (0,0).
         d_lr, _rgb = render_shifted_pair("boxes", 32, 32, 0, 0)
         f = FeatureMap.from_plane(d_lr.depth)
-        eta, _ = top_k_streamed(f, f, 1)
+        eta, _ = match_pair(f, f, 1)
         unique_rows = np.arange(32 * 32)
         assert (eta[:, 0] == unique_rows).mean() > 0.95
 
