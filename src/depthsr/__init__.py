@@ -15,7 +15,7 @@ from .grid import (
 )
 from .losses import LossReport, add_noise, loss_total, rmse_cm
 from .matcher import match_order, matching_selection, select_order, top_k
-from .structdet import DetectorParams, compute_descriptor, detect, normalize_and_compress, structure_descriptor
+from .structdet import compute_descriptor, detect, normalize_and_compress, structure_descriptor
 from .trainer import DivergenceError, FitResult, TrainConfig, fit
 from .scenes import Scene, SceneSpec, render_scene
 
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DepthMap",
-    "DetectorParams",
     "DivergenceError",
     "FeatureMap",
     "FitResult",

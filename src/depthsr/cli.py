@@ -1,9 +1,10 @@
 """Command-line front end: synth | match | sr | detect | eval | fit.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numeric failure.
-Every command is deterministic given its flags and seed. A flag that sets a
-pipeline config key (`sr`, `fit` and `match`) parses its text the same way
-as that key's line in a config file.
+Every command is deterministic given its flags and seed. The four pipeline
+commands (`sr`, `fit`, `match` and `detect`) build their settings in one
+helper before reading any input: a flag that sets a pipeline config key
+parses its text the same way as that key's line in a config file.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .fileio import (
     write_pfm,
     write_ppm8,
 )
-from .grid import DepthMap, FeatureMap, NonFiniteError, bicubic_resample
+from .grid import DepthMap, FeatureMap, NonFiniteError, bicubic_resample, extract_patches
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -124,9 +125,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("detect", help="emit structure descriptor and gate images")
     p.add_argument("--rgb", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha", dest="alpha_det", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--channels", type=int, default=1)
+    p.add_argument("--alpha", dest="alpha_det")
+    p.add_argument("--beta")
+    p.add_argument("--channels", default="1")
     p.add_argument("--meta", default=None, help="scene.meta sidecar for preset stats")
 
     p = sub.add_parser("eval", help="compare predicted depth against GT")
@@ -151,11 +152,12 @@ def _given(args, settings) -> dict:
 
 
 def _load_pipeline_config(args) -> fusion.PipelineConfig:
-    """The config file, or the default config, with the given flags applied.
-    Scale and channels set the weights' shapes, so with a config file their
-    flags may only repeat the file's value."""
+    """The settings of `sr`, `fit`, `match` and `detect`: the config file
+    (`--config`, of `sr` and `fit`), or the default config, with the given
+    flags applied. Scale and channels set the weights' shapes, so with a
+    config file their flags may only repeat the file's value."""
     given = configio.parse_scalars(_given(args, fusion.PipelineConfig))
-    if args.config is None:
+    if getattr(args, "config", None) is None:
         return fusion.PipelineConfig(**given)
     cfg = configio.load_config(args.config)
     for key, value in (("scale", cfg.scale), ("channels", cfg.channels)):
@@ -193,7 +195,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_match(args) -> int:
-    cfg = fusion.PipelineConfig(**configio.parse_scalars(_given(args, fusion.PipelineConfig)))
+    cfg = _load_pipeline_config(args)
     rgb = read_ppm8(args.rgb)
     d_lr = read_depth_pfm(args.depth)
     fusion.check_scaled("RGB", rgb.shape[1:], d_lr, cfg.scale)
@@ -207,7 +209,8 @@ def cmd_match(args) -> int:
     # second column tells self_match_stats whether a row's maximum is unique.
     wide_eta, wide_psi = matcher.match_order(rgb_maps, f_d, args.order, min(max(cfg.k, 2), hw))
     eta, psi = wide_eta[:, : cfg.k], wide_psi[:, : cfg.k]
-    matched, _ = matcher.select_order(rgb_maps, args.order, eta, psi)
+    # No output reads a matched prior, so only the RGB side is blended.
+    matched = matcher.matching_selection(extract_patches(f_r), f_r.shape, eta, psi)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -301,9 +304,8 @@ def _read_meta(path) -> dict[str, str]:
 
 
 def cmd_detect(args) -> int:
-    rgb = read_ppm8(args.rgb)
-    params = structdet.DetectorParams(**_given(args, structdet.DetectorParams))
-    f_r = fusion.encode_rgb(rgb, 1, args.channels)
+    cfg = _load_pipeline_config(args)
+    f_r = fusion.encode_rgb(read_ppm8(args.rgb), 1, cfg.channels)
     ridge = args.meta is not None and _read_meta(args.meta).get("preset") == "ridge"
     if ridge:
         crest, flat = scenes.ridge_masks(f_r.height, f_r.width)
@@ -312,7 +314,7 @@ def cmd_detect(args) -> int:
                 f"ridge image {f_r.height}x{f_r.width} is too small for the "
                 "--meta crest and flat statistics"
             )
-    descriptor = structdet.compute_descriptor(f_r, params)
+    descriptor = structdet.compute_descriptor(f_r, cfg)
     gate = structdet.refine_gate(descriptor)
 
     out = Path(args.out)

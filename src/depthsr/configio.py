@@ -2,10 +2,12 @@
 
 Lines starting with '#' are comments; unknown or duplicate keys are
 rejected. One table, `_SCALARS`, gives each scalar key in file order with
-its parser and formatter; the two weight keys follow. Through `parse_scalars`
-the table parses the command-line flags that set a key, too. Weight matrices
-live in PFM sidecars referenced by relative path (or the literal `default`),
-so dump -> load -> dump is byte-identical.
+its parser and formatter. Each key is the `PipelineConfig` field of that
+name, so dump and load are one loop over the table; the two weight keys
+follow. Through `parse_scalars` the table parses the command-line flags
+that set a key, too. Weight matrices live in PFM sidecars referenced by
+relative path (or the literal `default`), so dump -> load -> dump is
+byte-identical.
 The sidecars are `<f4`, so weights round-trip at float32 precision: a
 loaded fitted config reproduces the fit's loss only to about 1e-7 relative.
 """
@@ -21,7 +23,6 @@ from .fileio import read_pfm, write_pfm
 from .fusion import PipelineConfig, default_fuse_weights, default_head_weights
 from .grid import FeatureMap
 from .matcher import ORDERS
-from .structdet import DetectorParams
 
 _ORDER_LETTERS = {"zero": "z", "first": "f", "second": "s"}
 _LETTER_ORDERS = {v: k for k, v in _ORDER_LETTERS.items()}
@@ -57,8 +58,7 @@ def _parse_switch(token: str) -> bool:
 
 _FLOAT = (float, lambda value: repr(float(value)))
 
-# Every scalar key in file order, with its (parse, format) pair. The
-# detector's keys name fields of `detector_params`, the rest of the config.
+# Every scalar key in file order, with its (parse, format) pair.
 _SCALARS = {
     "scale": (int, str),
     "channels": (int, str),
@@ -70,7 +70,6 @@ _SCALARS = {
     "beta": _FLOAT,
     "alpha_loss": _FLOAT,
 }
-_DETECTOR_KEYS = ("alpha_det", "beta")
 _KEYS = (*_SCALARS, "w_fuse", "w_head")
 
 
@@ -88,10 +87,7 @@ def parse_scalars(texts: dict[str, str]) -> dict:
 def dump_config(cfg: PipelineConfig, path) -> None:
     """Write the config; non-default weights go to PFM sidecars."""
     path = Path(path)
-    values = {
-        key: fmt(getattr(cfg.detector_params if key in _DETECTOR_KEYS else cfg, key))
-        for key, (_, fmt) in _SCALARS.items()
-    }
+    values = {key: fmt(getattr(cfg, key)) for key, (_, fmt) in _SCALARS.items()}
     for key, matrix, default in (
         ("w_fuse", cfg.w_fuse, default_fuse_weights(cfg.channels)),
         ("w_head", cfg.w_head, default_head_weights(cfg.scale, cfg.channels)),
@@ -138,9 +134,7 @@ def load_config(path) -> PipelineConfig:
     """Parse a config file; missing keys take the PipelineConfig defaults."""
     path = Path(path)
     kv = _parse_lines(path.read_text(encoding="ascii"))
-    scalars = parse_scalars({key: kv[key] for key in _SCALARS if key in kv})
-    detector = {key: scalars.pop(key) for key in _DETECTOR_KEYS if key in scalars}
-    cfg = PipelineConfig(**scalars, detector_params=DetectorParams(**detector))
+    cfg = PipelineConfig(**parse_scalars({key: kv[key] for key in _SCALARS if key in kv}))
     c = cfg.channels
     return replace(
         cfg,

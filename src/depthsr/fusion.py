@@ -20,14 +20,14 @@ first iteration, can gate once and fuse many weight settings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .grid import GAUSS_3X3, MIN_DEPTH_M, DepthMap, FeatureMap, bicubic_resample, check_finite_settings, conv2d, pixel_shuffle, sigmoid, standardize
 from .losses import DEFAULT_ALPHA_LOSS
 from .matcher import ORDERS, match_order, order_map, select_order
-from .structdet import DetectorParams, detect
+from .structdet import detect
 
 SCALES = (4, 8, 16)
 MAX_CHANNELS = 8
@@ -53,7 +53,9 @@ def filter_bank(channels: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """All pipeline knobs: scale, feature width, matching orders, weights.
+    """All pipeline knobs in one flat value: scale, feature width, matching
+    orders, the detector and its scalars alpha_det and beta (finite and
+    positive), the weights and alpha_loss. Each field is one config key.
 
     A value: every field is checked at construction and none can be
     assigned afterwards; the weight matrices are read-only float64 copies.
@@ -69,7 +71,8 @@ class PipelineConfig:
     moma_iters: int = 3
     orders: tuple[str, ...] = ORDERS
     detector: bool = True
-    detector_params: DetectorParams = field(default_factory=DetectorParams)
+    alpha_det: float = 1.0
+    beta: float = 1.0
     w_fuse: np.ndarray | None = None
     w_head: np.ndarray | None = None
     alpha_loss: float = DEFAULT_ALPHA_LOSS
@@ -83,7 +86,11 @@ class PipelineConfig:
             raise ValueError("k must be positive")
         if self.moma_iters < 1:
             raise ValueError("moma_iters must be at least 1")
-        check_finite_settings(self, "alpha_loss")
+        check_finite_settings(self, "alpha_det", "beta", "alpha_loss")
+        if self.alpha_det <= 0:
+            raise ValueError("alpha_det must be positive")
+        if self.beta <= 0:
+            raise ValueError("beta must be positive")
         if self.alpha_loss < 0:
             raise ValueError("alpha_loss must be non-negative")
         unknown = set(self.orders) - set(ORDERS)
@@ -200,7 +207,7 @@ def gated_blocks(
             blocks.append(np.zeros_like(f_d.data))
             continue
         matched_rgb, matched_prior = matches[order]
-        feat = detect(matched_rgb, cfg.detector_params) if cfg.detector else matched_rgb
+        feat = detect(matched_rgb, cfg) if cfg.detector else matched_rgb
         if feat.shape != f_d.shape:
             raise ValueError(f"{order}-order block shape {feat.shape} != {f_d.shape}")
         block = feat.data

@@ -13,12 +13,13 @@ Every loss evaluation, probe or not, is one `SceneLoss.report`, which runs
 the stages of the real pipeline and keeps each stage's last result while
 what it depends on is unchanged. Per scene: the encoders, the one rgb_maps
 value (`fusion.rgb_order_maps`) and the first iteration's matches, which
-depend on no trainable parameter. Per detector setting: the first
-iteration's gated blocks (`fusion.gated_blocks`). Per detector setting and
-fuse weights: the fused features, the 1x1 fuse (`fusion.aggregate`) of
-those blocks and `fusion.moma_step` for the remaining iterations. Per
-evaluation: `fusion.reconstruct` with `losses.loss_total`. So a head-weight
-probe costs one reconstruct and loss, a fuse probe re-runs the matching
+depend on no trainable parameter. Per gate setting, the config scalars
+the gating reads (`detector`, `alpha_det`, `beta`): the first iteration's
+gated blocks (`fusion.gated_blocks`). Per gate setting and fuse weights:
+the fused features, the 1x1 fuse (`fusion.aggregate`) of those blocks and
+`fusion.moma_step` for the remaining iterations. Per evaluation:
+`fusion.reconstruct` with `losses.loss_total`. So a head-weight probe
+costs one reconstruct and loss, a fuse probe re-runs the matching
 iterations, and only a detector-scalar probe gates again. The reuse changes
 nothing numerically, every value equals a full pipeline run.
 
@@ -112,18 +113,18 @@ class TrainConfig:
 def _layout(cfg: PipelineConfig, tcfg: TrainConfig) -> list[tuple[str, np.ndarray, int]]:
     """The enabled parameter blocks in vector order: (name, value, init fan-in).
 
-    A fan-in of 0 marks a detector scalar: it starts at its configured value
-    and stays at least _PARAM_FLOOR. The detector scalars gate nothing with
-    the detector off, so enabling one there raises ValueError.
+    Each name is a PipelineConfig field. A fan-in of 0 marks a detector
+    scalar: it starts at its configured value and stays at least
+    _PARAM_FLOOR. The detector scalars gate nothing with the detector off,
+    so enabling one there raises ValueError.
     """
     if not cfg.detector and {"alpha", "beta"} & set(tcfg.fit_params):
         raise ValueError("alpha_det and beta can be fitted only with the detector on")
-    dp = cfg.detector_params
     blocks = {
         "head": ("w_head", cfg.w_head, cfg.channels),
         "fuse": ("w_fuse", cfg.w_fuse, 4 * cfg.channels),
-        "alpha": ("alpha_det", np.array([dp.alpha_det]), 0),
-        "beta": ("beta", np.array([dp.beta]), 0),
+        "alpha": ("alpha_det", np.array([cfg.alpha_det]), 0),
+        "beta": ("beta", np.array([cfg.beta]), 0),
     }
     return [blocks[part] for part in tcfg.fit_params]
 
@@ -136,18 +137,15 @@ def pack_params(cfg: PipelineConfig, tcfg: TrainConfig) -> np.ndarray:
 
 def unpack_params(vec: np.ndarray, cfg: PipelineConfig, tcfg: TrainConfig) -> PipelineConfig:
     """Rebuild a config with the vector's values on the enabled subset."""
-    weights, scalars = {}, {}
+    values = {}
     i = 0
     for name, value, fan_in in _layout(cfg, tcfg):
         part = vec[i : i + value.size]
         i += value.size
-        if fan_in:
-            weights[name] = part.reshape(value.shape)
-        else:
-            scalars[name] = max(float(part[0]), _PARAM_FLOOR)
+        values[name] = part.reshape(value.shape) if fan_in else max(float(part[0]), _PARAM_FLOOR)
     if i != vec.size:
         raise ValueError(f"parameter vector length {vec.size}, consumed {i}")
-    return replace(cfg, detector_params=replace(cfg.detector_params, **scalars), **weights)
+    return replace(cfg, **values)
 
 
 class SceneLoss:
@@ -156,8 +154,9 @@ class SceneLoss:
     Cached once per scene: both encoders, the rgb_maps value and the first
     iteration's matches (the matching inputs cannot depend on any trainable
     parameter there). Cached while their key holds: the first iteration's
-    gated blocks, keyed on the detector setting, and the fused features,
-    keyed on the detector setting and the fuse weights.
+    gated blocks, keyed on the gate setting (every scalar `gated_blocks`
+    reads), and the fused features, keyed on that setting and the fuse
+    weights.
     """
 
     def __init__(self, scene: Scene, cfg: PipelineConfig, tcfg: TrainConfig):
@@ -173,10 +172,10 @@ class SceneLoss:
 
     def _fused_features(self, cfg: PipelineConfig) -> FeatureMap:
         """The MOMA iterations' output under `cfg`. The first iteration's gated
-        blocks depend on the detector setting alone (`detector` itself is not
-        trainable); the fused features also on the fuse weights, keyed on
-        their exact bytes so that -0.0 and 0.0 never share an entry."""
-        setting = cfg.detector_params
+        blocks depend on the gate setting alone; the fused features also on
+        the fuse weights, keyed on their exact bytes so that -0.0 and 0.0
+        never share an entry."""
+        setting = (cfg.detector, cfg.alpha_det, cfg.beta)
         key = (setting, cfg.w_fuse.tobytes())
         if self._fused is None or self._fused[0] != key:
             if self._first_gated is None or self._first_gated[0] != setting:

@@ -14,7 +14,6 @@ from depthsr.fileio import read_depth_pfm, read_pfm, read_ppm8, write_depth_pfm,
 from depthsr.fusion import PipelineConfig
 from depthsr.grid import DepthMap, FeatureMap
 from depthsr.scenes import value_noise
-from depthsr.structdet import DetectorParams
 from depthsr.trainer import TrainConfig
 
 
@@ -44,6 +43,12 @@ def scene_inputs(scene_dir):
 def subparser(command):
     sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return sub.choices[command]
+
+
+def config_flags(command):
+    """{config key: flag} for the flags of `command` that set a config key."""
+    actions = subparser(command)._actions
+    return {a.dest: a.option_strings[0] for a in actions if a.dest in configio._SCALARS}
 
 
 def empty_gt(path):
@@ -198,6 +203,21 @@ class TestMatch:
         distance = float(np.mean(np.abs(matched.data - f_d.data)))
         assert stats["matched_mean_abs_distance"] == f"{distance:.6f}"
 
+    @pytest.mark.parametrize("order", matcher.ORDERS)
+    def test_blends_only_the_rgb_side(self, scene_dir, tmp_path, monkeypatch, order):
+        # No output reads a matched prior, so no order blends one.
+        calls = []
+        selection = matcher.matching_selection
+        monkeypatch.setattr(
+            matcher, "matching_selection", lambda *args: calls.append(args) or selection(*args)
+        )
+        code = main(
+            ["match", "--rgb", str(scene_dir / "rgb.ppm"), "--depth", str(scene_dir / "d_lr.pfm"),
+             "--out", str(tmp_path / "m"), "--order", order, "--k", "4"]
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
     def test_peak_memory_stays_below_one_dense_matrix(self, tmp_path):
         # LR 32^2: hw = 1024, so one dense correlation matrix takes 8 MiB,
         # one 64-row tile of cosines 512 KiB.
@@ -331,7 +351,7 @@ class TestSrConfigOverrides:
         rng = np.random.default_rng(8)
         cfg = PipelineConfig(
             scale=4, channels=2, k=3, moma_iters=2, alpha_loss=0.002,
-            detector_params=DetectorParams(alpha_det=0.5, beta=2.0),
+            alpha_det=0.5, beta=2.0,
             w_fuse=rng.normal(size=(2, 8)).astype(np.float32).astype(np.float64),
             w_head=rng.normal(size=(16, 2)).astype(np.float32).astype(np.float64),
         )
@@ -362,7 +382,7 @@ class TestSrConfigOverrides:
             2, 1, ("zero", "first"), False
         )
         assert (out.scale, out.channels, out.alpha_loss) == (4, 2, 0.002)
-        assert (out.detector_params.alpha_det, out.detector_params.beta) == (0.5, 2.0)
+        assert (out.alpha_det, out.beta) == (0.5, 2.0)
         np.testing.assert_array_equal(out.w_fuse, cfg.w_fuse)
         np.testing.assert_array_equal(out.w_head, cfg.w_head)
 
@@ -415,29 +435,50 @@ class TestFlagsParseAsConfigKeys:
         "moma_iters": ["1"],
         "orders": ["zero,second", "none", "zf"],
         "detector": ["true", "0", "off", "on"],
+        "alpha_det": ["0.5", "2"],
+        "beta": ["1e-3"],
     }
 
-    @staticmethod
-    def flags(command):
-        actions = subparser(command)._actions
-        return {a.dest: a.option_strings[0] for a in actions if a.dest in configio._SCALARS}
-
-    @pytest.mark.parametrize("command", ["sr", "fit"])
+    @pytest.mark.parametrize("command", ["sr", "fit", "match", "detect"])
     def test_every_flagged_key_has_texts(self, command):
-        assert set(self.flags(command)) == set(self.TEXTS)
+        assert set(config_flags(command)) <= set(self.TEXTS)
+
+    def test_every_text_is_a_flag(self):
+        flagged = set().union(*map(config_flags, ("sr", "fit", "match", "detect")))
+        assert flagged == set(self.TEXTS)
 
     @pytest.mark.parametrize("command, out_flag", [("sr", "--out"), ("fit", "--out-config")])
-    @pytest.mark.parametrize("key, text", [(k, t) for k, ts in TEXTS.items() for t in ts])
+    @pytest.mark.parametrize(
+        "key, text", [(k, t) for k, ts in TEXTS.items() if k in config_flags("sr") for t in ts]
+    )
     def test_flag_and_file_build_equal_configs(
         self, scene_dir, tmp_path, command, out_flag, key, text
     ):
         path = tmp_path / "c.cfg"
         path.write_text(f"{key} = {text}\n")
         argv = [command, *scene_inputs(scene_dir), out_flag, str(tmp_path / "out")]
-        flag = self.flags(command)[key]
+        flag = config_flags(command)[key]
         by_flag = _load_pipeline_config(_build_parser().parse_args([*argv, flag, text]))
         by_file = _load_pipeline_config(_build_parser().parse_args([*argv, "--config", str(path)]))
         assert by_flag == by_file
+
+    @pytest.mark.parametrize(
+        "command, key", [(c, k) for c in ("match", "detect") for k in config_flags(c)]
+    )
+    def test_match_and_detect_flags_read_as_file_lines(self, scene_dir, tmp_path, command, key):
+        # Neither command takes --config: a flag sets its key as a file line
+        # would and leaves every other setting at the command's default.
+        inputs = {"match": ["--depth", str(scene_dir / "d_lr.pfm")], "detect": []}[command]
+        argv = [command, "--rgb", str(scene_dir / "rgb.ppm"), *inputs, "--out", str(tmp_path / "o")]
+        base = _load_pipeline_config(_build_parser().parse_args(argv))
+        flag = config_flags(command)[key]
+        others = [name for name in configio._SCALARS if name != key]
+        for text in self.TEXTS[key]:
+            path = tmp_path / "c.cfg"
+            path.write_text(f"{key} = {text}\n")
+            by_flag = _load_pipeline_config(_build_parser().parse_args([*argv, flag, text]))
+            assert getattr(by_flag, key) == getattr(load_config(path), key)
+            assert [getattr(by_flag, n) for n in others] == [getattr(base, n) for n in others]
 
     @pytest.mark.parametrize(
         "key, flag, text", [("detector", "--detector", "maybe"), ("moma_iters", "--iters", "two"),
@@ -481,6 +522,20 @@ class TestDetect:
             line.split("=", 1) for line in printed.splitlines() if "=" in line
         )
         assert float(stats["crest_mean"]) >= 5.0 * float(stats["flat_mean"])
+
+    @pytest.mark.parametrize(
+        "flag", (["--channels", "9"], ["--alpha", "0"], ["--beta", "nan"]),
+        ids=("channels", "alpha", "beta"),
+    )
+    def test_settings_checked_before_reading(self, tmp_path, monkeypatch, flag):
+        write_ppm8(tmp_path / "rgb.ppm", FeatureMap(np.full((3, 16, 16), 0.5)))
+        reads = []
+        monkeypatch.setattr(cli, "read_ppm8", reads.append)
+        out = tmp_path / "d"
+        code = main(["detect", "--rgb", str(tmp_path / "rgb.ppm"), "--out", str(out), *flag])
+        assert code == EXIT_USAGE
+        assert reads == []
+        assert not out.exists()
 
     def test_small_ridge_meta_is_usage_error_before_writing(self, tmp_path, capsys):
         scene = tmp_path / "ridge"
@@ -747,7 +802,7 @@ class TestParser:
             (scenes, "render_scene", ["synth", "--out", str(tmp_path / "s")], (SceneSpec(),)),
             (structdet, "compute_descriptor",
              ["detect", "--rgb", str(scene_dir / "rgb.ppm"), "--out", str(tmp_path / "d")],
-             (DetectorParams(),)),
+             (PipelineConfig(channels=1),)),
             (fusion, "run_pipeline", ["sr", *scene_inputs(scene_dir), "--out", str(tmp_path / "r")],
              (PipelineConfig(),)),
             (trainer, "fit",
@@ -768,13 +823,14 @@ class TestParser:
         assert list(tmp_path.iterdir()) == []
 
     def test_every_option_sets_a_field_or_names_a_file(self):
-        # A flag is a settings field, an input or output path, or --ablate.
+        # A flag is a settings field, an input or output path, --ablate, or
+        # the match order and scene metadata of match and detect.
         settings = {f.name for f in (*fields(PipelineConfig), *fields(TrainConfig))}
-        files = {"rgb", "d_lr", "d_gt", "config", "out", "out_config"}
-        allowed = settings | files | {"ablate", "help"}
+        files = {"rgb", "d_lr", "d_gt", "depth", "config", "out", "out_config"}
+        allowed = settings | files | {"ablate", "help", "order", "meta"}
         stray = {
             (command, action.dest)
-            for command in ("sr", "fit")
+            for command in ("sr", "fit", "match", "detect")
             for action in subparser(command)._actions
             if action.dest not in allowed
         }

@@ -5,7 +5,6 @@ import pytest
 
 from depthsr.configio import dump_config, load_config, orders_to_token, token_to_orders
 from depthsr.fusion import PipelineConfig
-from depthsr.structdet import DetectorParams
 
 
 class TestOrderTokens:
@@ -60,8 +59,6 @@ class TestConfigRoundTrip:
             assert load_config(path) == cfg
 
     def test_scalar_fields_survive(self, tmp_path):
-        from depthsr.structdet import DetectorParams
-
         cfg = PipelineConfig(
             scale=8,
             channels=4,
@@ -69,7 +66,8 @@ class TestConfigRoundTrip:
             moma_iters=2,
             orders=("zero", "second"),
             detector=False,
-            detector_params=DetectorParams(alpha_det=0.5, beta=2.0),
+            alpha_det=0.5,
+            beta=2.0,
             alpha_loss=0.002,
         )
         path = tmp_path / "s.cfg"
@@ -81,8 +79,8 @@ class TestConfigRoundTrip:
         assert loaded.moma_iters == 2
         assert loaded.orders == ("zero", "second")
         assert loaded.detector is False
-        assert loaded.detector_params.alpha_det == 0.5
-        assert loaded.detector_params.beta == 2.0
+        assert loaded.alpha_det == 0.5
+        assert loaded.beta == 2.0
         assert loaded.alpha_loss == 0.002
 
     def test_one_key_per_setting(self, tmp_path):
@@ -90,10 +88,8 @@ class TestConfigRoundTrip:
         path = tmp_path / "k.cfg"
         dump_config(PipelineConfig(), path)
         keys = [line.partition("=")[0].strip() for line in path.read_text().splitlines()]
-        expected = {f.name for f in fields(PipelineConfig)} - {"detector_params"}
-        expected |= {f.name for f in fields(DetectorParams)}
         assert len(keys) == len(set(keys))
-        assert set(keys) == expected
+        assert set(keys) == {f.name for f in fields(PipelineConfig)}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "u.cfg"

@@ -25,7 +25,6 @@ from depthsr.grid import DepthMap, FeatureMap, bicubic_resample, sigmoid
 from depthsr.losses import add_noise
 from depthsr.matcher import ORDERS
 from depthsr.scenes import SceneSpec, render_scene
-from depthsr.structdet import DetectorParams
 
 
 def gray_image(plane):
@@ -96,7 +95,7 @@ class TestPipelineConfig:
     def test_pickle_round_trip_is_an_equal_value(self):
         rng = np.random.default_rng(0)
         cfg = PipelineConfig(
-            k=2, orders=("zero", "second"), detector_params=DetectorParams(alpha_det=0.5, beta=2.0),
+            k=2, orders=("zero", "second"), alpha_det=0.5, beta=2.0,
             w_fuse=default_fuse_weights(8) + rng.normal(size=(8, 32)), w_head=rng.normal(size=(16, 8)),
         )
         back = pickle.loads(pickle.dumps(cfg))

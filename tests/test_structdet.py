@@ -9,11 +9,10 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from oracles import refine_gate_stack
 
 from depthsr.diffops import eigenvalues, hessian_field
-from depthsr.fusion import encode_rgb
+from depthsr.fusion import PipelineConfig, encode_rgb
 from depthsr.grid import FeatureMap
 from depthsr.scenes import SceneSpec, render_scene, ridge_masks
 from depthsr.structdet import (
-    DetectorParams,
     compute_descriptor,
     detect,
     normalize_and_compress,
@@ -28,22 +27,24 @@ def s_of(l1, l2, p):
 
 
 class TestDetectorParams:
+    """The detector's two scalars, checked as PipelineConfig fields."""
+
     def test_positivity_enforced(self):
-        with pytest.raises(ValueError):
-            DetectorParams(alpha_det=0.0)
-        with pytest.raises(ValueError):
-            DetectorParams(beta=-1.0)
+        with pytest.raises(ValueError, match="alpha_det must be positive"):
+            PipelineConfig(alpha_det=0.0)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            PipelineConfig(beta=-1.0)
 
     @pytest.mark.parametrize("name", ["alpha_det", "beta"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_scalars_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            DetectorParams(**{name: value})
+            PipelineConfig(**{name: value})
 
     def test_epsilon_fixed(self):
-        # eps is the module constant EPSILON, not a field.
+        # eps is the module constant EPSILON, not a config field.
         with pytest.raises(TypeError):
-            DetectorParams(epsilon=1e-6)
+            PipelineConfig(epsilon=1e-6)
 
 
 class TestNormalizeAndCompress:
@@ -69,11 +70,11 @@ class TestNormalizeAndCompress:
 
 class TestStructureDescriptor:
     def test_flat_curvature_is_zero(self):
-        assert s_of(0.0, 0.0, DetectorParams()) == 0.0
+        assert s_of(0.0, 0.0, PipelineConfig()) == 0.0
 
     def test_strong_corner_suppressed(self):
         # l1 = -5, l2 = -4, alpha = beta = 1: texture term exp(-20/(1+eps))
-        p = DetectorParams()
+        p = PipelineConfig()
         s = s_of(-5.0, -4.0, p)
         expected = (1 - math.exp(-5.0 / (1 + 1e-8))) * math.exp(-20.0 / (1 + 1e-8))
         assert s == pytest.approx(expected, rel=1e-12)
@@ -81,20 +82,20 @@ class TestStructureDescriptor:
 
     def test_ridge_scores_high(self):
         # l1 = -5, l2 = -0.01: S ~ 0.9448
-        p = DetectorParams()
+        p = PipelineConfig()
         s = s_of(-5.0, -0.01, p)
         expected = (1 - math.exp(-5.0 / (1 + 1e-8))) * math.exp(-0.05 / (1 + 1e-8))
         assert s == pytest.approx(expected, rel=1e-12)
         assert s == pytest.approx(0.9448, abs=2e-4)
 
     def test_zero_where_lambda2_nonnegative(self):
-        p = DetectorParams()
+        p = PipelineConfig()
         assert s_of(-3.0, 0.0, p) == 0.0
         assert s_of(5.0, 2.0, p) == 0.0
 
     def test_monotone_in_lambda1_with_fixed_product(self):
         # With l2 < 0 and |l1*l2| held fixed, S grows with |l1|.
-        p = DetectorParams()
+        p = PipelineConfig()
         values = []
         for l1 in (-1.0, -2.0, -4.0, -8.0):
             l2 = -1.0 / abs(l1)
@@ -102,7 +103,7 @@ class TestStructureDescriptor:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_monotone_in_product_with_fixed_lambda1(self):
-        p = DetectorParams()
+        p = PipelineConfig()
         values = []
         for l2 in (-0.01, -0.1, -1.0, -4.0):
             values.append(s_of(-5.0, l2, p))
@@ -127,7 +128,7 @@ class TestStructureDescriptor:
     @settings(max_examples=200, deadline=None)
     def test_descriptor_in_unit_interval_and_masked(self, x, alpha, beta):
         f = FeatureMap(x)
-        s = compute_descriptor(f, DetectorParams(alpha_det=alpha, beta=beta))
+        s = compute_descriptor(f, PipelineConfig(alpha_det=alpha, beta=beta))
         assert s.shape == (1, *x.shape[1:])
         assert s.data.min() >= 0.0 and s.data.max() <= 1.0
         _, l2 = eigenvalues(*hessian_field(normalize_and_compress(f)))
@@ -161,7 +162,7 @@ class TestRefineAndDetect:
         )
 
     def test_flat_input_gated_at_half(self):
-        p = DetectorParams()
+        p = PipelineConfig()
         f = FeatureMap(np.full((3, 5, 5), 2.0))
         out = detect(f, p)
         np.testing.assert_allclose(out.data, 0.5 * f.data)
@@ -169,13 +170,13 @@ class TestRefineAndDetect:
     def test_gate_bounds_magnitude(self):
         rng = np.random.default_rng(2)
         f = FeatureMap(rng.normal(size=(2, 8, 8)))
-        out = detect(f, DetectorParams())
+        out = detect(f, PipelineConfig())
         assert np.all(np.abs(out.data) <= np.abs(f.data) + 1e-15)
 
     def test_detect_equals_gate_times_input(self):
         rng = np.random.default_rng(3)
         f = FeatureMap(rng.normal(size=(2, 6, 6)))
-        p = DetectorParams()
+        p = PipelineConfig()
         gate = refine_gate(compute_descriptor(f, p))
         out = detect(f, p)
         np.testing.assert_allclose(out.data, gate.data * f.data, atol=1e-12)
@@ -184,7 +185,7 @@ class TestRefineAndDetect:
 class TestSyntheticPatterns:
     @pytest.fixture(scope="class")
     def descriptors(self):
-        params = DetectorParams()
+        params = PipelineConfig()
         out = {}
         for preset in ("ridge", "checker"):
             spec = SceneSpec(
@@ -211,7 +212,7 @@ class TestSyntheticPatterns:
             assert s.min() >= 0.0 and s.max() <= 1.0
 
     def test_zero_exactly_where_lambda2_nonnegative(self):
-        params = DetectorParams()
+        params = PipelineConfig()
         spec = SceneSpec(width=48, height=48, scale=4, dx=0.0, dy=0.0,
                          noise_sigma=0.0, preset="ridge")
         scene = render_scene(spec)

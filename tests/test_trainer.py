@@ -58,14 +58,14 @@ class TestPacking:
         out = unpack_params(vec + 0.5, cfg, tcfg)
         np.testing.assert_allclose(out.w_head, cfg.w_head + 0.5)
         np.testing.assert_allclose(out.w_fuse, cfg.w_fuse + 0.5)
-        assert out.detector_params.alpha_det == pytest.approx(1.5)
+        assert out.alpha_det == pytest.approx(1.5)
 
     def test_detector_scalars_clamped_positive(self):
         cfg = tiny_config()
         tcfg = TrainConfig(fit_params=("alpha", "beta"))
         out = unpack_params(np.array([-5.0, -1.0]), cfg, tcfg)
-        assert out.detector_params.alpha_det > 0
-        assert out.detector_params.beta > 0
+        assert out.alpha_det > 0
+        assert out.beta > 0
 
     def test_empty_subset(self):
         cfg = tiny_config()
