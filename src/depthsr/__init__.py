@@ -14,7 +14,7 @@ from .grid import (
     pixel_unshuffle,
 )
 from .losses import LossReport, add_noise, loss_total, rmse_cm
-from .matcher import match_order, matching_selection, select_order, top_k
+from .matcher import match_order, matching_selection, top_k
 from .structdet import compute_descriptor, detect, normalize_and_compress, structure_descriptor
 from .trainer import DivergenceError, FitResult, TrainConfig, fit
 from .scenes import Scene, SceneSpec, render_scene
@@ -57,7 +57,6 @@ __all__ = [
     "render_scene",
     "rmse_cm",
     "run_pipeline",
-    "select_order",
     "structure_descriptor",
     "top_k",
 ]

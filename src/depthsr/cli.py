@@ -25,7 +25,7 @@ from .fileio import (
     write_pfm,
     write_ppm8,
 )
-from .grid import DepthMap, FeatureMap, NonFiniteError, bicubic_resample, extract_patches
+from .grid import DepthMap, FeatureMap, NonFiniteError, bicubic_resample
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -199,32 +199,24 @@ def cmd_match(args) -> int:
     rgb = read_ppm8(args.rgb)
     d_lr = read_depth_pfm(args.depth)
     fusion.check_scaled("RGB", rgb.shape[1:], d_lr, cfg.scale)
-    hw = d_lr.height * d_lr.width
-    if cfg.k > hw:
-        raise ValueError(f"k must be in [1, {hw}], got {cfg.k}")
     f_r = fusion.encode_rgb(rgb, cfg.scale, cfg.channels)
     f_d = fusion.encode_depth(d_lr, cfg.channels)
     rgb_maps = {"zero": f_r, args.order: matcher.order_map(f_r, args.order)}
-    # Top-k is prefix-consistent, so the first k columns are top_k at k; the
-    # second column tells self_match_stats whether a row's maximum is unique.
-    wide_eta, wide_psi = matcher.match_order(rgb_maps, f_d, args.order, min(max(cfg.k, 2), hw))
-    eta, psi = wide_eta[:, : cfg.k], wide_psi[:, : cfg.k]
+    # top_k rejects a k above the patch count before any output is written.
+    eta, psi = matcher.match_order(rgb_maps, f_d, args.order, cfg.k)
     # No output reads a matched prior, so only the RGB side is blended.
-    matched = matcher.matching_selection(extract_patches(f_r), f_r.shape, eta, psi)
+    matched = matcher.matching_selection(f_r, eta, psi)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_pfm(out / "eta.pfm", FeatureMap(eta.astype(np.float64)[None]))
     write_pfm(out / "psi.pfm", FeatureMap(psi[None]))
-    unique, hits = matcher.self_match_stats(wide_eta, wide_psi)
     matched_dist = float(np.mean(np.abs(matched.data - f_d.data)))
     unmatched_dist = float(np.mean(np.abs(f_r.data - f_d.data)))
     stats = _lines({
         "order": args.order,
-        "rows": hw,
+        "rows": len(eta),
         "k": cfg.k,
-        "unique_max_rows": unique,
-        "self_match_fraction": hits / unique if unique else 0.0,
         "matched_mean_abs_distance": matched_dist,
         "unmatched_mean_abs_distance": unmatched_dist,
     })

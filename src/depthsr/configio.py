@@ -124,10 +124,11 @@ def _parse_lines(text: str) -> dict[str, str]:
 def _load_matrix(token: str, base: Path, shape: tuple[int, int]) -> np.ndarray | None:
     if token == "default":
         return None
-    matrix = read_pfm(base / token).data[0]
-    if matrix.shape != shape:
-        raise ValueError(f"weight matrix {token}: shape {matrix.shape} != {shape}")
-    return matrix
+    # A sidecar is one single-channel (Pf) plane of the matrix's shape.
+    planes = read_pfm(base / token).data
+    if planes.shape != (1, *shape):
+        raise ValueError(f"weight matrix {token}: shape {planes.shape} != {(1, *shape)}")
+    return planes[0]
 
 
 def load_config(path) -> PipelineConfig:

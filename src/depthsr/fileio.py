@@ -133,6 +133,8 @@ def read_pfm(path) -> FeatureMap:
         scale = float(tokens[3])
     except ValueError as exc:
         raise MalformedHeaderError("PFM: non-numeric scale") from exc
+    if not np.isfinite(scale):
+        raise MalformedHeaderError(f"PFM: non-finite scale {scale}")
     if scale >= 0:
         raise UnsupportedMaxvalError("PFM: big-endian payloads unsupported")
     raw = _payload(buf, start, 4 * w * h * channels, "PFM")

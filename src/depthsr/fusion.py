@@ -11,11 +11,12 @@ reproduces bicubic exactly.
 
 Per run: one rgb_maps value (rgb_order_maps), the RGB features under
 "zero" and their order map for every enabled order, which no iteration
-changes. Per iteration: the depth-side order maps and the matches
-(order_matches), the detector gating (gated_blocks) and the 1x1 fuse
-(aggregate). The gating and the fuse are separate stages so that a
-caller holding fixed matches and detector scalars, such as the trainer's
-first iteration, can gate once and fuse many weight settings.
+changes. Per iteration: the depth-side order maps and each order's
+(eta, psi) (order_matches), the selection at those matches with the
+detector gating (gated_blocks) and the 1x1 fuse (aggregate). The gating
+and the fuse are separate stages so that a caller holding fixed matches
+and detector scalars, such as the trainer's first iteration, can select
+and gate once and fuse many weight settings.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .grid import GAUSS_3X3, MIN_DEPTH_M, DepthMap, FeatureMap, bicubic_resample, check_finite_settings, conv2d, pixel_shuffle, sigmoid, standardize
 from .losses import DEFAULT_ALPHA_LOSS
-from .matcher import ORDERS, match_order, order_map, select_order
+from .matcher import ORDERS, match_order, matching_selection, order_map
 from .structdet import detect
 
 SCALES = (4, 8, 16)
@@ -182,37 +183,38 @@ def rgb_order_maps(f_r: FeatureMap, cfg: PipelineConfig) -> dict[str, FeatureMap
 
 def order_matches(
     rgb_maps: dict[str, FeatureMap], f_d: FeatureMap, cfg: PipelineConfig
-) -> dict[str, tuple[FeatureMap, FeatureMap | None]]:
-    """(matched RGB, matched prior) of every enabled order: select_order at
-    that order's match_order. The prior is None at zero order. `rgb_maps` is
-    the run's rgb_order_maps."""
-    return {
-        order: select_order(rgb_maps, order, *match_order(rgb_maps, f_d, order, cfg.k))
-        for order in cfg.orders
-    }
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """match_order's (eta, psi) of every enabled order. `rgb_maps` is the
+    run's rgb_order_maps."""
+    return {order: match_order(rgb_maps, f_d, order, cfg.k) for order in cfg.orders}
 
 
 def gated_blocks(
     f_d: FeatureMap,
-    matches: dict[str, tuple[FeatureMap, FeatureMap | None]],
+    rgb_maps: dict[str, FeatureMap],
+    matches: dict[str, tuple[np.ndarray, np.ndarray]],
     cfg: PipelineConfig,
 ) -> np.ndarray:
     """The (4 * channels, h, w) fuse input: [depth, zero, sigmoid(grad-prior)
     * first, sigmoid(hessian-prior) * second], with zero blocks for disabled
-    orders. With the detector on, each matched RGB block is gated by
-    `structdet.detect` first. Read-only."""
+    orders. An order's block is matching_selection of the RGB features
+    (rgb_maps["zero"]) at that order's (eta, psi), gated by
+    `structdet.detect` with the detector on; its prior is matching_selection
+    of rgb_maps[order] at the same match. Read-only."""
     blocks = [f_d.data]
     for order in ORDERS:
         if order not in matches:
             blocks.append(np.zeros_like(f_d.data))
             continue
-        matched_rgb, matched_prior = matches[order]
-        feat = detect(matched_rgb, cfg) if cfg.detector else matched_rgb
+        eta, psi = matches[order]
+        feat = matching_selection(rgb_maps["zero"], eta, psi)
+        if cfg.detector:
+            feat = detect(feat, cfg)
         if feat.shape != f_d.shape:
             raise ValueError(f"{order}-order block shape {feat.shape} != {f_d.shape}")
         block = feat.data
-        if matched_prior is not None:
-            block = sigmoid(matched_prior.data) * block
+        if order != "zero":
+            block = sigmoid(matching_selection(rgb_maps[order], eta, psi).data) * block
         blocks.append(block)
     cat = np.concatenate(blocks, axis=0)
     cat.setflags(write=False)
@@ -235,7 +237,7 @@ def moma_step(f_d: FeatureMap, rgb_maps: dict[str, FeatureMap], cfg: PipelineCon
     if f_d.shape != f_r.shape:
         raise ValueError(f"feature shape mismatch: depth {f_d.shape}, rgb {f_r.shape}")
     matches = order_matches(rgb_maps, f_d, cfg)
-    return aggregate(gated_blocks(f_d, matches, cfg), cfg)
+    return aggregate(gated_blocks(f_d, rgb_maps, matches, cfg), cfg)
 
 
 def reconstruct(f_d: FeatureMap, d_lr: DepthMap, cfg: PipelineConfig) -> DepthMap:

@@ -11,16 +11,17 @@ gathers the whole tile. A match is the plain array pair (eta, psi), each
 their cosines, scores non-increasing along each row. The naive
 double-loop oracles live permanently in tests/oracles.py.
 
-What is computed per run and per call: the RGB side is fixed for a run,
-so both stages take it as one value (fusion.rgb_order_maps) and
-match_order maps only the depth side. match_order returns one order's
-(eta, psi) and select_order blends the RGB side at them. Each stage
-extracts the patch matrices it reads and frees them when it returns, so
-the matching's are gone before the selection's are made, which lowers the
-peak; extracting the source once more costs about what selecting from a
-matrix gone cold in cache would. The selection gathers matched patches for
-SELECT_ROWS target rows at a time instead of holding the (hw, k, 9c)
-gather.
+The two stages: match_order retrieves one order's (eta, psi), the only
+thing matching hands on, and matching_selection blends one map's patches
+at a match (fusion.gated_blocks selects the RGB features and the order's
+prior at each order's match). The RGB side is fixed for a run, so
+match_order takes it as one value (fusion.rgb_order_maps) and maps only
+the depth side. Each stage extracts the patch matrix it reads and frees it
+when it returns, so the matching's are gone before the selection's are
+made, which lowers the peak; extracting a map once more costs about what
+selecting from a matrix gone cold in cache would. The selection gathers
+matched patches for SELECT_ROWS target rows at a time instead of holding
+the (hw, k, 9c) gather.
 
 Each tile's cosines are one BLAS GEMM call of one shape: tiles start at
 multiples of the tile size and the last one is zero-padded (a product of
@@ -151,18 +152,18 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def matching_selection(
-    patches: np.ndarray, shape: tuple[int, int, int], eta: np.ndarray, psi: np.ndarray
-) -> FeatureMap:
-    """Softmax-weighted gather of the top-k source patches, folded to a map.
+# perfbench's matcher.matching_selection.self_s metric reads this name.
+def matching_selection(f: FeatureMap, eta: np.ndarray, psi: np.ndarray) -> FeatureMap:
+    """Softmax-weighted gather of the top-k patches of `f`, folded to a map.
 
-    `patches` is extract_patches of the source map, whose shape is `shape`.
-    For each target position the k matched source patch rows are blended
-    with softmax weights over their scores, then overlap-added back onto
-    the grid. The blend is one einsum per block of SELECT_ROWS target rows,
+    For each target position the k patches of `f` that eta names are
+    blended with softmax weights over their scores psi, then overlap-added
+    back onto the grid. The patch matrix is extracted here and freed on
+    return. The blend is one einsum per block of SELECT_ROWS target rows,
     so it holds that block's (rows, k, 9c) gather, not all hw rows' (each
-    row's sum is the same either way). Output shape equals `shape`.
+    row's sum is the same either way). Output shape equals f's.
     """
+    patches = extract_patches(f)
     n = patches.shape[0]
     if eta.shape[0] != n:
         raise ValueError(f"match rows {eta.shape[0]} != patch count {n}")
@@ -173,7 +174,7 @@ def matching_selection(
     for r0 in range(0, n, SELECT_ROWS):
         rows = slice(r0, r0 + SELECT_ROWS)
         np.einsum("rk,rkd->rd", weights[rows], patches[eta[rows]], out=mixed[rows])
-    return fold_patches(mixed, shape)
+    return fold_patches(mixed, f.shape)
 
 
 def order_map(f: FeatureMap, order: str) -> FeatureMap:
@@ -199,28 +200,3 @@ def match_order(
         raise ValueError(f"target shape {target.shape} != source shape {source.shape}")
     return top_k_rows(unit_rows(extract_patches(target)), unit_rows(extract_patches(source)), k)
 
-
-def select_order(
-    rgb_maps: dict[str, FeatureMap], order: str, eta: np.ndarray, psi: np.ndarray
-) -> tuple[FeatureMap, FeatureMap | None]:
-    """(matched RGB, matched prior): matching_selection at (eta, psi) of the
-    RGB features and of rgb_maps[order]; the prior is None at zero order."""
-    rgb, source = rgb_maps["zero"], rgb_maps[order]
-    matched_rgb = matching_selection(extract_patches(rgb), rgb.shape, eta, psi)
-    if order == "zero":
-        return matched_rgb, None
-    return matched_rgb, matching_selection(extract_patches(source), source.shape, eta, psi)
-
-
-def self_match_stats(eta: np.ndarray, psi: np.ndarray) -> tuple[int, int]:
-    """(# rows with a unique maximum, # of those whose top-1 is the self index).
-
-    (eta, psi) hold each row's top min(2, hw) matches of a square correlation:
-    a row's maximum is unique when its best score beats its second one.
-    """
-    n, k = eta.shape
-    if k < min(2, n):
-        raise ValueError("self_match_stats needs the top 2 scores of each row")
-    unique = psi[:, 0] > psi[:, 1] if k > 1 else np.ones(n, dtype=bool)
-    hits = eta[:, 0] == np.arange(n)
-    return int(unique.sum()), int((unique & hits).sum())

@@ -12,16 +12,17 @@ weight matrices start from a seeded fan-in-scaled random init (set
 Every loss evaluation, probe or not, is one `SceneLoss.report`, which runs
 the stages of the real pipeline and keeps each stage's last result while
 what it depends on is unchanged. Per scene: the encoders, the one rgb_maps
-value (`fusion.rgb_order_maps`) and the first iteration's matches, which
-depend on no trainable parameter. Per gate setting, the config scalars
-the gating reads (`detector`, `alpha_det`, `beta`): the first iteration's
-gated blocks (`fusion.gated_blocks`). Per gate setting and fuse weights:
+value (`fusion.rgb_order_maps`) and the first iteration's matches, each
+order's (eta, psi), which depend on no trainable parameter. Per gate
+setting, the config scalars the gating reads (`detector`, `alpha_det`,
+`beta`): the first iteration's selected and gated blocks
+(`fusion.gated_blocks`). Per gate setting and fuse weights:
 the fused features, the 1x1 fuse (`fusion.aggregate`) of those blocks and
 `fusion.moma_step` for the remaining iterations. Per evaluation:
 `fusion.reconstruct` with `losses.loss_total`. So a head-weight probe
 costs one reconstruct and loss, a fuse probe re-runs the matching
-iterations, and only a detector-scalar probe gates again. The reuse changes
-nothing numerically, every value equals a full pipeline run.
+iterations, and only a detector-scalar probe selects and gates again. The
+reuse changes nothing numerically, every value equals a full pipeline run.
 
 `fit` builds one `SceneLoss` and evaluates each gradient's probes on it in
 spawned worker processes, one pool for the whole call and the same path for
@@ -151,12 +152,12 @@ def unpack_params(vec: np.ndarray, cfg: PipelineConfig, tcfg: TrainConfig) -> Pi
 class SceneLoss:
     """Loss evaluator for one scene; `report` is its one public method.
 
-    Cached once per scene: both encoders, the rgb_maps value and the first
-    iteration's matches (the matching inputs cannot depend on any trainable
-    parameter there). Cached while their key holds: the first iteration's
-    gated blocks, keyed on the gate setting (every scalar `gated_blocks`
-    reads), and the fused features, keyed on that setting and the fuse
-    weights.
+    Cached once per scene: both encoders, the rgb_maps value and
+    `first_matches`, the first iteration's (eta, psi) per order (the
+    matching inputs cannot depend on any trainable parameter there).
+    Cached while their key holds: the first iteration's selected and gated
+    blocks, keyed on the gate setting (every scalar `gated_blocks` reads),
+    and the fused features, keyed on that setting and the fuse weights.
     """
 
     def __init__(self, scene: Scene, cfg: PipelineConfig, tcfg: TrainConfig):
@@ -179,7 +180,8 @@ class SceneLoss:
         key = (setting, cfg.w_fuse.tobytes())
         if self._fused is None or self._fused[0] != key:
             if self._first_gated is None or self._first_gated[0] != setting:
-                self._first_gated = (setting, gated_blocks(self.f_d0, self.first_matches, cfg))
+                blocks = gated_blocks(self.f_d0, self.rgb_maps, self.first_matches, cfg)
+                self._first_gated = (setting, blocks)
             f_d = aggregate(self._first_gated[1], cfg)
             for _ in range(cfg.moma_iters - 1):
                 f_d = moma_step(f_d, self.rgb_maps, cfg)

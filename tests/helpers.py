@@ -18,6 +18,11 @@ def match_pair(target: FeatureMap, source: FeatureMap, k: int) -> tuple[np.ndarr
     return match_order({"zero": source}, target, "zero", k)
 
 
+def textured_map(h: int, w: int, c: int = 1, seed: int = 0) -> FeatureMap:
+    """A c-channel value-noise map, one seed per channel."""
+    return FeatureMap(np.stack([value_noise(h, w, 3, seed + i) for i in range(c)]))
+
+
 def shift_plane(plane: np.ndarray, dy: int, dx: int) -> np.ndarray:
     """Shift content by (+dy, +dx) pixels with replicate borders."""
     h, w = plane.shape

@@ -10,7 +10,7 @@ from depthsr import cli, configio, fusion, matcher, scenes, structdet, trainer
 from depthsr.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _build_parser, _load_pipeline_config, main
 from depthsr.scenes import SceneSpec
 from depthsr.configio import dump_config, load_config
-from depthsr.fileio import read_depth_pfm, read_pfm, read_ppm8, write_depth_pfm, write_ppm8
+from depthsr.fileio import read_depth_pfm, read_pfm, read_ppm8, write_depth_pfm, write_pfm, write_ppm8
 from depthsr.fusion import PipelineConfig
 from depthsr.grid import DepthMap, FeatureMap
 from depthsr.scenes import value_noise
@@ -110,21 +110,20 @@ class TestMatch:
              "--out", str(tmp_path), "--order", "zero", "--k", "1", "--channels", "1"]
         )
         assert code == EXIT_OK
-        stats = dict(
-            line.split("=", 1)
-            for line in (tmp_path / "stats.txt").read_text().splitlines()
-        )
-        assert float(stats["self_match_fraction"]) >= 0.99
         eta = read_pfm(tmp_path / "eta.pfm")
         assert eta.data.shape == (1, 144, 1)
+        assert np.mean(eta.data[0, :, 0] == np.arange(144)) >= 0.99
 
-    def test_k_exceeding_patch_count_is_usage_error(self, scene_dir, tmp_path):
+    def test_k_exceeding_patch_count_is_usage_error(self, scene_dir, tmp_path, capsys):
+        out = tmp_path / "m"
         code = main(
             ["match", "--rgb", str(scene_dir / "rgb.ppm"),
              "--depth", str(scene_dir / "d_lr.pfm"),
-             "--out", str(tmp_path), "--k", "100000"]
+             "--out", str(out), "--k", "100000"]
         )
         assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: k must be in [1, 64], got 100000\n"
+        assert not out.exists()
 
     def test_shifted_scene_reduces_distance(self, scene_dir, tmp_path):
         code = main(
@@ -142,8 +141,7 @@ class TestMatch:
         )
 
     def test_zero_k_is_usage_error_before_writing(self, scene_dir, tmp_path, capsys):
-        # The second score column requested for the stats must not let k = 0
-        # through to the selection.
+        # PipelineConfig rejects k = 0 before any input is read.
         out = tmp_path / "m"
         code = main(
             ["match", "--rgb", str(scene_dir / "rgb.ppm"),
@@ -198,7 +196,7 @@ class TestMatch:
         eta, psi = matcher.match_order(rgb_maps, f_d, order, 4)
         np.testing.assert_array_equal(read_pfm(out / "eta.pfm").data[0], eta)
         np.testing.assert_array_equal(read_pfm(out / "psi.pfm").data[0], psi.astype(np.float32))
-        matched, _ = matcher.select_order(rgb_maps, order, eta, psi)
+        matched = matcher.matching_selection(f_r, eta, psi)
         stats = dict(line.split("=", 1) for line in (out / "stats.txt").read_text().splitlines())
         distance = float(np.mean(np.abs(matched.data - f_d.data)))
         assert stats["matched_mean_abs_distance"] == f"{distance:.6f}"
@@ -397,6 +395,13 @@ class TestSrConfigOverrides:
         assert not out.exists()
         same = self.build(scene_dir, tmp_path, path, "--scale", "4")
         np.testing.assert_array_equal(same.w_head, cfg.w_head)
+
+    def test_color_weight_sidecar_is_usage_error(self, scene_dir, tmp_path, capsys):
+        write_pfm(tmp_path / "head.pfm", FeatureMap(np.ones((3, 16, 8))))
+        path = tmp_path / "h.cfg"
+        path.write_text("w_head = head.pfm\n")
+        assert main(self.sr_argv(scene_dir, tmp_path / "sr", path)) == EXIT_USAGE
+        assert "head.pfm" in capsys.readouterr().err
 
     def test_zero_k_is_usage_error(self, scene_dir, tmp_path, weighted):
         _, path = weighted

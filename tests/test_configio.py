@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from depthsr.configio import dump_config, load_config, orders_to_token, token_to_orders
+from depthsr.fileio import write_pfm
 from depthsr.fusion import PipelineConfig
+from depthsr.grid import FeatureMap
 
 
 class TestOrderTokens:
@@ -118,3 +120,11 @@ class TestConfigRoundTrip:
         assert load_config(path) == PipelineConfig()
         path.write_text("scale = 8\n")
         assert load_config(path) == PipelineConfig(scale=8)
+
+    def test_color_weight_sidecar_rejected(self, tmp_path):
+        # A 3-channel PF sidecar whose planes have w_head's 16 x 8 shape.
+        write_pfm(tmp_path / "head.pfm", FeatureMap(np.ones((3, 16, 8))))
+        path = tmp_path / "h.cfg"
+        path.write_text("w_head = head.pfm\n")
+        with pytest.raises(ValueError, match=r"head.pfm: shape \(3, 16, 8\)"):
+            load_config(path)

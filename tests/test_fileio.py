@@ -41,6 +41,13 @@ class TestPfm:
         with pytest.raises(UnsupportedMaxvalError):
             read_pfm(path)
 
+    @pytest.mark.parametrize("scale", [b"nan", b"-nan", b"inf", b"-inf"])
+    def test_non_finite_scale_rejected(self, tmp_path, scale):
+        path = tmp_path / "s.pfm"
+        path.write_bytes(b"Pf\n2 2\n" + scale + b"\n" + b"\x00" * 16)
+        with pytest.raises(MalformedHeaderError):
+            read_pfm(path)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "t.pfm"
         path.write_bytes(b"Pf\n2 2\n-1.0\n" + b"\x00" * 8)

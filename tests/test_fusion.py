@@ -4,7 +4,8 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from helpers import render_shifted_pair, tiny_config
+from helpers import render_shifted_pair, textured_map, tiny_config
+from oracles import matching_selection_einsum
 
 from depthsr import fusion, matcher
 from depthsr.fusion import (
@@ -21,14 +22,20 @@ from depthsr.fusion import (
     rgb_order_maps,
     run_pipeline,
 )
-from depthsr.grid import DepthMap, FeatureMap, bicubic_resample, sigmoid
+from depthsr.grid import DepthMap, FeatureMap, bicubic_resample, extract_patches, sigmoid
 from depthsr.losses import add_noise
 from depthsr.matcher import ORDERS
 from depthsr.scenes import SceneSpec, render_scene
+from depthsr.structdet import detect
 
 
 def gray_image(plane):
     return FeatureMap(np.stack([plane] * 3))
+
+
+def identity_match(hw):
+    """(eta, psi) matching every target patch to its own index, k = 1."""
+    return np.arange(hw)[:, None], np.zeros((hw, 1))
 
 
 class TestPipelineConfig:
@@ -153,10 +160,11 @@ class TestAggregate:
         rng = np.random.default_rng(1)
         cfg = PipelineConfig(scale=4, channels=4, orders=())
         f_d = FeatureMap(rng.normal(size=(4, 5, 5)))
-        out = aggregate(gated_blocks(f_d, {}, cfg), cfg)
+        out = aggregate(gated_blocks(f_d, {"zero": f_d}, {}, cfg), cfg)
         np.testing.assert_array_equal(out.data, f_d.data)
 
     def test_zero_prior_gates_at_half(self):
+        # At identity matches selection returns each map itself.
         rng = np.random.default_rng(2)
         c = 4
         cfg = PipelineConfig(
@@ -167,10 +175,10 @@ class TestAggregate:
             w_fuse=np.concatenate([np.zeros((c, 2 * c)), np.eye(c), np.zeros((c, c))], axis=1),
         )
         f_d = FeatureMap(rng.normal(size=(c, 4, 4)))
-        matched = FeatureMap(rng.normal(size=(c, 4, 4)))
-        matches = {"first": (matched, FeatureMap(np.zeros((c, 4, 4))))}
-        out = aggregate(gated_blocks(f_d, matches, cfg), cfg)
-        np.testing.assert_allclose(out.data, 0.5 * matched.data, atol=1e-12)
+        f_r = FeatureMap(rng.normal(size=(c, 4, 4)))
+        rgb_maps = {"zero": f_r, "first": FeatureMap(np.zeros((c, 4, 4)))}
+        out = aggregate(gated_blocks(f_d, rgb_maps, {"first": identity_match(16)}, cfg), cfg)
+        np.testing.assert_allclose(out.data, 0.5 * f_r.data, atol=1e-12)
 
     def test_gates_are_sigmoid_of_prior(self):
         rng = np.random.default_rng(3)
@@ -183,10 +191,31 @@ class TestAggregate:
             w_fuse=np.concatenate([np.zeros((c, 3 * c)), np.eye(c)], axis=1),
         )
         f_d = FeatureMap(rng.normal(size=(c, 3, 3)))
-        matched = FeatureMap(rng.normal(size=(c, 3, 3)))
+        f_r = FeatureMap(rng.normal(size=(c, 3, 3)))
         prior = FeatureMap(rng.normal(size=(c, 3, 3)))
-        out = aggregate(gated_blocks(f_d, {"second": (matched, prior)}, cfg), cfg)
-        np.testing.assert_allclose(out.data, sigmoid(prior.data) * matched.data, atol=1e-12)
+        rgb_maps = {"zero": f_r, "second": prior}
+        out = aggregate(gated_blocks(f_d, rgb_maps, {"second": identity_match(9)}, cfg), cfg)
+        np.testing.assert_allclose(out.data, sigmoid(prior.data) * f_r.data, atol=1e-12)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_gated_blocks_equal_einsum_gather_oracle(self, order):
+        # The 8-channel 20 x 20 pair selects in two blocks of SELECT_ROWS
+        # rows; each enabled block is the oracle's selection, gated.
+        rgb, depth = textured_map(20, 20, c=8, seed=6), textured_map(20, 20, c=8, seed=7)
+        cfg = PipelineConfig(channels=8, orders=(order,), alpha_det=0.5, beta=2.0)
+        assert cfg.detector
+        rgb_maps = rgb_order_maps(rgb, cfg)
+        matches = order_matches(rgb_maps, depth, cfg)
+        blocks = gated_blocks(depth, rgb_maps, matches, cfg)
+
+        def oracle(f):
+            return matching_selection_einsum(extract_patches(f), f.shape, *matches[order]).data
+
+        expected = detect(FeatureMap(oracle(rgb)), cfg).data
+        if order != "zero":
+            expected = sigmoid(oracle(rgb_maps[order])) * expected
+        rgb_blocks = {o: np.zeros_like(depth.data) for o in ORDERS} | {order: expected}
+        assert np.array_equal(blocks, np.concatenate([depth.data, *rgb_blocks.values()]))
 
     def test_one_step_beats_addition_fusion_on_shifted_scene(self):
         d_lr, rgb = render_shifted_pair("boxes", 48, 48, 3, 4)
@@ -202,8 +231,9 @@ class TestAggregate:
             scale=4, channels=c, moma_iters=1, orders=("zero",),
             detector=False, w_fuse=w_fuse,
         )
-        matches = order_matches(rgb_order_maps(f_r, cfg), f_d0, cfg)
-        fused = aggregate(gated_blocks(f_d0, matches, cfg), cfg)
+        rgb_maps = rgb_order_maps(f_r, cfg)
+        matches = order_matches(rgb_maps, f_d0, cfg)
+        fused = aggregate(gated_blocks(f_d0, rgb_maps, matches, cfg), cfg)
         addition = 0.5 * (f_d0.data + f_r.data)
         d_matched = np.abs(fused.data - reference.data).mean()
         d_addition = np.abs(addition - reference.data).mean()
@@ -271,7 +301,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr(matcher, "order_map", counted)
         monkeypatch.setattr(fusion, "order_map", counted)
-        stage_calls, stages = Counter(), ("match_order", "select_order")
+        stage_calls = Counter()
 
         def counting(name, stage):
             def wrapper(*args):
@@ -279,12 +309,15 @@ class TestRunPipeline:
                 return stage(*args)
             return wrapper
 
-        for name in stages:
+        for name in ("match_order", "matching_selection"):
             monkeypatch.setattr(fusion, name, counting(name, getattr(fusion, name)))
         run_pipeline(scene.rgb, scene.d_lr, cfg)
         assert rgb_calls == {order: 1 for order in ORDERS}
         assert depth_calls == {order: cfg.moma_iters for order in ORDERS}
-        assert stage_calls == {name: len(cfg.orders) * cfg.moma_iters for name in stages}
+        # Per iteration: one match per order; the RGB features at every
+        # order plus the first- and second-order priors are selected.
+        assert stage_calls == {"match_order": 3 * cfg.moma_iters,
+                               "matching_selection": 5 * cfg.moma_iters}
 
     def test_size_mismatch_rejected(self):
         cfg = tiny_config(scale=4)

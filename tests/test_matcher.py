@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import match_pair, shift_plane
+from helpers import match_pair, shift_plane, textured_map
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import correlation_set_naive, matching_selection_einsum, top_k_naive
@@ -12,23 +12,14 @@ from depthsr import matcher
 from depthsr.fusion import encode_depth, encode_rgb
 from depthsr.grid import DepthMap, FeatureMap, extract_patches, fold_patches
 from depthsr.matcher import (
-    ORDERS,
     match_order,
     matching_selection,
     order_map,
-    select_order,
-    self_match_stats,
     softmax_rows,
     top_k,
     unit_rows,
 )
-from depthsr.scenes import SceneSpec, render_depth, render_scene, value_noise
-
-
-def textured_map(h, w, c=1, seed=0):
-    return FeatureMap(
-        np.stack([value_noise(h, w, 3, seed + i) for i in range(c)])
-    )
+from depthsr.scenes import SceneSpec, render_depth, render_scene
 
 
 def all_cosines(target, source):
@@ -102,10 +93,12 @@ class TestCorrelationSet:
 
 class TestTopK:
     def test_self_match_top1(self):
+        # Every row whose best score beats its second one matches itself.
         f = textured_map(6, 6, seed=3)
-        unique, hits = self_match_stats(*match_pair(f, f, 2))
-        assert unique > 0
-        assert hits == unique
+        eta, psi = match_pair(f, f, 2)
+        unique = psi[:, 0] > psi[:, 1]
+        assert unique.any()
+        np.testing.assert_array_equal(eta[unique, 0], np.flatnonzero(unique))
 
     def test_constant_rows_tie_to_lowest_indices(self):
         f = FeatureMap(np.full((1, 3, 3), 2.0))
@@ -232,52 +225,19 @@ class TestTopK:
             np.testing.assert_array_equal(wide_psi[:, :k], psi)
 
 
-class TestSelfMatchStats:
-    @staticmethod
-    def dense_stats(values, top1):
-        """Rows whose maximum occurs once, and those whose top-1 is the self index."""
-        unique = (values == values.max(axis=1)[:, None]).sum(axis=1) == 1
-        hits = top1 == np.arange(values.shape[0])
-        return int(unique.sum()), int((unique & hits).sum())
-
-    def test_top_two_equal_dense_definition(self):
-        # The statistic counts exact ties, so the dense definition reads the
-        # production cosines: the naive oracle sums the products in another
-        # order, and distinct patches with equal cosines can differ there in
-        # the last bit. Those cosines agree with the oracle to 1e-12.
-        rng = np.random.default_rng(14)
-        for h, w in ((1, 1), (1, 4), (3, 3), (4, 5), (6, 6)):
-            t = quantized_map(rng, 1, h, w)
-            for s in (t, quantized_map(rng, 1, h, w)):
-                values = all_cosines(t, s)
-                assert np.abs(values - correlation_set_naive(t, s)).max() <= 1e-12
-                hw = h * w
-                for k in range(1, hw + 1):
-                    wide = match_pair(t, s, min(max(k, 2), hw))
-                    expected = self.dense_stats(values, top_k_naive(values, 1)[0][:, 0])
-                    assert self_match_stats(*wide) == expected
-
-    def test_one_column_needs_a_single_patch(self):
-        f = textured_map(3, 3)
-        with pytest.raises(ValueError):
-            self_match_stats(*match_pair(f, f, 1))
-        one = textured_map(1, 1)
-        assert self_match_stats(*match_pair(one, one, 1)) == (1, 1)
-
-
 class TestMatchingSelection:
     def test_k1_is_fold_of_best_patch(self):
         rng = np.random.default_rng(11)
         src = FeatureMap(rng.normal(size=(1, 4, 4)))
         patches = extract_patches(src)
         eta = rng.integers(0, 16, size=(16, 1))
-        out = matching_selection(patches, src.shape, eta, np.zeros((16, 1)))
+        out = matching_selection(src, eta, np.zeros((16, 1)))
         ref = fold_patches(patches[eta[:, 0]], src.shape)
         np.testing.assert_array_equal(out.data, ref.data)
 
     def test_self_match_identity(self):
         f = textured_map(5, 5, seed=4)
-        out = matching_selection(extract_patches(f), f.shape, *match_pair(f, f, 1))
+        out = matching_selection(f, *match_pair(f, f, 1))
         np.testing.assert_allclose(out.data, f.data, atol=1e-12)
 
     def test_equal_scores_average_patches(self):
@@ -285,7 +245,7 @@ class TestMatchingSelection:
         src = FeatureMap(rng.normal(size=(1, 3, 3)))
         patches = extract_patches(src)
         eta = np.tile([0, 5], (9, 1))
-        out = matching_selection(patches, src.shape, eta, np.full((9, 2), 0.25))
+        out = matching_selection(src, eta, np.full((9, 2), 0.25))
         mixed = 0.5 * patches[eta[:, 0]] + 0.5 * patches[eta[:, 1]]
         ref = fold_patches(mixed, src.shape)
         np.testing.assert_allclose(out.data, ref.data, atol=1e-12)
@@ -293,7 +253,7 @@ class TestMatchingSelection:
     def test_out_of_range_indices_rejected(self):
         src = textured_map(3, 3)
         with pytest.raises(ValueError):
-            matching_selection(extract_patches(src), src.shape, np.full((9, 1), 9), np.zeros((9, 1)))
+            matching_selection(src, np.full((9, 1), 9), np.zeros((9, 1)))
 
     @given(
         c=st.integers(1, 8),
@@ -312,12 +272,12 @@ class TestMatchingSelection:
         # Blocks of select_rows target rows, the last one short or the only one.
         rng = np.random.default_rng(seed)
         src = FeatureMap(rng.normal(size=(c, h, w)) * 10.0**exponent)
-        patches = extract_patches(src)
         eta = rng.integers(0, h * w, (h * w, k))
         psi = rng.uniform(-1.0, 1.0, (h * w, k))
         with mock.patch.object(matcher, "SELECT_ROWS", select_rows):
-            out = matching_selection(patches, src.shape, eta, psi)
-        assert np.array_equal(out.data, matching_selection_einsum(patches, src.shape, eta, psi).data)
+            out = matching_selection(src, eta, psi)
+        oracle = matching_selection_einsum(extract_patches(src), src.shape, eta, psi)
+        assert np.array_equal(out.data, oracle.data)
 
     def test_softmax_rows_normalized(self):
         w = softmax_rows(np.array([[1.0, 1.0, 1.0], [0.0, 10.0, -10.0]]))
@@ -328,8 +288,7 @@ class TestMatchingSelection:
 class TestMatchOrder:
     def test_zero_order_self_is_identity(self):
         f = textured_map(5, 5, seed=5)
-        matched, prior = select_order({"zero": f}, "zero", *match_order({"zero": f}, f, "zero", 1))
-        assert prior is None
+        matched = matching_selection(f, *match_order({"zero": f}, f, "zero", 1))
         np.testing.assert_allclose(matched.data, f.data, atol=1e-12)
 
     def test_first_order_constant_maps_degenerate(self):
@@ -338,29 +297,14 @@ class TestMatchOrder:
         c = FeatureMap(np.full((1, 4, 4), 3.0))
         k = 3
         rgb_maps = {"zero": c, "first": order_map(c, "first")}
-        matched, prior = select_order(rgb_maps, "first", *match_order(rgb_maps, c, "first", k))
+        eta, psi = match_order(rgb_maps, c, "first", k)
+        np.testing.assert_array_equal(eta, np.tile(np.arange(k), (16, 1)))
+        matched = matching_selection(c, eta, psi)
         mixed = extract_patches(c)[:k].mean(axis=0)
         ref = fold_patches(np.tile(mixed, (16, 1)), c.shape)
         np.testing.assert_allclose(matched.data, ref.data, atol=1e-12)
-        assert prior is not None
+        prior = matching_selection(rgb_maps["first"], eta, psi)
         np.testing.assert_allclose(prior.data, 0.0, atol=1e-12)
-
-    @pytest.mark.parametrize("order", ORDERS)
-    def test_select_order_equals_einsum_gather_oracle(self, order):
-        # The 8-channel 20 x 20 pair selects in two blocks of SELECT_ROWS rows.
-        rgb, depth = textured_map(20, 20, c=8, seed=6), textured_map(20, 20, c=8, seed=7)
-        rgb_maps = {"zero": rgb, order: order_map(rgb, order)}
-        eta, psi = match_order(rgb_maps, depth, order, 4)
-        matched, prior = select_order(rgb_maps, order, eta, psi)
-
-        def oracle(f):
-            return matching_selection_einsum(extract_patches(f), f.shape, eta, psi).data
-
-        assert np.array_equal(matched.data, oracle(rgb))
-        if order == "zero":
-            assert prior is None
-        else:
-            assert np.array_equal(prior.data, oracle(rgb_maps[order]))
 
     def test_second_order_recovers_shift_on_structured_scene(self):
         h = w = 32
@@ -386,6 +330,10 @@ class TestMatchOrder:
             match_order({"zero": f}, f, "third", 1)
 
     def test_peak_memory_stays_below_one_dense_matrix(self):
+        def match_and_select(rgb_maps, depth):
+            eta, psi = match_order(rgb_maps, depth, "first", 4)
+            return [matching_selection(f, eta, psi) for f in rgb_maps.values()]
+
         # hw = 1024: one dense correlation matrix takes 8 MiB, one 64-row
         # tile 512 KiB. On constant maps every cosine ties, so each tile's
         # top-k candidates are the whole tile.
@@ -396,10 +344,10 @@ class TestMatchOrder:
         )
         for rgb, depth in pairs:
             rgb_maps = {"zero": rgb, "first": order_map(rgb, "first")}
-            select_order(rgb_maps, "first", *match_order(rgb_maps, depth, "first", 4))  # warm up
+            match_and_select(rgb_maps, depth)  # warm up
             tracemalloc.start()
             try:
-                select_order(rgb_maps, "first", *match_order(rgb_maps, depth, "first", 4))
+                match_and_select(rgb_maps, depth)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

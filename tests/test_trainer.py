@@ -18,6 +18,7 @@ from depthsr import fusion, trainer
 from depthsr.fusion import default_fuse_weights, run_pipeline
 from depthsr.grid import DepthMap
 from depthsr.losses import add_noise, loss_total
+from depthsr.matcher import match_order
 from depthsr.scenes import SceneSpec, render_scene
 from depthsr.trainer import (
     DivergenceError,
@@ -253,6 +254,18 @@ class TestTrainerRunsThePipeline:
         staged = SceneLoss(scene, cfg, tcfg).report(pack_params(cfg, tcfg))
         plain = loss_total(scene.d_gt, run_pipeline(scene.rgb, scene.d_lr, cfg), cfg.alpha_loss)
         assert staged == plain
+
+    def test_first_matches_are_match_order(self, small_scene):
+        cfg = tiny_config()
+        loss = SceneLoss(small_scene, cfg, TrainConfig())
+        assert set(loss.first_matches) == set(cfg.orders)
+        rgb_maps = fusion.rgb_order_maps(
+            fusion.encode_rgb(small_scene.rgb, cfg.scale, cfg.channels), cfg
+        )
+        f_d = fusion.encode_depth(small_scene.d_lr, cfg.channels)
+        for order, (eta, psi) in loss.first_matches.items():
+            expected = match_order(rgb_maps, f_d, order, cfg.k)
+            assert np.array_equal(eta, expected[0]) and np.array_equal(psi, expected[1])
 
 
 class TestFit:
