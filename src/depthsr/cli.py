@@ -201,11 +201,11 @@ def cmd_match(args) -> int:
     fusion.check_scaled("RGB", rgb.shape[1:], d_lr, cfg.scale)
     f_r = fusion.encode_rgb(rgb, cfg.scale, cfg.channels)
     f_d = fusion.encode_depth(d_lr, cfg.channels)
-    rgb_maps = {"zero": f_r, args.order: matcher.order_map(f_r, args.order)}
+    rgb_maps = fusion.rgb_order_maps(f_r, replace(cfg, orders=(args.order,)))
     # top_k rejects a k above the patch count before any output is written.
     eta, psi = matcher.match_order(rgb_maps, f_d, args.order, cfg.k)
-    # No output reads a matched prior, so only the RGB side is blended.
-    matched = matcher.matching_selection(f_r, eta, psi)
+    # No output reads a matched prior, so only the RGB features are blended.
+    matched = matcher.matching_selection(rgb_maps.patches("zero"), f_r.shape, eta, psi)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

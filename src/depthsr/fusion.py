@@ -9,14 +9,20 @@ and fuses everything through a 1x1 linear map; the head predicts a
 pixel-shuffled residual over bicubic upsampling, so an untrained model
 reproduces bicubic exactly.
 
-Per run: one rgb_maps value (rgb_order_maps), the RGB features under
-"zero" and their order map for every enabled order, which no iteration
-changes. Per iteration: the depth-side order maps and each order's
-(eta, psi) (order_matches), the selection at those matches with the
-detector gating (gated_blocks) and the 1x1 fuse (aggregate). The gating
-and the fuse are separate stages so that a caller holding fixed matches
-and detector scalars, such as the trainer's first iteration, can select
-and gate once and fuse many weight settings.
+Per run: one rgb_maps value (rgb_order_maps, a matcher.RgbSide), the RGB
+features under "zero" and their order map for every enabled order, which
+no iteration changes. When their patch matrices and unit rows fit in
+matcher.HOLD_BYTES (0.88 MB at LR 16^2 with 8 channels and all three
+orders), the value holds them: matching reads the held RGB unit rows and
+the selections the held RGB patch matrices, so a three-iteration LR 16^2
+run extracts patches 12 times instead of 33. At LR 64^2 they would take
+14.2 MB, and matching sets the peak memory there, so nothing is held.
+Per iteration: the depth-side order maps and each order's (eta, psi)
+(order_matches), the selection at those matches with the detector gating
+(gated_blocks) and the 1x1 fuse (aggregate). The gating and the fuse are
+separate stages so that a caller holding fixed matches and detector
+scalars, such as the trainer's first iteration, can select and gate once
+and fuse many weight settings.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from .grid import GAUSS_3X3, MIN_DEPTH_M, DepthMap, FeatureMap, bicubic_resample, check_finite_settings, conv2d, pixel_shuffle, sigmoid, standardize
 from .losses import DEFAULT_ALPHA_LOSS
-from .matcher import ORDERS, match_order, matching_selection, order_map
+from .matcher import ORDERS, RgbSide, match_order, matching_selection, order_map
 from .structdet import detect
 
 SCALES = (4, 8, 16)
@@ -174,15 +180,15 @@ def encode_depth(d: DepthMap, channels: int) -> FeatureMap:
     return bank_features(d.depth, channels)
 
 
-def rgb_order_maps(f_r: FeatureMap, cfg: PipelineConfig) -> dict[str, FeatureMap]:
+def rgb_order_maps(f_r: FeatureMap, cfg: PipelineConfig) -> RgbSide:
     """The run's RGB side: the features `f_r` under "zero", plus order_map
     of them for every enabled order. The RGB features stay fixed across
     MOMA iterations, so a run maps them once."""
-    return {"zero": f_r} | {order: order_map(f_r, order) for order in cfg.orders}
+    return RgbSide({"zero": f_r} | {order: order_map(f_r, order) for order in cfg.orders})
 
 
 def order_matches(
-    rgb_maps: dict[str, FeatureMap], f_d: FeatureMap, cfg: PipelineConfig
+    rgb_maps: RgbSide, f_d: FeatureMap, cfg: PipelineConfig
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """match_order's (eta, psi) of every enabled order. `rgb_maps` is the
     run's rgb_order_maps."""
@@ -191,7 +197,7 @@ def order_matches(
 
 def gated_blocks(
     f_d: FeatureMap,
-    rgb_maps: dict[str, FeatureMap],
+    rgb_maps: RgbSide,
     matches: dict[str, tuple[np.ndarray, np.ndarray]],
     cfg: PipelineConfig,
 ) -> np.ndarray:
@@ -207,14 +213,17 @@ def gated_blocks(
             blocks.append(np.zeros_like(f_d.data))
             continue
         eta, psi = matches[order]
-        feat = matching_selection(rgb_maps["zero"], eta, psi)
+        feat = matching_selection(rgb_maps.patches("zero"), rgb_maps["zero"].shape, eta, psi)
         if cfg.detector:
             feat = detect(feat, cfg)
         if feat.shape != f_d.shape:
             raise ValueError(f"{order}-order block shape {feat.shape} != {f_d.shape}")
         block = feat.data
         if order != "zero":
-            block = sigmoid(matching_selection(rgb_maps[order], eta, psi).data) * block
+            # One expression, so that no prior or patch matrix outlives it.
+            block = sigmoid(
+                matching_selection(rgb_maps.patches(order), rgb_maps[order].shape, eta, psi).data
+            ) * block
         blocks.append(block)
     cat = np.concatenate(blocks, axis=0)
     cat.setflags(write=False)
@@ -226,7 +235,7 @@ def aggregate(blocks: np.ndarray, cfg: PipelineConfig) -> FeatureMap:
     return FeatureMap(np.einsum("oc,chw->ohw", cfg.w_fuse, blocks))
 
 
-def moma_step(f_d: FeatureMap, rgb_maps: dict[str, FeatureMap], cfg: PipelineConfig) -> FeatureMap:
+def moma_step(f_d: FeatureMap, rgb_maps: RgbSide, cfg: PipelineConfig) -> FeatureMap:
     """One matching + aggregation iteration; returns the refined depth features.
 
     `rgb_maps` is the run's rgb_order_maps. Its RGB features must have the

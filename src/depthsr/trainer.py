@@ -29,7 +29,9 @@ spawned worker processes, one pool for the whole call and the same path for
 any CPU count. There are max(1, min(CPUs this process may run on,
 coordinates)) workers, each started with one BLAS thread. Each task carries
 the `SceneLoss` with the vector and one chunk, and a worker keeps nothing
-between tasks. Of n workers, chunk w holds coordinates w, w + n, ..., so
+between tasks. The rgb_maps value travels as its maps alone; a worker's
+copy holds their patch matrices again (matcher.RgbSide), so a task is no
+larger for them. Of n workers, chunk w holds coordinates w, w + n, ..., so
 every chunk gets the same mix of head and re-matching probes; a chunk goes
 to whichever worker is free, and the gradient is bit-identical either way,
 since every probe runs the same code on the same inputs. The line search,

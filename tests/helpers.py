@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from depthsr.fusion import PipelineConfig
+from depthsr.fusion import PipelineConfig, rgb_order_maps
 from depthsr.grid import DepthMap, FeatureMap
 from depthsr.matcher import match_order
 from depthsr.scenes import _CHECKER_CELLS, _unit_grid, render_depth, shade, value_noise
@@ -15,7 +15,7 @@ def tiny_config(**kwargs) -> PipelineConfig:
 
 def match_pair(target: FeatureMap, source: FeatureMap, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k (eta, psi) of two maps of one shape: match_order at zero order."""
-    return match_order({"zero": source}, target, "zero", k)
+    return match_order(rgb_order_maps(source, PipelineConfig(orders=("zero",))), target, "zero", k)
 
 
 def textured_map(h: int, w: int, c: int = 1, seed: int = 0) -> FeatureMap:

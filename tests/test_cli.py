@@ -1,5 +1,6 @@
 import argparse
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -196,7 +197,7 @@ class TestMatch:
         eta, psi = matcher.match_order(rgb_maps, f_d, order, 4)
         np.testing.assert_array_equal(read_pfm(out / "eta.pfm").data[0], eta)
         np.testing.assert_array_equal(read_pfm(out / "psi.pfm").data[0], psi.astype(np.float32))
-        matched = matcher.matching_selection(f_r, eta, psi)
+        matched = matcher.matching_selection(rgb_maps.patches("zero"), f_r.shape, eta, psi)
         stats = dict(line.split("=", 1) for line in (out / "stats.txt").read_text().splitlines())
         distance = float(np.mean(np.abs(matched.data - f_d.data)))
         assert stats["matched_mean_abs_distance"] == f"{distance:.6f}"
@@ -215,6 +216,18 @@ class TestMatch:
         )
         assert code == EXIT_OK
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("order", matcher.ORDERS)
+    def test_maps_only_its_order(self, scene_dir, tmp_path, monkeypatch, order):
+        maps = Counter()
+        order_map = matcher.order_map
+        monkeypatch.setattr(fusion, "order_map", lambda f, o: maps.update([o]) or order_map(f, o))
+        code = main(
+            ["match", "--rgb", str(scene_dir / "rgb.ppm"), "--depth", str(scene_dir / "d_lr.pfm"),
+             "--out", str(tmp_path / "m"), "--order", order, "--k", "4"]
+        )
+        assert code == EXIT_OK
+        assert maps == {order: 1}
 
     def test_peak_memory_stays_below_one_dense_matrix(self, tmp_path):
         # LR 32^2: hw = 1024, so one dense correlation matrix takes 8 MiB,

@@ -24,7 +24,7 @@ from depthsr.fusion import (
 )
 from depthsr.grid import DepthMap, FeatureMap, bicubic_resample, extract_patches, sigmoid
 from depthsr.losses import add_noise
-from depthsr.matcher import ORDERS
+from depthsr.matcher import ORDERS, RgbSide, match_order
 from depthsr.scenes import SceneSpec, render_scene
 from depthsr.structdet import detect
 
@@ -160,7 +160,7 @@ class TestAggregate:
         rng = np.random.default_rng(1)
         cfg = PipelineConfig(scale=4, channels=4, orders=())
         f_d = FeatureMap(rng.normal(size=(4, 5, 5)))
-        out = aggregate(gated_blocks(f_d, {"zero": f_d}, {}, cfg), cfg)
+        out = aggregate(gated_blocks(f_d, RgbSide({"zero": f_d}), {}, cfg), cfg)
         np.testing.assert_array_equal(out.data, f_d.data)
 
     def test_zero_prior_gates_at_half(self):
@@ -176,7 +176,7 @@ class TestAggregate:
         )
         f_d = FeatureMap(rng.normal(size=(c, 4, 4)))
         f_r = FeatureMap(rng.normal(size=(c, 4, 4)))
-        rgb_maps = {"zero": f_r, "first": FeatureMap(np.zeros((c, 4, 4)))}
+        rgb_maps = RgbSide({"zero": f_r, "first": FeatureMap(np.zeros((c, 4, 4)))})
         out = aggregate(gated_blocks(f_d, rgb_maps, {"first": identity_match(16)}, cfg), cfg)
         np.testing.assert_allclose(out.data, 0.5 * f_r.data, atol=1e-12)
 
@@ -193,7 +193,7 @@ class TestAggregate:
         f_d = FeatureMap(rng.normal(size=(c, 3, 3)))
         f_r = FeatureMap(rng.normal(size=(c, 3, 3)))
         prior = FeatureMap(rng.normal(size=(c, 3, 3)))
-        rgb_maps = {"zero": f_r, "second": prior}
+        rgb_maps = RgbSide({"zero": f_r, "second": prior})
         out = aggregate(gated_blocks(f_d, rgb_maps, {"second": identity_match(9)}, cfg), cfg)
         np.testing.assert_allclose(out.data, sigmoid(prior.data) * f_r.data, atol=1e-12)
 
@@ -240,6 +240,50 @@ class TestAggregate:
         assert d_matched < d_addition
 
 
+def holds(rgb_maps: RgbSide) -> bool:
+    """Whether the RGB side hands out one kept patch matrix per map."""
+    return all(rgb_maps.patches(name) is rgb_maps.patches(name) for name in rgb_maps.maps)
+
+
+class TestRgbSide:
+    def test_held_side_is_bit_equal_to_extracting(self, monkeypatch):
+        # LR 16^2 with 8 channels and all orders: 0.88 MB held.
+        scene = render_scene(SceneSpec(width=64, height=64, dx=3.0, dy=-2.0))
+        rng = np.random.default_rng(7)
+        cfg = PipelineConfig(
+            w_fuse=default_fuse_weights(8) + 0.1 * rng.normal(size=(8, 32)),
+            w_head=0.01 * rng.normal(size=(16, 8)),
+        )
+        f_r = encode_rgb(scene.rgb, cfg.scale, cfg.channels)
+        f_d = encode_depth(scene.d_lr, cfg.channels)
+
+        def stages():
+            rgb_maps = rgb_order_maps(f_r, cfg)
+            matches = {o: match_order(rgb_maps, f_d, o, cfg.k) for o in ORDERS}
+            blocks = gated_blocks(f_d, rgb_maps, matches, cfg)
+            depth = run_pipeline(scene.rgb, scene.d_lr, cfg).depth
+            return holds(rgb_maps), [*(a for m in matches.values() for a in m), blocks, depth]
+
+        held, at_budget = stages()
+        monkeypatch.setattr(matcher, "HOLD_BYTES", 0)
+        extracting, without = stages()
+        assert held and not extracting
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(at_budget, without))
+
+    def test_pickles_as_its_maps_and_holds_again(self):
+        rgb_maps = rgb_order_maps(textured_map(16, 16, c=8, seed=3), PipelineConfig())
+        assert holds(rgb_maps)
+        # Held: an (hw, 72) patch matrix and its unit rows per map, 18 times
+        # the maps' 48 KiB.
+        assert len(pickle.dumps(rgb_maps)) < len(pickle.dumps(rgb_maps.maps)) + 256
+        copy = pickle.loads(pickle.dumps(rgb_maps))
+        assert holds(copy)
+        for name, f in rgb_maps.maps.items():
+            assert np.array_equal(copy[name].data, f.data)
+            assert np.array_equal(copy.patches(name), rgb_maps.patches(name))
+            assert np.array_equal(copy.unit_rows(name), rgb_maps.unit_rows(name))
+
+
 class TestMomaStep:
     def test_shapes_preserved_and_rgb_untouched(self):
         d_lr, rgb = render_shifted_pair("boxes", 16, 16, 1, 1)
@@ -253,8 +297,9 @@ class TestMomaStep:
     def test_feature_shape_mismatch_rejected(self):
         # No enabled order, so only moma_step's own check can catch it.
         cfg = PipelineConfig(channels=2, orders=())
+        rgb_maps = rgb_order_maps(FeatureMap(np.zeros((2, 4, 5))), cfg)
         with pytest.raises(ValueError):
-            moma_step(FeatureMap(np.zeros((2, 4, 4))), {"zero": FeatureMap(np.zeros((2, 4, 5)))}, cfg)
+            moma_step(FeatureMap(np.zeros((2, 4, 4))), rgb_maps, cfg)
 
 
 class TestReconstruct:
@@ -287,11 +332,11 @@ class TestReconstruct:
 
 class TestRunPipeline:
     def test_rgb_order_maps_computed_once_per_run(self, monkeypatch):
-        scene = render_scene(SceneSpec(width=32, height=32, scale=4, noise_sigma=0.0))
+        scene = render_scene(SceneSpec(width=64, height=64, scale=4, noise_sigma=0.0))
         cfg = tiny_config(scale=4, moma_iters=3)
         assert cfg.orders == ORDERS
         f_r = encode_rgb(scene.rgb, cfg.scale, cfg.channels)
-        rgb_calls, depth_calls = Counter(), Counter()
+        rgb_calls, depth_calls, stage_calls = Counter(), Counter(), Counter()
         order_map = matcher.order_map
 
         def counted(f, order):
@@ -301,7 +346,6 @@ class TestRunPipeline:
 
         monkeypatch.setattr(matcher, "order_map", counted)
         monkeypatch.setattr(fusion, "order_map", counted)
-        stage_calls = Counter()
 
         def counting(name, stage):
             def wrapper(*args):
@@ -311,13 +355,24 @@ class TestRunPipeline:
 
         for name in ("match_order", "matching_selection"):
             monkeypatch.setattr(fusion, name, counting(name, getattr(fusion, name)))
-        run_pipeline(scene.rgb, scene.d_lr, cfg)
-        assert rgb_calls == {order: 1 for order in ORDERS}
-        assert depth_calls == {order: cfg.moma_iters for order in ORDERS}
-        # Per iteration: one match per order; the RGB features at every
-        # order plus the first- and second-order priors are selected.
-        assert stage_calls == {"match_order": 3 * cfg.moma_iters,
-                               "matching_selection": 5 * cfg.moma_iters}
+        extract = counting("extract_patches", matcher.extract_patches)
+        monkeypatch.setattr(matcher, "extract_patches", extract)
+        # LR 16^2: the RGB side holds its patches within the byte budget and
+        # extracts them at every use above it.
+        for budget, extractions in ((matcher.HOLD_BYTES, 12), (0, 33)):
+            monkeypatch.setattr(matcher, "HOLD_BYTES", budget)
+            for calls in (rgb_calls, depth_calls, stage_calls):
+                calls.clear()
+            run_pipeline(scene.rgb, scene.d_lr, cfg)
+            assert rgb_calls == {order: 1 for order in ORDERS}
+            assert depth_calls == {order: cfg.moma_iters for order in ORDERS}
+            # Per iteration: one match per order; the RGB features at every
+            # order plus the first- and second-order priors are selected.
+            # Held: 3 RGB maps once per run, then 3 depth order maps per
+            # iteration; otherwise 11 per iteration: 3 pairs matched, 5 selected.
+            assert stage_calls == {"match_order": 3 * cfg.moma_iters,
+                                   "matching_selection": 5 * cfg.moma_iters,
+                                   "extract_patches": extractions}
 
     def test_size_mismatch_rejected(self):
         cfg = tiny_config(scale=4)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import correlation_set_naive, matching_selection_einsum, top_k_naive
 
 from depthsr import matcher
-from depthsr.fusion import encode_depth, encode_rgb
+from depthsr.fusion import PipelineConfig, encode_depth, encode_rgb, rgb_order_maps
 from depthsr.grid import DepthMap, FeatureMap, extract_patches, fold_patches
 from depthsr.matcher import (
     match_order,
@@ -104,24 +104,27 @@ class TestTopK:
         f = FeatureMap(np.full((1, 3, 3), 2.0))
         eta, _ = match_pair(f, f, 2)
         np.testing.assert_array_equal(eta, np.tile([0, 1], (9, 1)))
-        # At hw = 256 top_k works on column groups. Equal patches of this
-        # map have GEMM cosines of 1 + ulp, which clip to a 1.0 tie.
+        # Equal patches of this map have GEMM cosines of 1 + ulp, which clip
+        # to a 1.0 tie.
         f = FeatureMap(np.full((1, 16, 16), 0.7))
         eta, psi = match_pair(f, f, 2)
         np.testing.assert_array_equal(eta, np.tile([0, 1], (256, 1)))
         np.testing.assert_array_equal(psi, 1.0)
-        # A group maximum of 1 + ulp clamps the bound to 1, so the group of
-        # the exact 1.0 at the lower index is kept and comes first.
-        row = np.zeros((1, 256))
-        row[0, 5] = 1.0
-        row[0, 70] = np.nextafter(1.0, 2.0)
-        for k in (1, 2):
-            eta, psi = top_k(row, k)
-            ref_eta, ref_psi = top_k_naive(np.clip(row, -1.0, 1.0), k)
-            np.testing.assert_array_equal(eta, ref_eta)
-            np.testing.assert_array_equal(psi, ref_psi)
-            np.testing.assert_array_equal(eta, [[5, 70][:k]])
-            np.testing.assert_array_equal(psi, 1.0)
+        # The sweep clips before its argmax. On 16384 columns top_k works on
+        # 512 column groups: a group maximum of 1 + ulp clamps the bound to
+        # 1, so the group of the exact 1.0 at the lower index is kept and
+        # comes first.
+        for m in (256, 16384):
+            row = np.zeros((1, m))
+            row[0, 5] = 1.0
+            row[0, 70] = np.nextafter(1.0, 2.0)
+            for k in (1, 2):
+                eta, psi = top_k(row, k)
+                ref_eta, ref_psi = top_k_naive(np.clip(row, -1.0, 1.0), k)
+                np.testing.assert_array_equal(eta, ref_eta)
+                np.testing.assert_array_equal(psi, ref_psi)
+                np.testing.assert_array_equal(eta, [[5, 70][:k]])
+                np.testing.assert_array_equal(psi, 1.0)
 
     def test_k_equals_hw_is_full_sort(self):
         rng = np.random.default_rng(8)
@@ -138,13 +141,16 @@ class TestTopK:
     def test_matches_full_sort_oracle_with_ties(self):
         # Quantized correlations force plenty of exact ties; -0.0 ties 0.0,
         # a constant block ties every entry of a row, and scores beyond +-1
-        # tie once clipped. Widths 256, 1024, 4096 and 16384 split into 64,
-        # 128, 256 and 512 column groups up to that k, and into one column
-        # per group above it. The primes 97 and 1031 have no divisor in
-        # [k, 64] and [k, 128] for k > 1, so those k put one column in each
-        # group, and k = 1 takes the whole row as one group.
+        # tie once clipped. With k * m at most SWEEP_MAX_KM (8192) top_k
+        # sweeps: every k at width 12, k <= 65 at 97, k <= 4 at 256, 1024
+        # and 1031, and k = 1 at 4096. The rest takes the group kernel:
+        # widths 256, 1024, 4096 and 16384 split into 64, 128, 256 and 512
+        # column groups up to that k, and into one column per group above
+        # it; the primes 97 and 1031 have no divisor in [k, 64] and
+        # [k, 128] for k > 1, so those k put one column in each group.
         rng = np.random.default_rng(9)
         ulp = np.nextafter(1.0, 2.0)
+        sweep_kernel, kernels = matcher._top_k_sweep, set()
         for m, ks in ((12, (1, 3, 7, 12)), (97, (1, 4, 64, 65, 97)),
                       (256, (1, 4, 64, 65, 256)), (1024, (1, 4, 65, 128, 129, 1024)),
                       (1031, (1, 4, 129, 1031)), (4096, (1, 4, 64, 65, 256, 257, 4096)),
@@ -158,11 +164,31 @@ class TestTopK:
             )
             for vals in blocks:
                 for k in ks:
-                    fast_eta, fast_psi = top_k(vals, k)
+                    with mock.patch.object(matcher, "_top_k_sweep", wraps=sweep_kernel) as sweep:
+                        fast_eta, fast_psi = top_k(vals, k)
+                    kernels.add((m, k, sweep.called))
                     ref_eta, ref_psi = top_k_naive(np.clip(vals, -1.0, 1.0), k)
                     np.testing.assert_array_equal(fast_eta, ref_eta)
                     np.testing.assert_array_equal(fast_psi, ref_psi)
                     assert np.array_equal(np.signbit(fast_psi), np.signbit(ref_psi))
+        assert all(swept == (k * m <= matcher.SWEEP_MAX_KM) for m, k, swept in kernels)
+        assert {swept for _, _, swept in kernels} == {True, False}
+
+    def test_real_lr16_tile_matches_full_sort_oracle(self):
+        # One 64-row tile of the LR 16^2 boxes pair at first order: hw = 256,
+        # so k = 1 and 4 sweep and k = 65 takes the group kernel, with one
+        # column in each of 256 groups.
+        scene = render_scene(SceneSpec(width=64, height=64))
+        target = order_map(encode_depth(scene.d_lr, 8), "first")
+        source = order_map(encode_rgb(scene.rgb, 4, 8), "first")
+        t, s = (unit_rows(extract_patches(f)) for f in (target, source))
+        tile = t[128:192] @ s.T
+        for k in (1, 4, 65):
+            eta, psi = top_k(tile, k)
+            ref_eta, ref_psi = top_k_naive(np.clip(tile, -1.0, 1.0), k)
+            np.testing.assert_array_equal(eta, ref_eta)
+            np.testing.assert_array_equal(psi, ref_psi)
+            assert np.array_equal(np.signbit(psi), np.signbit(ref_psi))
 
     def test_real_lr64_tile_matches_full_sort_oracle(self):
         # One 64-row tile of the LR 64^2 boxes pair at first order, as
@@ -231,13 +257,13 @@ class TestMatchingSelection:
         src = FeatureMap(rng.normal(size=(1, 4, 4)))
         patches = extract_patches(src)
         eta = rng.integers(0, 16, size=(16, 1))
-        out = matching_selection(src, eta, np.zeros((16, 1)))
+        out = matching_selection(patches, src.shape, eta, np.zeros((16, 1)))
         ref = fold_patches(patches[eta[:, 0]], src.shape)
         np.testing.assert_array_equal(out.data, ref.data)
 
     def test_self_match_identity(self):
         f = textured_map(5, 5, seed=4)
-        out = matching_selection(f, *match_pair(f, f, 1))
+        out = matching_selection(extract_patches(f), f.shape, *match_pair(f, f, 1))
         np.testing.assert_allclose(out.data, f.data, atol=1e-12)
 
     def test_equal_scores_average_patches(self):
@@ -245,7 +271,7 @@ class TestMatchingSelection:
         src = FeatureMap(rng.normal(size=(1, 3, 3)))
         patches = extract_patches(src)
         eta = np.tile([0, 5], (9, 1))
-        out = matching_selection(src, eta, np.full((9, 2), 0.25))
+        out = matching_selection(patches, src.shape, eta, np.full((9, 2), 0.25))
         mixed = 0.5 * patches[eta[:, 0]] + 0.5 * patches[eta[:, 1]]
         ref = fold_patches(mixed, src.shape)
         np.testing.assert_allclose(out.data, ref.data, atol=1e-12)
@@ -253,7 +279,9 @@ class TestMatchingSelection:
     def test_out_of_range_indices_rejected(self):
         src = textured_map(3, 3)
         with pytest.raises(ValueError):
-            matching_selection(src, np.full((9, 1), 9), np.zeros((9, 1)))
+            matching_selection(
+                extract_patches(src), src.shape, np.full((9, 1), 9), np.zeros((9, 1))
+            )
 
     @given(
         c=st.integers(1, 8),
@@ -274,9 +302,10 @@ class TestMatchingSelection:
         src = FeatureMap(rng.normal(size=(c, h, w)) * 10.0**exponent)
         eta = rng.integers(0, h * w, (h * w, k))
         psi = rng.uniform(-1.0, 1.0, (h * w, k))
+        patches = extract_patches(src)
         with mock.patch.object(matcher, "SELECT_ROWS", select_rows):
-            out = matching_selection(src, eta, psi)
-        oracle = matching_selection_einsum(extract_patches(src), src.shape, eta, psi)
+            out = matching_selection(patches, src.shape, eta, psi)
+        oracle = matching_selection_einsum(patches, src.shape, eta, psi)
         assert np.array_equal(out.data, oracle.data)
 
     def test_softmax_rows_normalized(self):
@@ -288,7 +317,7 @@ class TestMatchingSelection:
 class TestMatchOrder:
     def test_zero_order_self_is_identity(self):
         f = textured_map(5, 5, seed=5)
-        matched = matching_selection(f, *match_order({"zero": f}, f, "zero", 1))
+        matched = matching_selection(extract_patches(f), f.shape, *match_pair(f, f, 1))
         np.testing.assert_allclose(matched.data, f.data, atol=1e-12)
 
     def test_first_order_constant_maps_degenerate(self):
@@ -296,14 +325,14 @@ class TestMatchOrder:
         # resolve to the first k indices with uniform softmax weights.
         c = FeatureMap(np.full((1, 4, 4), 3.0))
         k = 3
-        rgb_maps = {"zero": c, "first": order_map(c, "first")}
+        rgb_maps = rgb_order_maps(c, PipelineConfig(orders=("first",)))
         eta, psi = match_order(rgb_maps, c, "first", k)
         np.testing.assert_array_equal(eta, np.tile(np.arange(k), (16, 1)))
-        matched = matching_selection(c, eta, psi)
+        matched = matching_selection(rgb_maps.patches("zero"), c.shape, eta, psi)
         mixed = extract_patches(c)[:k].mean(axis=0)
         ref = fold_patches(np.tile(mixed, (16, 1)), c.shape)
         np.testing.assert_allclose(matched.data, ref.data, atol=1e-12)
-        prior = matching_selection(rgb_maps["first"], eta, psi)
+        prior = matching_selection(rgb_maps.patches("first"), c.shape, eta, psi)
         np.testing.assert_allclose(prior.data, 0.0, atol=1e-12)
 
     def test_second_order_recovers_shift_on_structured_scene(self):
@@ -327,23 +356,26 @@ class TestMatchOrder:
     def test_unknown_order(self):
         f = textured_map(3, 3)
         with pytest.raises(ValueError):
-            match_order({"zero": f}, f, "third", 1)
+            match_order(rgb_order_maps(f, PipelineConfig(orders=("zero",))), f, "third", 1)
 
     def test_peak_memory_stays_below_one_dense_matrix(self):
         def match_and_select(rgb_maps, depth):
             eta, psi = match_order(rgb_maps, depth, "first", 4)
-            return [matching_selection(f, eta, psi) for f in rgb_maps.values()]
+            return [
+                matching_selection(rgb_maps.patches(name), depth.shape, eta, psi)
+                for name in ("zero", "first")
+            ]
 
         # hw = 1024: one dense correlation matrix takes 8 MiB, one 64-row
-        # tile 512 KiB. On constant maps every cosine ties, so each tile's
-        # top-k candidates are the whole tile.
+        # tile 512 KiB, which top_k's sweep copies once. On constant maps
+        # every cosine ties.
         constant = FeatureMap(np.full((2, 32, 32), 0.5))
         pairs = (
             (textured_map(32, 32, c=2, seed=1), textured_map(32, 32, c=2, seed=3)),
             (constant, constant),
         )
         for rgb, depth in pairs:
-            rgb_maps = {"zero": rgb, "first": order_map(rgb, "first")}
+            rgb_maps = rgb_order_maps(rgb, PipelineConfig(orders=("first",)))
             match_and_select(rgb_maps, depth)  # warm up
             tracemalloc.start()
             try:

@@ -22,9 +22,10 @@ streamed = []
 for hr in (256, 128, 48):
     # At LR 64^2 each GEMM tile is split across threads.
     scene = scenes.render_scene(scenes.SceneSpec(width=hr, height=hr))
-    streamed += matcher.match_order(
-        {"zero": fusion.encode_rgb(scene.rgb, 4, 8)}, fusion.encode_depth(scene.d_lr, 8), "zero", 4
+    rgb_maps = fusion.rgb_order_maps(
+        fusion.encode_rgb(scene.rgb, 4, 8), fusion.PipelineConfig(orders=("zero",))
     )
+    streamed += matcher.match_order(rgb_maps, fusion.encode_depth(scene.d_lr, 8), "zero", 4)
 rng = np.random.default_rng(0)
 cfg = fusion.PipelineConfig(
     w_fuse=fusion.default_fuse_weights(8) + 0.1 * rng.normal(size=(8, 32)),

@@ -232,6 +232,20 @@ class TestSceneLossTravels:
                               scene_loss_gradient(loss, vec)[chunk])
 
 
+    def test_rgb_side_travels_as_its_maps(self, small_scene):
+        # A probe task carries the RGB side as its maps; the worker's copy
+        # holds the patches again.
+        cfg = tiny_config()
+        tcfg = TrainConfig()
+        loss = SceneLoss(small_scene, cfg, tcfg)
+        copy = pickle.loads(pickle.dumps(loss))
+        for name, f in loss.rgb_maps.maps.items():
+            assert copy.rgb_maps.patches(name) is copy.rgb_maps.patches(name)
+            assert np.array_equal(copy.rgb_maps.unit_rows(name), loss.rgb_maps.unit_rows(name))
+        vec = pack_params(cfg, tcfg) + 0.05
+        assert copy.report(vec) == loss.report(vec)
+
+
 class TestTrainerRunsThePipeline:
     @pytest.mark.parametrize("preset, gt_hole", [("boxes", False), ("ridge", True)])
     def test_report_equals_pipeline_loss(self, preset, gt_hole):
