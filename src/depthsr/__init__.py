@@ -1,7 +1,7 @@
 """Alignment-free guided depth super-resolution via multi-order matching."""
 
 from .diffops import eigenvalues, gradient_magnitude, hessian_field, hessian_norm
-from .fusion import PipelineConfig, encode_depth, encode_rgb, moma_step, reconstruct, run_pipeline
+from .fusion import PipelineConfig, encode_depth, encode_rgb, reconstruct, run_pipeline
 from .grid import (
     DepthMap,
     FeatureMap,
@@ -49,7 +49,6 @@ __all__ = [
     "loss_total",
     "match_order",
     "matching_selection",
-    "moma_step",
     "normalize_and_compress",
     "pixel_shuffle",
     "pixel_unshuffle",

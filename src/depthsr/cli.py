@@ -198,10 +198,8 @@ def cmd_match(args) -> int:
     cfg = _load_pipeline_config(args)
     rgb = read_ppm8(args.rgb)
     d_lr = read_depth_pfm(args.depth)
-    fusion.check_scaled("RGB", rgb.shape[1:], d_lr, cfg.scale)
-    f_r = fusion.encode_rgb(rgb, cfg.scale, cfg.channels)
-    f_d = fusion.encode_depth(d_lr, cfg.channels)
-    rgb_maps = fusion.rgb_order_maps(f_r, replace(cfg, orders=(args.order,)))
+    rgb_maps, f_d = fusion.encode_scene(rgb, d_lr, replace(cfg, orders=(args.order,)))
+    f_r = rgb_maps["zero"]
     # top_k rejects a k above the patch count before any output is written.
     eta, psi = matcher.match_order(rgb_maps, f_d, args.order, cfg.k)
     # No output reads a matched prior, so only the RGB features are blended.

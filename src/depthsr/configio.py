@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import read_pfm, write_pfm
+from .fileio import pfm_bytes, read_pfm
 from .fusion import PipelineConfig, default_fuse_weights, default_head_weights
 from .grid import FeatureMap
 from .matcher import ORDERS
@@ -85,9 +85,11 @@ def parse_scalars(texts: dict[str, str]) -> dict:
 
 
 def dump_config(cfg: PipelineConfig, path) -> None:
-    """Write the config; non-default weights go to PFM sidecars."""
+    """Write the config; non-default weights go to PFM sidecars. A weight
+    beyond the float32 range raises ImageIOError before any file is written."""
     path = Path(path)
     values = {key: fmt(getattr(cfg, key)) for key, (_, fmt) in _SCALARS.items()}
+    sidecars = {}
     for key, matrix, default in (
         ("w_fuse", cfg.w_fuse, default_fuse_weights(cfg.channels)),
         ("w_head", cfg.w_head, default_head_weights(cfg.scale, cfg.channels)),
@@ -96,8 +98,10 @@ def dump_config(cfg: PipelineConfig, path) -> None:
             values[key] = "default"
         else:
             sidecar = path.with_suffix(f".{key}.pfm")
-            write_pfm(sidecar, FeatureMap(matrix[None]))
+            sidecars[sidecar] = pfm_bytes(FeatureMap(matrix[None]))
             values[key] = sidecar.name
+    for sidecar, data in sidecars.items():
+        sidecar.write_bytes(data)
     lines = [f"{key} = {values[key]}\n" for key in _KEYS]
     path.write_text("".join(lines), encoding="ascii")
 

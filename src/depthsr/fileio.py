@@ -145,16 +145,24 @@ def read_pfm(path) -> FeatureMap:
     return FeatureMap(flat[::-1].transpose(2, 0, 1).astype(np.float64))
 
 
-def write_pfm(path, f: FeatureMap) -> None:
-    """Write a 1- or 3-channel map as little-endian float32 PFM."""
+def pfm_bytes(f: FeatureMap) -> bytes:
+    """A 1- or 3-channel map as the bytes of a little-endian float32 PFM. A
+    sample beyond the float32 range raises ImageIOError, since it would be
+    stored as inf, which read_pfm rejects."""
     if f.channels not in (1, 3):
         raise ValueError(f"PFM needs 1 or 3 channels, map has {f.channels}")
     magic = b"Pf" if f.channels == 1 else b"PF"
     header = magic + f"\n{f.width} {f.height}\n-1.0\n".encode("ascii")
-    payload = f.data.transpose(1, 2, 0)[::-1].astype("<f4")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.tobytes())
+    with np.errstate(over="ignore"):
+        payload = f.data.transpose(1, 2, 0)[::-1].astype("<f4")
+    if not np.isfinite(payload).all():
+        raise ImageIOError("PFM: sample beyond the float32 range")
+    return header + payload.tobytes()
+
+
+def write_pfm(path, f: FeatureMap) -> None:
+    """Write pfm_bytes of the map; the file is not opened when that raises."""
+    Path(path).write_bytes(pfm_bytes(f))
 
 
 def read_depth_pfm(path) -> DepthMap:

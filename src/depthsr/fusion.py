@@ -9,20 +9,22 @@ and fuses everything through a 1x1 linear map; the head predicts a
 pixel-shuffled residual over bicubic upsampling, so an untrained model
 reproduces bicubic exactly.
 
-Per run: one rgb_maps value (rgb_order_maps, a matcher.RgbSide), the RGB
-features under "zero" and their order map for every enabled order, which
-no iteration changes. When their patch matrices and unit rows fit in
-matcher.HOLD_BYTES (0.88 MB at LR 16^2 with 8 channels and all three
-orders), the value holds them: matching reads the held RGB unit rows and
-the selections the held RGB patch matrices, so a three-iteration LR 16^2
-run extracts patches 12 times instead of 33. At LR 64^2 they would take
-14.2 MB, and matching sets the peak memory there, so nothing is held.
-Per iteration: the depth-side order maps and each order's (eta, psi)
-(order_matches), the selection at those matches with the detector gating
-(gated_blocks) and the 1x1 fuse (aggregate). The gating and the fuse are
-separate stages so that a caller holding fixed matches and detector
-scalars, such as the trainer's first iteration, can select and gate once
-and fuse many weight settings.
+A run is three stages: encode_scene, moma_features and reconstruct, which
+is all run_pipeline does; the trainer and `depthsr match` call the same
+stages. encode_scene gives the depth features and the run's one rgb_maps
+value (rgb_order_maps, a matcher.RgbSide): the RGB features under "zero"
+and their order map for every enabled order, which no iteration changes.
+When their patch matrices and unit rows fit in matcher.HOLD_BYTES (0.88 MB
+at LR 16^2 with 8 channels and all three orders), the value holds them, so
+a three-iteration LR 16^2 run extracts patches 12 times instead of 33. At
+LR 64^2 they would take 14.2 MB, more than a whole run's tracemalloc peak
+(10.4 MB under the fitted config), so nothing is held. moma_features runs
+every iteration: each order's (eta, psi) (order_matches), the selection
+at those matches with the detector gating (gated_blocks) and the 1x1 fuse
+(aggregate). Given the first iteration's gated blocks, it fuses them
+without matching again, so a caller holding fixed matches and detector
+scalars, such as the trainer, selects and gates once and fuses many
+weight settings.
 """
 
 from __future__ import annotations
@@ -180,6 +182,13 @@ def encode_depth(d: DepthMap, channels: int) -> FeatureMap:
     return bank_features(d.depth, channels)
 
 
+def encode_scene(img: FeatureMap, d_lr: DepthMap, cfg: PipelineConfig) -> tuple[RgbSide, FeatureMap]:
+    """A run's encoded inputs: its RGB side (rgb_order_maps of encode_rgb)
+    and the depth features. The RGB image must be cfg.scale x the LR depth."""
+    check_scaled("RGB", (img.height, img.width), d_lr, cfg.scale)
+    return rgb_order_maps(encode_rgb(img, cfg.scale, cfg.channels), cfg), encode_depth(d_lr, cfg.channels)
+
+
 def rgb_order_maps(f_r: FeatureMap, cfg: PipelineConfig) -> RgbSide:
     """The run's RGB side: the features `f_r` under "zero", plus order_map
     of them for every enabled order. The RGB features stay fixed across
@@ -235,18 +244,23 @@ def aggregate(blocks: np.ndarray, cfg: PipelineConfig) -> FeatureMap:
     return FeatureMap(np.einsum("oc,chw->ohw", cfg.w_fuse, blocks))
 
 
-def moma_step(f_d: FeatureMap, rgb_maps: RgbSide, cfg: PipelineConfig) -> FeatureMap:
-    """One matching + aggregation iteration; returns the refined depth features.
-
-    `rgb_maps` is the run's rgb_order_maps. Its RGB features must have the
-    depth features' shape, which is checked here even when no order is
-    enabled.
-    """
-    f_r = rgb_maps["zero"]
-    if f_d.shape != f_r.shape:
-        raise ValueError(f"feature shape mismatch: depth {f_d.shape}, rgb {f_r.shape}")
-    matches = order_matches(rgb_maps, f_d, cfg)
-    return aggregate(gated_blocks(f_d, rgb_maps, matches, cfg), cfg)
+def moma_features(
+    f_d: FeatureMap, rgb_maps: RgbSide, cfg: PipelineConfig, first_blocks: np.ndarray | None = None
+) -> FeatureMap:
+    """The depth features after all cfg.moma_iters MOMA iterations from `f_d`.
+    Each iteration fuses (aggregate) the gated_blocks at its order_matches;
+    `first_blocks`, when given, are the first iteration's gated_blocks,
+    fused without matching again. `rgb_maps` is the run's rgb_order_maps;
+    its RGB features must have the depth features' shape, which is checked
+    even when no order is enabled."""
+    if f_d.shape != rgb_maps["zero"].shape:
+        raise ValueError(f"feature shape mismatch: depth {f_d.shape}, rgb {rgb_maps['zero'].shape}")
+    for i in range(cfg.moma_iters):
+        if i or first_blocks is None:
+            f_d = aggregate(gated_blocks(f_d, rgb_maps, order_matches(rgb_maps, f_d, cfg), cfg), cfg)
+        else:
+            f_d = aggregate(first_blocks, cfg)
+    return f_d
 
 
 def reconstruct(f_d: FeatureMap, d_lr: DepthMap, cfg: PipelineConfig) -> DepthMap:
@@ -269,10 +283,6 @@ def check_scaled(name: str, shape: tuple[int, int], d_lr: DepthMap, scale: int) 
 
 
 def run_pipeline(img: FeatureMap, d_lr: DepthMap, cfg: PipelineConfig) -> DepthMap:
-    """Encode both modalities, iterate MOMA steps, reconstruct HR depth."""
-    check_scaled("RGB", (img.height, img.width), d_lr, cfg.scale)
-    rgb_maps = rgb_order_maps(encode_rgb(img, cfg.scale, cfg.channels), cfg)
-    f_d = encode_depth(d_lr, cfg.channels)
-    for _ in range(cfg.moma_iters):
-        f_d = moma_step(f_d, rgb_maps, cfg)
-    return reconstruct(f_d, d_lr, cfg)
+    """Encode both modalities, run the MOMA iterations, reconstruct HR depth."""
+    rgb_maps, f_d = encode_scene(img, d_lr, cfg)
+    return reconstruct(moma_features(f_d, rgb_maps, cfg), d_lr, cfg)

@@ -32,8 +32,8 @@ never inside one dot product, so the thread count changes no bit either;
 tests/test_package.py guards that at the LR 64^2 shape and at a padded
 tail tile.
 
-Top-k has two exact kernels, chosen by k * m for rows of m cosines (see
-SWEEP_MAX_KM). Short rows take k argmax sweeps over a clipped copy of the
+Top-k has two exact kernels, chosen by the width m of the rows of cosines
+(see SWEEP_MAX_M). Short rows take k argmax sweeps over a clipped copy of the
 tile: each sweep takes every row's first maximum and sets it to -inf.
 Longer rows are read once, by column groups. Column j lies in group
 j mod g, g the largest divisor of hw in [k, max(64, 4 isqrt(hw))] (hw when
@@ -72,15 +72,14 @@ MATCH_TILE_ROWS = 64
 # at once (a block's gather takes rows * k * 9c * 8 bytes).
 SELECT_ROWS = 256
 
-# top_k sweeps rows of m cosines when k * m is at most this, and reads them
-# by column groups otherwise. Per 64-row tile of boxes cosines, k = 4, one
-# BLAS thread, numpy 2.4, x86-64, group -> sweep: m 256 140 -> 59 us,
-# m 1024 216 -> 120 us, m 2048 161 -> 172 us, m 4096 389 -> 623 us. A
-# sweep pass reads the whole row, so the width decides: the group kernel
-# was faster at m 4096 for every k timed (1 to 32), the sweep at m <= 1024
-# for every k up to 65. The bound splits m 1024 from m 4096 at k = 4; at
-# m 4096 it still sweeps k <= 2, 7 to 34% slower.
-SWEEP_MAX_KM = 8192
+# top_k sweeps rows of at most this many cosines, and reads longer rows by
+# column groups. A sweep pass reads the whole row, so the width decides.
+# Per 64-row tile of boxes cosines, one BLAS thread, numpy 2.4, x86-64,
+# sweep against group: at m <= 1024 the sweep was faster for every k from
+# 1 to 128 (m 1024, k 16: 255 against 325 us), at m 4096 the group kernel
+# (k 2: 418 against 249 us); at m 2048 which won changed with k. The one
+# exception timed: at m 1024 with k 256 the sweep took 18% longer.
+SWEEP_MAX_M = 1024
 
 # An RgbSide holds its maps' patch matrices and unit rows when they take at
 # most this many bytes: 0.88 MB at LR 16^2 with 8 channels and three
@@ -112,8 +111,8 @@ def top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-row top-k of clip(values, -1, 1) as (eta, psi), each (rows, k).
 
     eta holds source indices and psi their clipped scores, non-increasing
-    per row, ties in index order. When k * m is at most SWEEP_MAX_KM the
-    rows are swept (_top_k_sweep). Otherwise column j lies in group
+    per row, ties in index order. Rows of at most SWEEP_MAX_M scores are
+    swept (_top_k_sweep). Otherwise column j lies in group
     j mod g, where g is the largest divisor of m in [k, max(64, 4 isqrt(m))],
     or m if there is none. A row has at least k groups whose maximum
     reaches the k-th largest group maximum, so that value bounds the row's
@@ -133,7 +132,7 @@ def top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n, m = values.shape
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
-    if k * m <= SWEEP_MAX_KM:
+    if m <= SWEEP_MAX_M:
         return _top_k_sweep(values, k)
     g = _group_count(m, k)
     groups = values.reshape(n, m // g, g)
@@ -265,6 +264,7 @@ def matching_selection(
     for r0 in range(0, n, SELECT_ROWS):
         rows = slice(r0, r0 + SELECT_ROWS)
         np.einsum("rk,rkd->rd", weights[rows], patches[eta[rows]], out=mixed[rows])
+    del patches  # free an extracted matrix before the fold, which sets the LR 64^2 peak
     return fold_patches(mixed, shape)
 
 

@@ -11,18 +11,18 @@ weight matrices start from a seeded fan-in-scaled random init (set
 
 Every loss evaluation, probe or not, is one `SceneLoss.report`, which runs
 the stages of the real pipeline and keeps each stage's last result while
-what it depends on is unchanged. Per scene: the encoders, the one rgb_maps
-value (`fusion.rgb_order_maps`) and the first iteration's matches, each
-order's (eta, psi), which depend on no trainable parameter. Per gate
-setting, the config scalars the gating reads (`detector`, `alpha_det`,
-`beta`): the first iteration's selected and gated blocks
-(`fusion.gated_blocks`). Per gate setting and fuse weights:
-the fused features, the 1x1 fuse (`fusion.aggregate`) of those blocks and
-`fusion.moma_step` for the remaining iterations. Per evaluation:
+what it depends on is unchanged. Per scene: `fusion.encode_scene` (the
+depth features and the one rgb_maps value) and the first iteration's
+matches, each order's (eta, psi), which depend on no trainable parameter.
+Per gate setting, the config scalars the gating reads (`detector`,
+`alpha_det`, `beta`): the first iteration's selected and gated blocks
+(`fusion.gated_blocks`). Per gate setting and fuse weights: the fused
+features, `fusion.moma_features` given those blocks. Per evaluation:
 `fusion.reconstruct` with `losses.loss_total`. So a head-weight probe
 costs one reconstruct and loss, a fuse probe re-runs the matching
-iterations, and only a detector-scalar probe selects and gates again. The
-reuse changes nothing numerically, every value equals a full pipeline run.
+iterations after the first, and only a detector-scalar probe selects and
+gates again. The reuse changes nothing numerically, every value equals a
+full pipeline run.
 
 `fit` builds one `SceneLoss` and evaluates each gradient's probes on it in
 spawned worker processes, one pool for the whole call and the same path for
@@ -52,14 +52,11 @@ import numpy as np
 
 from .fusion import (
     PipelineConfig,
-    aggregate,
-    encode_depth,
-    encode_rgb,
+    encode_scene,
     gated_blocks,
-    moma_step,
+    moma_features,
     order_matches,
     reconstruct,
-    rgb_order_maps,
 )
 from .grid import FeatureMap, NonFiniteError, check_finite_settings
 from .losses import LossReport, loss_total
@@ -154,7 +151,7 @@ def unpack_params(vec: np.ndarray, cfg: PipelineConfig, tcfg: TrainConfig) -> Pi
 class SceneLoss:
     """Loss evaluator for one scene; `report` is its one public method.
 
-    Cached once per scene: both encoders, the rgb_maps value and
+    Cached once per scene: encode_scene's depth features and rgb_maps, and
     `first_matches`, the first iteration's (eta, psi) per order (the
     matching inputs cannot depend on any trainable parameter there).
     Cached while their key holds: the first iteration's selected and gated
@@ -167,8 +164,7 @@ class SceneLoss:
         self.tcfg = tcfg
         self.d_lr = scene.d_lr
         self.d_gt = scene.d_gt
-        self.rgb_maps = rgb_order_maps(encode_rgb(scene.rgb, cfg.scale, cfg.channels), cfg)
-        self.f_d0 = encode_depth(scene.d_lr, cfg.channels)
+        self.rgb_maps, self.f_d0 = encode_scene(scene.rgb, scene.d_lr, cfg)
         self.first_matches = order_matches(self.rgb_maps, self.f_d0, cfg)
         self._first_gated: tuple[object, np.ndarray] | None = None
         self._fused: tuple[object, FeatureMap] | None = None
@@ -184,10 +180,7 @@ class SceneLoss:
             if self._first_gated is None or self._first_gated[0] != setting:
                 blocks = gated_blocks(self.f_d0, self.rgb_maps, self.first_matches, cfg)
                 self._first_gated = (setting, blocks)
-            f_d = aggregate(self._first_gated[1], cfg)
-            for _ in range(cfg.moma_iters - 1):
-                f_d = moma_step(f_d, self.rgb_maps, cfg)
-            self._fused = (key, f_d)
+            self._fused = (key, moma_features(self.f_d0, self.rgb_maps, cfg, self._first_gated[1]))
         return self._fused[1]
 
     def report(self, vec: np.ndarray) -> LossReport:

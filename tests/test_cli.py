@@ -397,6 +397,16 @@ class TestSrConfigOverrides:
         np.testing.assert_array_equal(out.w_fuse, cfg.w_fuse)
         np.testing.assert_array_equal(out.w_head, cfg.w_head)
 
+    def test_prediction_beyond_float32_range_is_io_error(self, scene_dir, tmp_path, capsys):
+        # A head of float32-max weights pushes the residual, a sum over the
+        # channels, past the float32 range: the HR depth cannot be stored.
+        path = tmp_path / "huge.cfg"
+        dump_config(PipelineConfig(w_head=np.full((16, 8), np.finfo(np.float32).max)), path)
+        out = tmp_path / "sr"
+        assert main(self.sr_argv(scene_dir, out, path)) == EXIT_IO
+        assert "float32 range" in capsys.readouterr().err
+        assert not (out / "d_hr.pfm").exists()
+
     def test_scale_change_with_config_is_usage_error(self, scene_dir, tmp_path, weighted, capsys):
         # The fitted weights belong to the config's scale; dropping them would
         # silently turn the run into plain bicubic.

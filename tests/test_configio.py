@@ -1,10 +1,10 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from depthsr.configio import dump_config, load_config, orders_to_token, token_to_orders
-from depthsr.fileio import write_pfm
+from depthsr.fileio import ImageIOError, write_pfm
 from depthsr.fusion import PipelineConfig
 from depthsr.grid import FeatureMap
 
@@ -48,6 +48,17 @@ class TestConfigRoundTrip:
         np.testing.assert_array_equal(loaded.w_fuse, cfg.w_fuse)
         dump_config(loaded, path)
         assert path.read_bytes() == first
+
+    @pytest.mark.parametrize("beyond", ["w_fuse", "w_head"])
+    def test_weight_beyond_float32_range_writes_no_file(self, tmp_path, beyond):
+        # Both weights differ from the defaults, so each needs a sidecar;
+        # the one beyond the float32 range stops the dump before any write.
+        cfg = PipelineConfig(channels=2, w_fuse=np.ones((2, 8)), w_head=np.ones((16, 2)))
+        weights = getattr(cfg, beyond).copy()
+        weights[0, 0] = 1e39
+        with pytest.raises(ImageIOError):
+            dump_config(replace(cfg, **{beyond: weights}), tmp_path / "w.cfg")
+        assert list(tmp_path.iterdir()) == []
 
     def test_loaded_config_equals_dumped(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -67,6 +67,21 @@ class TestPfm:
         with pytest.raises(ImageIOError):
             read_pfm(path)
 
+    @pytest.mark.parametrize("value", [1e39, -1e39, 3.4028236e38])
+    def test_sample_beyond_float32_range_rejected_before_writing(self, tmp_path, value):
+        # Each of these finite samples would be stored as inf, which
+        # read_pfm rejects. The largest float32 itself is written.
+        path = tmp_path / "big.pfm"
+        plane = np.array([[1.0, value], [2.0, 3.0]])
+        with pytest.raises(ImageIOError, match="float32 range"):
+            write_pfm(path, FeatureMap(np.stack([plane] * 3)))
+        with pytest.raises(ImageIOError, match="float32 range"):
+            write_depth_pfm(path, DepthMap.all_valid(np.abs(plane)))
+        assert not path.exists()
+        top = float(np.finfo(np.float32).max)
+        write_pfm(path, FeatureMap(np.full((1, 2, 2), top)))
+        np.testing.assert_array_equal(read_pfm(path).data, top)
+
     def test_depth_pfm_invalid_encoded_as_zero(self, tmp_path):
         d = DepthMap(np.array([[1.5, 0.0], [2.5, 3.5]]), np.array([[True, False], [True, True]]))
         path = tmp_path / "d.pfm"

@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -16,7 +17,7 @@ from depthsr.fusion import (
     encode_rgb,
     filter_bank,
     gated_blocks,
-    moma_step,
+    moma_features,
     order_matches,
     reconstruct,
     rgb_order_maps,
@@ -284,22 +285,83 @@ class TestRgbSide:
             assert np.array_equal(copy.unit_rows(name), rgb_maps.unit_rows(name))
 
 
-class TestMomaStep:
+class TestMomaFeatures:
     def test_shapes_preserved_and_rgb_untouched(self):
         d_lr, rgb = render_shifted_pair("boxes", 16, 16, 1, 1)
         cfg = tiny_config(scale=4)
         f_d, f_r = encode_depth(d_lr, cfg.channels), encode_rgb(rgb, 1, cfg.channels)
         before = f_r.data.copy()
-        out = moma_step(f_d, rgb_order_maps(f_r, cfg), cfg)
+        out = moma_features(f_d, rgb_order_maps(f_r, cfg), cfg)
         assert out.shape == f_d.shape
         np.testing.assert_array_equal(f_r.data, before)
 
     def test_feature_shape_mismatch_rejected(self):
-        # No enabled order, so only moma_step's own check can catch it.
+        # No enabled order, so only moma_features' own check can catch it.
         cfg = PipelineConfig(channels=2, orders=())
         rgb_maps = rgb_order_maps(FeatureMap(np.zeros((2, 4, 5))), cfg)
         with pytest.raises(ValueError):
-            moma_step(FeatureMap(np.zeros((2, 4, 4))), rgb_maps, cfg)
+            moma_features(FeatureMap(np.zeros((2, 4, 4))), rgb_maps, cfg)
+
+    @pytest.mark.parametrize("moma_iters", [1, 3])
+    def test_given_first_blocks_skip_only_the_first_matching(self, monkeypatch, moma_iters):
+        d_lr, rgb = render_shifted_pair("boxes", 16, 16, 1, 1)
+        rng = np.random.default_rng(5)
+        cfg = tiny_config(scale=4, moma_iters=moma_iters)
+        cfg = replace(cfg, w_fuse=cfg.w_fuse + 0.1 * rng.normal(size=cfg.w_fuse.shape))
+        f_d, f_r = encode_depth(d_lr, cfg.channels), encode_rgb(rgb, 1, cfg.channels)
+        rgb_maps = rgb_order_maps(f_r, cfg)
+        first = gated_blocks(f_d, rgb_maps, order_matches(rgb_maps, f_d, cfg), cfg)
+        matched = moma_features(f_d, rgb_maps, cfg)
+        calls = []
+        monkeypatch.setattr(fusion, "match_order", lambda *a: calls.append(a[2]) or match_order(*a))
+        given = moma_features(f_d, rgb_maps, cfg, first)
+        assert np.array_equal(given.data, matched.data)
+        assert len(calls) == len(cfg.orders) * (moma_iters - 1)
+
+
+@pytest.fixture(scope="module")
+def lr64_stage_inputs():
+    """The default config's first-iteration inputs on the LR 64^2 boxes scene."""
+    scene = render_scene(SceneSpec(width=256, height=256))
+    cfg = PipelineConfig(moma_iters=1)
+    rgb_maps, f_d = fusion.encode_scene(scene.rgb, scene.d_lr, cfg)
+    return cfg, rgb_maps, f_d, order_matches(rgb_maps, f_d, cfg)
+
+
+class TestStagePeakMemory:
+    """Each stage's tracemalloc peak at LR 64^2, 8 channels, in units of one
+    c x h x w map (256 KiB; a patch matrix takes 9, a 64-row cosine tile 8).
+    Measured with numpy 2.4.6: gated_blocks 31.5 maps, match_order 28.1 at
+    zero order and 29.1 at the others, one moma_features iteration 34.5.
+    Each bound is half a map above, so that one more map held through the
+    peak fails; a numpy build with other temporaries may need new figures."""
+
+    @staticmethod
+    def peak_maps(call, f_d: FeatureMap) -> float:
+        """The peak of call() after a warm-up call, in maps of f_d's size."""
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / f_d.data.nbytes
+        finally:
+            tracemalloc.stop()
+
+    def test_gated_blocks(self, lr64_stage_inputs):
+        cfg, rgb_maps, f_d, matches = lr64_stage_inputs
+        peak = self.peak_maps(lambda: gated_blocks(f_d, rgb_maps, matches, cfg), f_d)
+        assert peak < 32.0
+
+    @pytest.mark.parametrize("order, bound", [("zero", 28.5), ("first", 29.5), ("second", 29.5)])
+    def test_match_order(self, lr64_stage_inputs, order, bound):
+        cfg, rgb_maps, f_d, _ = lr64_stage_inputs
+        peak = self.peak_maps(lambda: match_order(rgb_maps, f_d, order, cfg.k), f_d)
+        assert peak < bound
+
+    def test_one_moma_features_iteration(self, lr64_stage_inputs):
+        cfg, rgb_maps, f_d, _ = lr64_stage_inputs
+        assert cfg.moma_iters == 1
+        assert self.peak_maps(lambda: moma_features(f_d, rgb_maps, cfg), f_d) < 35.0
 
 
 class TestReconstruct:

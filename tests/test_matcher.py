@@ -141,12 +141,11 @@ class TestTopK:
     def test_matches_full_sort_oracle_with_ties(self):
         # Quantized correlations force plenty of exact ties; -0.0 ties 0.0,
         # a constant block ties every entry of a row, and scores beyond +-1
-        # tie once clipped. With k * m at most SWEEP_MAX_KM (8192) top_k
-        # sweeps: every k at width 12, k <= 65 at 97, k <= 4 at 256, 1024
-        # and 1031, and k = 1 at 4096. The rest takes the group kernel:
-        # widths 256, 1024, 4096 and 16384 split into 64, 128, 256 and 512
+        # tie once clipped. Rows of at most SWEEP_MAX_M (1024) columns are
+        # swept: widths 12, 97, 256 and 1024, at every k. Wider rows take
+        # the group kernel: widths 4096 and 16384 split into 256 and 512
         # column groups up to that k, and into one column per group above
-        # it; the primes 97 and 1031 have no divisor in [k, 64] and
+        # it; the prime 1031 has one group at k = 1 and no divisor in
         # [k, 128] for k > 1, so those k put one column in each group.
         rng = np.random.default_rng(9)
         ulp = np.nextafter(1.0, 2.0)
@@ -171,13 +170,12 @@ class TestTopK:
                     np.testing.assert_array_equal(fast_eta, ref_eta)
                     np.testing.assert_array_equal(fast_psi, ref_psi)
                     assert np.array_equal(np.signbit(fast_psi), np.signbit(ref_psi))
-        assert all(swept == (k * m <= matcher.SWEEP_MAX_KM) for m, k, swept in kernels)
+        assert all(swept == (m <= matcher.SWEEP_MAX_M) for m, k, swept in kernels)
         assert {swept for _, _, swept in kernels} == {True, False}
 
     def test_real_lr16_tile_matches_full_sort_oracle(self):
         # One 64-row tile of the LR 16^2 boxes pair at first order: hw = 256,
-        # so k = 1 and 4 sweep and k = 65 takes the group kernel, with one
-        # column in each of 256 groups.
+        # so top_k sweeps at every k, 65 included.
         scene = render_scene(SceneSpec(width=64, height=64))
         target = order_map(encode_depth(scene.d_lr, 8), "first")
         source = order_map(encode_rgb(scene.rgb, 4, 8), "first")

@@ -47,7 +47,7 @@ def test_all_names_resolve_unique_and_sorted():
 
 # Public names that nothing in src/ uses yet, each with the reason it stays.
 _UNUSED_IN_SRC = {
-    "grid.pixel_unshuffle": "the space-to-depth inverse of pixel_shuffle (ROADMAP item 2(a))",
+    "grid.pixel_unshuffle": "the space-to-depth inverse of pixel_shuffle (ROADMAP item 3(a))",
 }
 
 
@@ -68,6 +68,25 @@ def test_every_public_definition_is_used_in_src():
             if not any(re.search(rf"\b{name}\b", text) for text in texts):
                 unused.append(f"{info.name}.{name}")
     assert sorted(unused) == sorted(_UNUSED_IN_SRC)
+
+
+def test_module_references_in_src_resolve():
+    """Every `module.name` that src/ writes, in code or in prose, names an
+    attribute of that package module. Only the first attribute counts, so
+    perfbench metric names such as `matcher.match_order.calls` pass."""
+    pkg = Path(depthsr.__file__).parent
+    modules = [info.name for info in pkgutil.iter_modules([str(pkg)])]
+    reference = re.compile(rf"(?<![\w.])({'|'.join(modules)})\.([A-Za-z_]\w*)")
+    found = [
+        (path.name, m) for path in sorted(pkg.glob("*.py")) for m in reference.finditer(path.read_text())
+    ]
+    assert found
+    stale = [
+        f"{name}: {m.group(0)}"
+        for name, m in found
+        if not hasattr(importlib.import_module(f"depthsr.{m.group(1)}"), m.group(2))
+    ]
+    assert stale == []
 
 
 def test_outputs_do_not_depend_on_thread_count():

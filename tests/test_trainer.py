@@ -141,8 +141,9 @@ class TestNumericGrad:
         tcfg = TrainConfig(fit_params=("head", "fuse") if fit_fuse else ("head",))
         loss = SceneLoss(small_scene, cfg, tcfg)
         calls = []
-        aggregate = trainer.aggregate
-        monkeypatch.setattr(trainer, "aggregate", lambda *a: calls.append(1) or aggregate(*a))
+        moma_features = trainer.moma_features
+        monkeypatch.setattr(trainer, "moma_features",
+                            lambda *a: calls.append(1) or moma_features(*a))
         scene_loss_gradient(loss, pack_params(cfg, tcfg))
         assert len(calls) == 1 + (2 * cfg.w_fuse.size if fit_fuse else 0)
 
@@ -247,8 +248,15 @@ class TestSceneLossTravels:
 
 
 class TestTrainerRunsThePipeline:
-    @pytest.mark.parametrize("preset, gt_hole", [("boxes", False), ("ridge", True)])
-    def test_report_equals_pipeline_loss(self, preset, gt_hole):
+    @pytest.mark.parametrize("preset, gt_hole, loop", [
+        pytest.param("boxes", False, {}, id="boxes-False"),
+        pytest.param("ridge", True, {}, id="ridge-True"),
+        # One iteration fuses only the cached first blocks; with no order
+        # enabled every iteration fuses the depth block and zero blocks.
+        pytest.param("boxes", False, {"moma_iters": 1}, id="one-iteration"),
+        pytest.param("ridge", False, {"orders": ()}, id="no-orders"),
+    ])
+    def test_report_equals_pipeline_loss(self, preset, gt_hole, loop):
         spec = SceneSpec(width=32, height=32, scale=4, dx=2.0, dy=-1.0,
                          noise_sigma=0.0, preset=preset)
         scene = render_scene(spec)
@@ -257,7 +265,7 @@ class TestTrainerRunsThePipeline:
             valid[8:14, 20:30] = False
             scene = replace(scene, d_gt=DepthMap(scene.d_gt.depth, valid))
         rng = np.random.default_rng(11)
-        cfg = tiny_config()
+        cfg = tiny_config(**loop)
         c = cfg.channels
         cfg = replace(
             cfg,
