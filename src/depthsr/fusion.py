@@ -11,20 +11,22 @@ reproduces bicubic exactly.
 
 A run is three stages: encode_scene, moma_features and reconstruct, which
 is all run_pipeline does; the trainer and `depthsr match` call the same
-stages. encode_scene gives the depth features and the run's one rgb_maps
-value (rgb_order_maps, a matcher.RgbSide): the RGB features under "zero"
-and their order map for every enabled order, which no iteration changes.
+stages. reconstruct adds the head's residual to a bicubic base its caller
+upsamples once: run_pipeline per run, the trainer per scene. encode_scene
+gives the depth features and the run's one rgb_maps value
+(rgb_order_maps, a matcher.RgbSide): the RGB features under "zero" and
+their order map for every enabled order, which no iteration changes.
 When their patch matrices and unit rows fit in matcher.HOLD_BYTES (0.88 MB
 at LR 16^2 with 8 channels and all three orders), the value holds them, so
 a three-iteration LR 16^2 run extracts patches 12 times instead of 33. At
 LR 64^2 they would take 14.2 MB, more than a whole run's tracemalloc peak
-(10.4 MB under the fitted config), so nothing is held. moma_features runs
+(9.5 MB under the fitted config), so nothing is held. moma_features runs
 every iteration: each order's (eta, psi) (order_matches), the selection
 at those matches with the detector gating (gated_blocks) and the 1x1 fuse
 (aggregate). Given the first iteration's gated blocks, it fuses them
-without matching again, so a caller holding fixed matches and detector
-scalars, such as the trainer, selects and gates once and fuses many
-weight settings.
+without matching again, so a caller whose config scalars stay fixed, such
+as the trainer, matches, selects and gates once and fuses many weight
+settings.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import GAUSS_3X3, MIN_DEPTH_M, DepthMap, FeatureMap, bicubic_resample, check_finite_settings, conv2d, pixel_shuffle, sigmoid, standardize
+from .grid import GAUSS_3X3, MIN_DEPTH_M, DepthMap, FeatureMap, bicubic_resample, check_finite_settings, check_int_settings, conv2d, pixel_shuffle, sigmoid, standardize
 from .losses import DEFAULT_ALPHA_LOSS
 from .matcher import ORDERS, RgbSide, match_order, matching_selection, order_map
 from .structdet import detect
@@ -87,6 +89,7 @@ class PipelineConfig:
     alpha_loss: float = DEFAULT_ALPHA_LOSS
 
     def __post_init__(self):
+        check_int_settings(self, "scale", "channels", "k", "moma_iters")
         if self.scale not in SCALES:
             raise ValueError(f"scale must be one of {SCALES}")
         if not 1 <= self.channels <= MAX_CHANNELS:
@@ -114,19 +117,20 @@ class PipelineConfig:
             self, "w_head", _weight_matrix(w_head, (self.scale * self.scale, c), "w_head")
         )
 
-    def _scalars(self) -> tuple:
+    def scalars(self) -> tuple:
+        """Every field but the weights, in field order."""
         return tuple(getattr(self, f.name) for f in fields(self) if f.name not in _WEIGHTS)
 
     def __eq__(self, other):
         if not isinstance(other, PipelineConfig):
             return NotImplemented
-        return self._scalars() == other._scalars() and all(
+        return self.scalars() == other.scalars() and all(
             np.array_equal(getattr(self, w), getattr(other, w)) for w in _WEIGHTS
         )
 
     def __hash__(self):
         # Weights stay out: configs equal under np.array_equal hash alike.
-        return hash(self._scalars())
+        return hash(self.scalars())
 
     def __reduce__(self):
         # Unpickle (and copy) through the constructor, which checks the
@@ -263,13 +267,13 @@ def moma_features(
     return f_d
 
 
-def reconstruct(f_d: FeatureMap, d_lr: DepthMap, cfg: PipelineConfig) -> DepthMap:
-    """Bicubic upsample of the LR depth plus a pixel-shuffled residual."""
-    if f_d.height != d_lr.height or f_d.width != d_lr.width:
-        raise ValueError("feature grid does not match LR depth grid")
+def reconstruct(f_d: FeatureMap, base: DepthMap, cfg: PipelineConfig) -> DepthMap:
+    """`base`, the bicubic upsample of the LR depth by cfg.scale, plus the
+    pixel-shuffled head residual of `f_d`; `base` keeps its valid mask."""
+    if (cfg.scale * f_d.height, cfg.scale * f_d.width) != base.depth.shape:
+        raise ValueError(f"base {base.depth.shape} is not {cfg.scale}x the feature grid {f_d.shape[1:]}")
     res = np.einsum("qc,chw->qhw", cfg.w_head, f_d.data)
     res_hr = pixel_shuffle(FeatureMap(res), cfg.scale).data[0]
-    base = bicubic_resample(d_lr, float(cfg.scale))
     depth = base.depth + res_hr
     depth = np.where(base.valid, np.maximum(depth, MIN_DEPTH_M), depth)
     return DepthMap(depth, base.valid)
@@ -285,4 +289,5 @@ def check_scaled(name: str, shape: tuple[int, int], d_lr: DepthMap, scale: int) 
 def run_pipeline(img: FeatureMap, d_lr: DepthMap, cfg: PipelineConfig) -> DepthMap:
     """Encode both modalities, run the MOMA iterations, reconstruct HR depth."""
     rgb_maps, f_d = encode_scene(img, d_lr, cfg)
-    return reconstruct(moma_features(f_d, rgb_maps, cfg), d_lr, cfg)
+    f_d = moma_features(f_d, rgb_maps, cfg)
+    return reconstruct(f_d, bicubic_resample(d_lr, float(cfg.scale)), cfg)

@@ -15,9 +15,9 @@ What is computed per call and per shape: every 3x3 window user
 call into an edge-padded array, filled by slice assignment, and reads a
 strided view of it. fold_patches' index plan (the pixel each patch element
 came from, and each pixel's contribution count) depends only on (h, w), so
-it is computed once per shape and kept, read-only, in a small cache; the
-per-channel bins and sums are per call. Every result is
-independent of the thread count. The contractions here go through
+it is computed once per shape and kept, read-only, in a small cache; each
+call sums one channel at a time over it. Every result is independent of
+the thread count. The contractions here go through
 ``np.einsum``, which runs numpy's own one-thread loops, and fold_patches
 sums with ``np.bincount``, which adds in input order. The one BLAS product,
 the matcher's cosine GEMM, runs over fixed-shape tiles, and OpenBLAS splits
@@ -53,6 +53,17 @@ def check_finite_settings(settings, *names: str) -> None:
         value = getattr(settings, name)
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def check_int_settings(settings, *names: str) -> None:
+    """Reject a setting that is a bool or not an integer (a float such as
+    4.0 included) with ValueError, before any range check; store a numpy
+    integer as int."""
+    for name in names:
+        value = getattr(settings, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(settings, name, int(value))
 
 
 def _finite_array(data, what: str, dtype=np.float64) -> np.ndarray:
@@ -185,12 +196,14 @@ def fold_patches(vectors: np.ndarray, shape: tuple[int, int, int]) -> FeatureMap
     same way. Sums run offset-major, then over patches in row-major order.
     """
     c, h, w = shape
-    n = h * w
     src, counts = _fold_plan(h, w)
-    vals = vectors.reshape(h, w, c, PATCH_SIZE, PATCH_SIZE).transpose(2, 3, 4, 0, 1)
-    bins = (np.arange(c)[:, None] * n + src).ravel()
-    acc = np.bincount(bins, weights=vals.ravel(), minlength=c * n).reshape(c, h, w)
-    return FeatureMap(acc / counts)
+    # One channel's elements at a time, offset-major as `src` lists them.
+    vals = vectors.reshape(h * w, c, PATCH_SIZE * PATCH_SIZE)
+    acc = np.empty(shape)
+    for ch in range(c):
+        acc[ch] = np.bincount(src, weights=vals[:, ch].T.ravel(), minlength=h * w).reshape(h, w)
+    acc /= counts
+    return FeatureMap(acc)
 
 
 @lru_cache(maxsize=16)

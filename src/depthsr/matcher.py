@@ -264,7 +264,7 @@ def matching_selection(
     for r0 in range(0, n, SELECT_ROWS):
         rows = slice(r0, r0 + SELECT_ROWS)
         np.einsum("rk,rkd->rd", weights[rows], patches[eta[rows]], out=mixed[rows])
-    del patches  # free an extracted matrix before the fold, which sets the LR 64^2 peak
+    del patches  # free an extracted matrix, or the fold would set this call's peak
     return fold_patches(mixed, shape)
 
 

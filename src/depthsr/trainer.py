@@ -10,19 +10,18 @@ weight matrices start from a seeded fan-in-scaled random init (set
 ``init_scale = 0`` to fit from the config's weights as-is).
 
 Every loss evaluation, probe or not, is one `SceneLoss.report`, which runs
-the stages of the real pipeline and keeps each stage's last result while
-what it depends on is unchanged. Per scene: `fusion.encode_scene` (the
-depth features and the one rgb_maps value) and the first iteration's
-matches, each order's (eta, psi), which depend on no trainable parameter.
-Per gate setting, the config scalars the gating reads (`detector`,
-`alpha_det`, `beta`): the first iteration's selected and gated blocks
-(`fusion.gated_blocks`). Per gate setting and fuse weights: the fused
+the stages of the real pipeline. Per scene, under the starting config:
+`fusion.encode_scene` and the bicubic base, which read no fitted
+parameter. Every later stage's result is kept while its key holds, and
+each key covers all the config scalars (`PipelineConfig.scalars`), so no
+setting, fitted or not, can leave a stale result. Per config scalars: the
+first iteration's matches, selected and gated blocks
+(`fusion.gated_blocks`). Per config scalars and fuse weights: the fused
 features, `fusion.moma_features` given those blocks. Per evaluation:
 `fusion.reconstruct` with `losses.loss_total`. So a head-weight probe
 costs one reconstruct and loss, a fuse probe re-runs the matching
-iterations after the first, and only a detector-scalar probe selects and
-gates again. The reuse changes nothing numerically, every value equals a
-full pipeline run.
+iterations after the first, and a detector-scalar probe runs them all.
+Every value equals a full pipeline run's.
 
 `fit` builds one `SceneLoss` and evaluates each gradient's probes on it in
 spawned worker processes, one pool for the whole call and the same path for
@@ -58,7 +57,7 @@ from .fusion import (
     order_matches,
     reconstruct,
 )
-from .grid import FeatureMap, NonFiniteError, check_finite_settings
+from .grid import FeatureMap, NonFiniteError, bicubic_resample, check_finite_settings, check_int_settings
 from .losses import LossReport, loss_total
 from .scenes import Scene
 
@@ -94,6 +93,7 @@ class TrainConfig:
     log_path: str | None = None
 
     def __post_init__(self):
+        check_int_settings(self, "steps", "seed")
         check_finite_settings(self, "lr", "fd_epsilon", "init_scale")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
@@ -149,53 +149,47 @@ def unpack_params(vec: np.ndarray, cfg: PipelineConfig, tcfg: TrainConfig) -> Pi
 
 
 class SceneLoss:
-    """Loss evaluator for one scene; `report` is its one public method.
-
-    Cached once per scene: encode_scene's depth features and rgb_maps, and
-    `first_matches`, the first iteration's (eta, psi) per order (the
-    matching inputs cannot depend on any trainable parameter there).
-    Cached while their key holds: the first iteration's selected and gated
-    blocks, keyed on the gate setting (every scalar `gated_blocks` reads),
-    and the fused features, keyed on that setting and the fuse weights.
-    """
+    """Loss evaluator for one scene; `report` is its one public method. It
+    reuses stage results by the module docstring's rule."""
 
     def __init__(self, scene: Scene, cfg: PipelineConfig, tcfg: TrainConfig):
         self.cfg = cfg
         self.tcfg = tcfg
-        self.d_lr = scene.d_lr
         self.d_gt = scene.d_gt
         self.rgb_maps, self.f_d0 = encode_scene(scene.rgb, scene.d_lr, cfg)
-        self.first_matches = order_matches(self.rgb_maps, self.f_d0, cfg)
-        self._first_gated: tuple[object, np.ndarray] | None = None
-        self._fused: tuple[object, FeatureMap] | None = None
+        self.base = bicubic_resample(scene.d_lr, float(cfg.scale))
+        self._first_gated: tuple[tuple, np.ndarray] | None = None
+        self._fused: tuple[bytes, FeatureMap] | None = None
 
     def _fused_features(self, cfg: PipelineConfig) -> FeatureMap:
-        """The MOMA iterations' output under `cfg`. The first iteration's gated
-        blocks depend on the gate setting alone; the fused features also on
-        the fuse weights, keyed on their exact bytes so that -0.0 and 0.0
+        """The MOMA iterations' output under `cfg`. The first iteration's
+        gated blocks are kept per config scalars, the fused features also
+        per fuse weights, keyed on their exact bytes so that -0.0 and 0.0
         never share an entry."""
-        setting = (cfg.detector, cfg.alpha_det, cfg.beta)
-        key = (setting, cfg.w_fuse.tobytes())
+        scalars = cfg.scalars()
+        if self._first_gated is None or self._first_gated[0] != scalars:
+            matches = order_matches(self.rgb_maps, self.f_d0, cfg)
+            self._first_gated = (scalars, gated_blocks(self.f_d0, self.rgb_maps, matches, cfg))
+            self._fused = None
+        key = cfg.w_fuse.tobytes()
         if self._fused is None or self._fused[0] != key:
-            if self._first_gated is None or self._first_gated[0] != setting:
-                blocks = gated_blocks(self.f_d0, self.rgb_maps, self.first_matches, cfg)
-                self._first_gated = (setting, blocks)
             self._fused = (key, moma_features(self.f_d0, self.rgb_maps, cfg, self._first_gated[1]))
         return self._fused[1]
 
     def report(self, vec: np.ndarray) -> LossReport:
-        """The loss at parameter vector `vec` (finite, or NonFiniteError)."""
+        """The loss at parameter vector `vec`: finite, or NonFiniteError, or
+        FloatingPointError on a float overflow or invalid operation."""
         cfg = unpack_params(vec, self.cfg, self.tcfg)
-        pred = reconstruct(self._fused_features(cfg), self.d_lr, cfg)
-        report = loss_total(self.d_gt, pred, cfg.alpha_loss)
+        with np.errstate(over="raise", invalid="raise"):
+            pred = reconstruct(self._fused_features(cfg), self.base, cfg)
+            report = loss_total(self.d_gt, pred, cfg.alpha_loss)
         if not np.isfinite(report.l_total):
             raise NonFiniteError(f"l_total is {report.l_total}")
         return report
 
 
 def _worker_probes(loss: SceneLoss, vec: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Central differences of `loss` at `vec` along each of `coords`, with
-    float overflow and invalid operations raising, as under `_guarded`.
+    """Central differences of `loss` at `vec` along each of `coords`.
 
     A probe worker runs it on the `SceneLoss` that came with the task and
     keeps nothing between tasks. The evaluator comes with every task rather
@@ -206,14 +200,13 @@ def _worker_probes(loss: SceneLoss, vec: np.ndarray, coords: np.ndarray) -> np.n
     """
     eps = loss.tcfg.fd_epsilon
     values = np.empty(len(coords))
-    with np.errstate(over="raise", invalid="raise"):
-        for j, i in enumerate(coords):
-            probe = vec.copy()
-            probe[i] = vec[i] + eps
-            hi = loss.report(probe).l_total
-            probe[i] = vec[i] - eps
-            lo = loss.report(probe).l_total
-            values[j] = (hi - lo) / (2.0 * eps)
+    for j, i in enumerate(coords):
+        probe = vec.copy()
+        probe[i] = vec[i] + eps
+        hi = loss.report(probe).l_total
+        probe[i] = vec[i] - eps
+        lo = loss.report(probe).l_total
+        values[j] = (hi - lo) / (2.0 * eps)
     return values
 
 
@@ -263,13 +256,12 @@ def fit(scene: Scene, tcfg: TrainConfig, cfg: PipelineConfig) -> FitResult:
     """Descent on the enabled parameters; returns the best parameters seen.
 
     Every loss it evaluates, probes included, is a `report` of the one
-    `SceneLoss` it builds. Each gradient's probes run on that evaluator in
-    spawned worker processes with one BLAS thread each, one worker per CPU
-    this process may run on and at most one per coordinate; see the module
-    docstring. Fitting `alpha_det` or `beta` with the detector off raises
-    ValueError before any worker starts. A script that calls `fit` must
-    guard its entry point with ``if __name__ == "__main__"``; a worker that
-    cannot start raises `BrokenProcessPool`. No worker outlives the call.
+    `SceneLoss` it builds; the probes run in spawned worker processes, see
+    the module docstring. Fitting `alpha_det` or `beta` with the detector
+    off raises ValueError before any worker starts. A script that calls
+    `fit` must guard its entry point with ``if __name__ == "__main__"``; a
+    worker that cannot start raises `BrokenProcessPool`. No worker outlives
+    the call.
 
     When `tcfg.log_path` is set, writes a step,l_rec,l_grad,l_hes,l_total
     CSV covering the whole trajectory. Aborts with DivergenceError
@@ -339,11 +331,10 @@ def _descend(loss: SceneLoss, gradient, params: np.ndarray) -> tuple[np.ndarray,
 
 
 def _guarded(step: int, fn, *args):
-    """fn(*args) with float overflow and invalid operations raising; any
-    non-finite value becomes a DivergenceError carrying `step`."""
+    """fn(*args), with a non-finite loss (a report's NonFiniteError or
+    FloatingPointError) raised as a DivergenceError carrying `step`."""
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            return fn(*args)
+        return fn(*args)
     except (NonFiniteError, FloatingPointError) as exc:
         raise DivergenceError(step, f"non-finite loss at step {step}: {exc}") from exc
 

@@ -16,7 +16,7 @@ import depthsr
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
-from depthsr import fusion, matcher, scenes
+from depthsr import fusion, matcher, scenes, trainer
 
 streamed = []
 for hr in (256, 128, 48):
@@ -35,6 +35,12 @@ small = scenes.render_scene(scenes.SceneSpec())
 pred = fusion.run_pipeline(small.rgb, small.d_lr, cfg)
 for arr in (*streamed, pred.depth):
     print(hashlib.sha256(arr.tobytes()).hexdigest())
+# The probes run in workers with one BLAS thread; the descent does not.
+fitted = trainer.fit(scenes.render_scene(scenes.SceneSpec(width=32, height=32)),
+                     trainer.TrainConfig(steps=2), fusion.PipelineConfig(channels=2, moma_iters=2))
+history = np.array([[r.l_rec, r.l_grad, r.l_hes, r.l_total] for r in fitted.history])
+parts = (history, fitted.config.w_head, fitted.config.w_fuse)
+print(hashlib.sha256(b"".join(arr.tobytes() for arr in parts)).hexdigest())
 """
 
 
@@ -100,7 +106,7 @@ def test_outputs_do_not_depend_on_thread_count():
             env=env, capture_output=True, text=True, check=True, timeout=300,
         )
         digests.append(run.stdout.split())
-    assert len(digests[0]) == 7
+    assert len(digests[0]) == 8
     assert digests[0] == digests[1]
 
 

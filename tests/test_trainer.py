@@ -18,7 +18,6 @@ from depthsr import fusion, trainer
 from depthsr.fusion import default_fuse_weights, run_pipeline
 from depthsr.grid import DepthMap
 from depthsr.losses import add_noise, loss_total
-from depthsr.matcher import match_order
 from depthsr.scenes import SceneSpec, render_scene
 from depthsr.trainer import (
     DivergenceError,
@@ -277,17 +276,26 @@ class TestTrainerRunsThePipeline:
         plain = loss_total(scene.d_gt, run_pipeline(scene.rgb, scene.d_lr, cfg), cfg.alpha_loss)
         assert staged == plain
 
-    def test_first_matches_are_match_order(self, small_scene):
+    def test_reports_follow_every_config_scalar(self, small_scene):
+        # Reused stage results are keyed on every config scalar, so a report
+        # after any setting changes, matching's k and orders included,
+        # still equals a full pipeline run.
+        rng = np.random.default_rng(3)
         cfg = tiny_config()
-        loss = SceneLoss(small_scene, cfg, TrainConfig())
-        assert set(loss.first_matches) == set(cfg.orders)
-        rgb_maps = fusion.rgb_order_maps(
-            fusion.encode_rgb(small_scene.rgb, cfg.scale, cfg.channels), cfg
+        c = cfg.channels
+        cfg = replace(
+            cfg,
+            w_head=0.05 * rng.normal(size=(16, c)),
+            w_fuse=default_fuse_weights(c) + 0.2 * rng.normal(size=(c, 4 * c)),
         )
-        f_d = fusion.encode_depth(small_scene.d_lr, cfg.channels)
-        for order, (eta, psi) in loss.first_matches.items():
-            expected = match_order(rgb_maps, f_d, order, cfg.k)
-            assert np.array_equal(eta, expected[0]) and np.array_equal(psi, expected[1])
+        tcfg = TrainConfig()
+        loss = SceneLoss(small_scene, cfg, tcfg)
+        vec = pack_params(cfg, tcfg)
+        loss.report(vec)
+        for changed in (replace(cfg, k=2), replace(cfg, k=2, orders=("zero", "second"))):
+            loss.cfg = changed
+            pred = run_pipeline(small_scene.rgb, small_scene.d_lr, changed)
+            assert loss.report(vec) == loss_total(small_scene.d_gt, pred, changed.alpha_loss)
 
 
 class TestFit:
@@ -401,6 +409,14 @@ class TestFit:
                 setattr(tcfg, f.name, getattr(tcfg, f.name))
         with pytest.raises(ValueError):
             replace(tcfg, steps=0)
+
+    @pytest.mark.parametrize("name", ["steps", "seed"])
+    @pytest.mark.parametrize("value", [1.0, True, 1.5, "1"], ids=repr)
+    def test_integer_settings_reject_other_types(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            TrainConfig(**{name: value})
+        tcfg = TrainConfig(**{name: np.int64(1)})
+        assert type(getattr(tcfg, name)) is int and tcfg == TrainConfig(**{name: 1})
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
