@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict, fields, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,7 @@ def _check_outputs(args) -> None:
             raise FileNotFoundError(f"directory {Path(path).parent} of {path} does not exist")
 
 
+@cache  # once per process; parse_args leaves a parser unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="depthsr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -20,9 +20,9 @@ call sums one channel at a time over it. Every result is independent of
 the thread count. The contractions here go through
 ``np.einsum``, which runs numpy's own one-thread loops, and fold_patches
 sums with ``np.bincount``, which adds in input order. The one BLAS product,
-the matcher's cosine GEMM, runs over fixed-shape tiles, and OpenBLAS splits
-no dot product across threads (see the matcher docstring for the tests
-that guard both).
+the matcher's cosine GEMM, runs over fixed-shape tiles, each written by the
+one thread that takes it, and OpenBLAS splits no dot product across
+threads (see the matcher docstring for the tests that guard both).
 """
 
 from __future__ import annotations

@@ -2,9 +2,11 @@
 
 `loss_total` is the one loss: it builds the valid-pixel mask once and sums
 three L1 terms over the valid GT pixels, of depth, of gradient magnitude
-and of Hessian norm (the count is reported so callers can normalize);
-RMSE is a mean by definition and reported in centimeters. Reductions run
-in fixed row-major order, so results are deterministic.
+and of Hessian norm (the count is reported so callers can normalize).
+A caller that scores many predictions against one GT passes the GT's
+`loss_planes` in, computed once. RMSE is a mean by definition and
+reported in centimeters. Reductions run in fixed row-major order, so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -41,17 +43,27 @@ def _valid_mask(gt: DepthMap, pred: DepthMap) -> np.ndarray:
     return mask
 
 
+def loss_planes(d: DepthMap) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient-magnitude and Hessian-norm planes of `d` that
+    loss_total compares."""
+    f = d.as_feature()
+    return gradient_magnitude(f).data[0], hessian_norm(f).data[0]
+
+
 def loss_total(
-    gt: DepthMap, pred: DepthMap, alpha_loss: float = DEFAULT_ALPHA_LOSS
+    gt: DepthMap,
+    pred: DepthMap,
+    alpha_loss: float = DEFAULT_ALPHA_LOSS,
+    gt_planes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LossReport:
     """l_rec + l_grad + alpha_loss * l_hes with the valid-pixel count: the L1
-    of depth, of gradient magnitude and of Hessian norm over valid GT pixels."""
+    of depth, of gradient magnitude and of Hessian norm over valid GT pixels.
+    `gt_planes`, when given, must be loss_planes(gt)."""
     mask = _valid_mask(gt, pred)
     rec = float(np.abs(gt.depth - pred.depth)[mask].sum())
-    g, p = gt.as_feature(), pred.as_feature()
     grad, hes = (
-        float(np.abs(mapping(g).data[0] - mapping(p).data[0])[mask].sum())
-        for mapping in (gradient_magnitude, hessian_norm)
+        float(np.abs(g - p)[mask].sum())
+        for g, p in zip(loss_planes(gt) if gt_planes is None else gt_planes, loss_planes(pred))
     )
     return LossReport(
         l_rec=rec,

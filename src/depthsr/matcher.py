@@ -3,13 +3,14 @@
 The correlation between two c x h x w maps is an hw x hw matrix of cosine
 similarities over flattened, L2-normalized 3x3 patches. Matching streams it
 one tile of MATCH_TILE_ROWS target rows at a time and keeps each tile's
-top-k, so it never holds hw^2 floats: one (MATCH_TILE_ROWS, hw) cosine
-buffer, reused by every tile, plus what top_k takes from it, which is at
-most about 9 times the tile's bytes when every score ties and top_k
-gathers the whole tile. A match is the plain array pair (eta, psi), each
-(hw, k): per target patch, the source indices of its k best patches and
-their cosines, scores non-increasing along each row. The naive
-double-loop oracles live permanently in tests/oracles.py.
+top-k, so it never holds hw^2 floats: per matching thread, one
+(MATCH_TILE_ROWS, hw) cosine buffer, reused by every tile it runs, plus
+what top_k takes from it, which is at most about 9 times the tile's bytes
+when every score ties and top_k gathers the whole tile. A match is the
+plain array pair (eta, psi), each (hw, k): per target patch, the source
+indices of its k best patches and their cosines, scores non-increasing
+along each row. The naive double-loop oracles live permanently in
+tests/oracles.py.
 
 The two stages: match_order retrieves one order's (eta, psi), the only
 thing matching hands on, and matching_selection blends one map's patch
@@ -32,6 +33,25 @@ never inside one dot product, so the thread count changes no bit either;
 tests/test_package.py guards that at the LR 64^2 shape and at a padded
 tail tile.
 
+From THREAD_MIN_ROWS target rows on, top_k_rows shares its tiles among
+threads, as many as the caller's BLAS budget. Each thread takes whole
+tiles off one queue and runs both steps of each, the GEMM into its own
+buffer on a one-thread BLAS and top_k, then writes the tile's rows of the
+result; the calling thread is one of them, and no bit depends on which
+thread ran a tile. numpy's OpenBLAS exports openblas_set_num_threads_local,
+bound once through ctypes. Setting one thread hands back the caller's
+count, which is the budget: 2 under OPENBLAS_NUM_THREADS=2, 1 in a fit
+probe worker. Without that symbol (another BLAS) or with a budget of 1,
+and on smaller maps, where starting threads cost more than they saved, the
+calling thread runs every tile. Matching holds one cosine buffer and one
+top_k's temporaries per thread, O(threads x tile x hw): at LR 64^2 with 8
+channels, 2 threads take 9 c x h x w maps more than one (the test_fusion
+stage peaks). The per-thread tile is the lever at LR 64^2: the GEMM, about
+half of a tile's time, already ran on both cores, but top_k ran on one. A
+helper thread that overlapped top_k with a two-thread GEMM gained nothing,
+since it put three busy threads, the GEMM's OpenBLAS workers spinning, on
+two cores; whole tiles per thread keep one busy thread per core.
+
 Top-k has two exact kernels, chosen by the width m of the rows of cosines
 (see SWEEP_MAX_M). Short rows take k argmax sweeps over a clipped copy of the
 tile: each sweep takes every row's first maximum and sets it to -inf.
@@ -52,6 +72,9 @@ k columns of a top-k' result (k' > k) equal top-k.
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from collections import deque
 from functools import lru_cache
 from math import isqrt
 
@@ -80,6 +103,14 @@ SELECT_ROWS = 256
 # (k 2: 418 against 249 us); at m 2048 which won changed with k. The one
 # exception timed: at m 1024 with k 256 the sweep took 18% longer.
 SWEEP_MAX_M = 1024
+
+# top_k_rows shares its tiles among threads from this many target rows on.
+# Per top_k_rows call on the boxes pair at k 4, zero and first order, 2 BLAS
+# threads, numpy 2.4, x86-64, one thread against two: 256 rows (LR 16^2)
+# 0.36 against 0.50 ms, 576 rows 1.39 against 1.58 ms, 784 rows a tie at
+# 2.4 ms, 1024 rows (LR 32^2) 3.5 against 3.2 ms, 4096 rows (LR 64^2) 46
+# against 37 ms. Below about 800 rows the threads cost more than they save.
+THREAD_MIN_ROWS = 1024
 
 # An RgbSide holds its maps' patch matrices and unit rows when they take at
 # most this many bytes: 0.88 MB at LR 16^2 with 8 channels and three
@@ -173,22 +204,97 @@ def top_k_rows(t: np.ndarray, s: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     source rows s (both from unit_rows), one tile of MATCH_TILE_ROWS target
     rows at a time.
 
-    Each tile is one GEMM written in place into a buffer that every tile
-    reuses. The tile never shares memory with the source matrix, so numpy
-    does not switch to SYRK.
+    Each tile is one GEMM written in place into its thread's buffer, then
+    top_k; the tile never shares memory with the source matrix, so numpy
+    does not switch to SYRK. From THREAD_MIN_ROWS target rows on, the tiles
+    are shared among as many threads as the caller's BLAS budget allows,
+    each on a one-thread BLAS (see the module docstring); the calling
+    thread is one of them. Each thread writes the rows of its tiles, so
+    which thread runs a tile changes no bit.
     """
-    n, tile = t.shape[0], MATCH_TILE_ROWS
-    cosines = np.empty((tile, n))
-    matches = []
-    for r0 in range(0, n, tile):
-        part = t[r0 : r0 + tile]
+    n = t.shape[0]
+    eta, psi = np.empty((n, k), dtype=np.intp), np.empty((n, k))
+    tiles = deque(range(0, n, MATCH_TILE_ROWS))
+    set_local = _openblas_set_local() if n >= THREAD_MIN_ROWS else None
+    if set_local is None:
+        _match_tiles(t, s, k, tiles, eta, psi, top_k)
+        return eta, psi
+    errors: list[BaseException] = []
+    helpers = []
+    with _BLAS_COUNT_LOCK:
+        budget = set_local(1)
+        try:
+            for _ in range(min(budget, len(tiles)) - 1):
+                helper = threading.Thread(target=_helper, args=(set_local, errors, t, s, k, tiles, eta, psi))
+                helper.start()
+                helpers.append(helper)
+            _match_tiles(t, s, k, tiles, eta, psi, top_k)
+        finally:
+            for helper in helpers:
+                helper.join()
+            set_local(budget)
+    if errors:
+        raise errors[0]
+    return eta, psi
+
+
+def _match_tiles(
+    t: np.ndarray, s: np.ndarray, k: int, tiles: deque, eta: np.ndarray, psi: np.ndarray, select=top_k
+) -> None:
+    """Take tile starts off `tiles` until none is left, writing each tile's
+    top-k rows into eta and psi. `select` defaults to top_k as defined
+    here, which the helper threads use; the calling thread passes the
+    module's top_k, so a tracer that replaces module functions
+    (perfbench/tracer.py keeps one span stack per process) times only its
+    tiles."""
+    n, size = t.shape[0], MATCH_TILE_ROWS
+    cosines = np.empty((size, n))
+    while True:
+        try:
+            r0 = tiles.popleft()
+        except IndexError:
+            return
+        part = t[r0 : r0 + size]
         rows = len(part)
-        if rows < tile:
-            part = np.pad(part, ((0, tile - rows), (0, 0)))
+        if rows < size:
+            part = np.pad(part, ((0, size - rows), (0, 0)))
         np.matmul(part, s.T, out=cosines)
-        matches.append(top_k(cosines[:rows], k))
-    eta, psi = zip(*matches)
-    return np.concatenate(eta), np.concatenate(psi)
+        eta[r0 : r0 + rows], psi[r0 : r0 + rows] = select(cosines[:rows], k)
+
+
+def _helper(set_local, errors: list, *args) -> None:
+    """A helper thread of top_k_rows: _match_tiles(*args) on a one-thread
+    BLAS (setting it is a no-op where the count is the process's, which
+    the calling thread has already set). An exception goes to `errors`,
+    which top_k_rows raises from."""
+    previous = set_local(1)
+    try:
+        _match_tiles(*args)
+    except BaseException as exc:  # re-raised by top_k_rows after the join
+        errors.append(exc)
+    finally:
+        set_local(previous)
+
+
+# OpenBLAS 0.3.31 keeps the thread count that openblas_set_num_threads_local
+# sets for the whole process, so a second caller setting one thread while
+# the first still matches would read 1 as its budget and restore that, for
+# good. top_k_rows holds this lock from setting the count to restoring it.
+_BLAS_COUNT_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=1)
+def _openblas_set_local():
+    """numpy's openblas_set_num_threads_local, bound through ctypes: set
+    the BLAS thread count, return the one before. None when numpy's BLAS
+    does not export it (another BLAS, numpy 1.x)."""
+    try:
+        fn = ctypes.CDLL(np._core._multiarray_umath.__file__).openblas_set_num_threads_local
+    except (AttributeError, OSError):
+        return None
+    fn.argtypes = [ctypes.c_int]
+    fn.restype = ctypes.c_int
+    return fn
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:

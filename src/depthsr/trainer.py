@@ -11,10 +11,11 @@ weight matrices start from a seeded fan-in-scaled random init (set
 
 Every loss evaluation, probe or not, is one `SceneLoss.report`, which runs
 the stages of the real pipeline. Per scene, under the starting config:
-`fusion.encode_scene` and the bicubic base, which read no fitted
-parameter. Every later stage's result is kept while its key holds, and
-each key covers all the config scalars (`PipelineConfig.scalars`), so no
-setting, fitted or not, can leave a stale result. Per config scalars: the
+`fusion.encode_scene`, the bicubic base and the GT's loss planes
+(`losses.loss_planes`), which read no fitted parameter. Every later
+stage's result is kept while its key holds, and each key covers all the
+config scalars (`PipelineConfig.scalars`), so no setting, fitted or not,
+can leave a stale result. Per config scalars: the
 first iteration's matches, selected and gated blocks
 (`fusion.gated_blocks`). Per config scalars and fuse weights: the fused
 features, `fusion.moma_features` given those blocks. Per evaluation:
@@ -58,7 +59,7 @@ from .fusion import (
     reconstruct,
 )
 from .grid import FeatureMap, NonFiniteError, bicubic_resample, check_finite_settings, check_int_settings
-from .losses import LossReport, loss_total
+from .losses import LossReport, loss_planes, loss_total
 from .scenes import Scene
 
 # Detector scalars stay strictly positive after each descent step.
@@ -158,6 +159,7 @@ class SceneLoss:
         self.d_gt = scene.d_gt
         self.rgb_maps, self.f_d0 = encode_scene(scene.rgb, scene.d_lr, cfg)
         self.base = bicubic_resample(scene.d_lr, float(cfg.scale))
+        self._gt_planes = loss_planes(self.d_gt)
         self._first_gated: tuple[tuple, np.ndarray] | None = None
         self._fused: tuple[bytes, FeatureMap] | None = None
 
@@ -182,7 +184,7 @@ class SceneLoss:
         cfg = unpack_params(vec, self.cfg, self.tcfg)
         with np.errstate(over="raise", invalid="raise"):
             pred = reconstruct(self._fused_features(cfg), self.base, cfg)
-            report = loss_total(self.d_gt, pred, cfg.alpha_loss)
+            report = loss_total(self.d_gt, pred, cfg.alpha_loss, self._gt_planes)
         if not np.isfinite(report.l_total):
             raise NonFiniteError(f"l_total is {report.l_total}")
         return report

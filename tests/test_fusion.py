@@ -340,10 +340,19 @@ def lr64_stage_inputs():
 class TestStagePeakMemory:
     """Each stage's tracemalloc peak at LR 64^2, 8 channels, in units of one
     c x h x w map (256 KiB; a patch matrix takes 9, a 64-row cosine tile 8).
-    Measured with numpy 2.4.6: gated_blocks 23.8 maps, match_order 28.1 at
-    zero order and 29.1 at the others, one moma_features iteration 31.1.
-    Each bound is half a map above, so that one more map held through the
-    peak fails; a numpy build with other temporaries may need new figures."""
+    Measured with numpy 2.4.6 on the one-thread path: gated_blocks 23.8
+    maps, match_order 28.0 at zero order and 29.0 at the others, one
+    moma_features iteration 31.0. Each bound is half a map above, so that
+    one more map held through the peak fails; a numpy build with other
+    temporaries may need new figures. With threads, match_order holds one
+    more tile and one more top_k's temporaries (about one map: the group
+    maxima and np.partition's copy of them) per extra thread: 37.1, 37.8
+    and 38.0 maps with 2 threads."""
+
+    @pytest.fixture
+    def one_thread(self, monkeypatch):
+        """Matching runs every tile on the calling thread."""
+        monkeypatch.setattr(matcher, "_openblas_set_local", lambda: None)
 
     @staticmethod
     def peak_maps(call, f_d: FeatureMap) -> float:
@@ -361,12 +370,25 @@ class TestStagePeakMemory:
         peak = self.peak_maps(lambda: gated_blocks(f_d, rgb_maps, matches, cfg), f_d)
         assert peak < 24.5
 
+    @pytest.mark.usefixtures("one_thread")
     @pytest.mark.parametrize("order, bound", [("zero", 28.5), ("first", 29.5), ("second", 29.5)])
     def test_match_order(self, lr64_stage_inputs, order, bound):
         cfg, rgb_maps, f_d, _ = lr64_stage_inputs
         peak = self.peak_maps(lambda: match_order(rgb_maps, f_d, order, cfg.k), f_d)
         assert peak < bound
 
+    @pytest.mark.parametrize("order, one_thread_maps", [("zero", 28.0), ("first", 29.0), ("second", 29.0)])
+    def test_threaded_match_order(self, lr64_stage_inputs, order, one_thread_maps):
+        set_local = matcher._openblas_set_local()
+        if set_local is None:
+            pytest.skip("numpy's BLAS exports no openblas_set_num_threads_local, so matching runs on one thread")
+        budget = set_local(1)
+        set_local(budget)
+        cfg, rgb_maps, f_d, _ = lr64_stage_inputs
+        peak = self.peak_maps(lambda: match_order(rgb_maps, f_d, order, cfg.k), f_d)
+        assert peak < one_thread_maps + 9 * (budget - 1) + 0.5
+
+    @pytest.mark.usefixtures("one_thread")
     def test_one_moma_features_iteration(self, lr64_stage_inputs):
         cfg, rgb_maps, f_d, _ = lr64_stage_inputs
         assert cfg.moma_iters == 1

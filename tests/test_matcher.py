@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -9,14 +11,16 @@ from hypothesis import strategies as st
 from oracles import correlation_set_naive, matching_selection_einsum, top_k_naive
 
 from depthsr import matcher
-from depthsr.fusion import PipelineConfig, encode_depth, encode_rgb, rgb_order_maps
+from depthsr.fusion import PipelineConfig, encode_depth, encode_rgb, encode_scene, rgb_order_maps
 from depthsr.grid import DepthMap, FeatureMap, extract_patches, fold_patches
 from depthsr.matcher import (
+    ORDERS,
     match_order,
     matching_selection,
     order_map,
     softmax_rows,
     top_k,
+    top_k_rows,
     unit_rows,
 )
 from depthsr.scenes import SceneSpec, render_depth, render_scene
@@ -247,6 +251,144 @@ class TestTopK:
             eta, psi = match_pair(t, s, k)
             np.testing.assert_array_equal(wide_eta[:, :k], eta)
             np.testing.assert_array_equal(wide_psi[:, :k], psi)
+
+
+
+def budget_of(monkeypatch, threads: int) -> list:
+    """A binding that reports a BLAS budget of `threads` and sets nothing;
+    the list it returns collects each call's (thread id, requested count)."""
+    calls = []
+
+    def set_local(count):
+        calls.append((threading.get_ident(), count))
+        return threads
+
+    monkeypatch.setattr(matcher, "_openblas_set_local", lambda: set_local)
+    return calls
+
+
+def tiled_cosines(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """All cosines as top_k_rows computes them: one GEMM per 64-row tile,
+    the last one zero-padded."""
+    size = matcher.MATCH_TILE_ROWS
+    tiles = [t[r0 : r0 + size] for r0 in range(0, len(t), size)]
+    return np.concatenate([np.pad(p, ((0, size - len(p)), (0, 0))) @ s.T for p in tiles])[: len(t)]
+
+
+@pytest.fixture(scope="module")
+def lr64_pair():
+    scene = render_scene(SceneSpec(width=256, height=256))
+    return encode_scene(scene.rgb, scene.d_lr, PipelineConfig())
+
+
+class TestThreadedTiles:
+    """top_k_rows shares its tiles among threads from THREAD_MIN_ROWS target
+    rows on; which thread runs a tile changes no bit."""
+
+    @pytest.mark.parametrize("threads", [None, 3], ids=["blas-budget", "3-threads"])
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_lr64_equals_one_thread_path(self, monkeypatch, lr64_pair, order, threads):
+        rgb_maps, f_d = lr64_pair
+        if threads is not None:
+            budget_of(monkeypatch, threads)
+        eta, psi = match_order(rgb_maps, f_d, order, 4)
+        monkeypatch.setattr(matcher, "_openblas_set_local", lambda: None)
+        ref_eta, ref_psi = match_order(rgb_maps, f_d, order, 4)
+        np.testing.assert_array_equal(eta, ref_eta)
+        np.testing.assert_array_equal(psi, ref_psi)
+        assert np.array_equal(np.signbit(psi), np.signbit(ref_psi))
+
+    @pytest.mark.parametrize("threads", [None, 8], ids=["blas-budget", "8-threads"])
+    def test_padded_and_tied_tiles_match_full_sort_oracle(self, monkeypatch, threads):
+        # hw = 1296: 20 full tiles and a 16-row tail, group kernel. The
+        # constant pair ties every cosine, so top_k gathers every tile whole.
+        # 8 threads on fewer cores, switching every microsecond.
+        pairs = (
+            (textured_map(36, 36, c=2, seed=1), textured_map(36, 36, c=2, seed=4)),
+            (FeatureMap(np.full((2, 36, 36), 0.5)),) * 2,
+        )
+        if threads is not None:
+            budget_of(monkeypatch, threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for target, source in pairs:
+                t, s = (unit_rows(extract_patches(f)) for f in (target, source))
+                assert len(t) >= matcher.THREAD_MIN_ROWS and len(t) % matcher.MATCH_TILE_ROWS
+                clipped = np.clip(tiled_cosines(t, s), -1.0, 1.0)
+                for k in (1, 4, 65):
+                    eta, psi = top_k_rows(t, s, k)
+                    ref_eta, ref_psi = top_k_naive(clipped, k)
+                    np.testing.assert_array_equal(eta, ref_eta)
+                    np.testing.assert_array_equal(psi, ref_psi)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_error_in_any_thread_reaches_the_caller(self, monkeypatch, failing):
+        # hw = 1024 rows of 1024 columns: every tile is swept. Each thread
+        # waits in its first tile until the other has started one, so both
+        # run tiles.
+        calls = budget_of(monkeypatch, 2)
+        caller = threading.get_ident()
+        started = {"caller": threading.Event(), "helper": threading.Event()}
+        sweep = matcher._top_k_sweep
+
+        def flaky(values, k):
+            me = "caller" if threading.get_ident() == caller else "helper"
+            started[me].set()
+            assert started["helper" if me == "caller" else "caller"].wait(timeout=60)
+            if me == failing:
+                raise RuntimeError("tile failed")
+            return sweep(values, k)
+
+        monkeypatch.setattr(matcher, "_top_k_sweep", flaky)
+        t = unit_rows(extract_patches(textured_map(32, 32, c=2, seed=5)))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="tile failed"):
+            top_k_rows(t, t, 4)
+        assert threading.active_count() == before
+        helpers = {ident for ident, _ in calls} - {caller}
+        assert len(helpers) == 1
+        # Each thread asked for one BLAS thread and then gave back its count.
+        assert [count for ident, count in calls if ident == caller] == [1, 2]
+        assert [count for ident, count in calls if ident != caller] == [1, 2]
+
+    def test_concurrent_callers_restore_the_blas_count(self):
+        # The count is the process's: each caller holds it from setting one
+        # thread to restoring its budget, so none reads another's 1.
+        set_local = matcher._openblas_set_local()
+        if set_local is None:
+            pytest.skip("numpy's BLAS exports no openblas_set_num_threads_local")
+        budget = set_local(1)
+        set_local(budget)
+        t = unit_rows(extract_patches(textured_map(32, 32, c=2, seed=5)))
+        expected = top_k_rows(t, t, 4)
+        results = []
+
+        def caller():
+            results.extend(top_k_rows(t, t, 4) for _ in range(3))
+
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in callers)
+        after = set_local(1)
+        set_local(budget)
+        assert after == budget
+        assert len(results) == 12
+        for eta, psi in results:
+            np.testing.assert_array_equal(eta, expected[0])
+            np.testing.assert_array_equal(psi, expected[1])
+
+    def test_small_maps_stay_on_the_calling_thread(self, monkeypatch):
+        calls = budget_of(monkeypatch, 2)
+        f = textured_map(31, 33, seed=6)
+        assert f.height * f.width < matcher.THREAD_MIN_ROWS
+        match_pair(f, f, 4)
+        assert calls == []
 
 
 class TestMatchingSelection:

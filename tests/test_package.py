@@ -10,22 +10,23 @@ from pathlib import Path
 
 import depthsr
 
-# Prints digests of the streamed matches on LR 64^2, 32^2 and 12^2 scenes and
-# of a weighted LR 16^2 pipeline run. At LR 12^2 (hw = 144) the last of three
-# 64-row tiles holds 16 rows and is zero-padded.
+# Prints digests of the streamed matches on LR 64^2 (every order), 32^2 and
+# 12^2 scenes and of a weighted LR 16^2 pipeline run. At LR 12^2 (hw = 144)
+# the last of three 64-row tiles holds 16 rows and is zero-padded.
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
 from depthsr import fusion, matcher, scenes, trainer
 
 streamed = []
-for hr in (256, 128, 48):
-    # At LR 64^2 each GEMM tile is split across threads.
+for hr, orders in ((256, matcher.ORDERS), (128, ("zero",)), (48, ("zero",))):
+    # At LR 64^2 and 32^2 a budget of two BLAS threads shares the tiles
+    # between two threads; with one, the calling thread runs every tile.
     scene = scenes.render_scene(scenes.SceneSpec(width=hr, height=hr))
-    rgb_maps = fusion.rgb_order_maps(
-        fusion.encode_rgb(scene.rgb, 4, 8), fusion.PipelineConfig(orders=("zero",))
-    )
-    streamed += matcher.match_order(rgb_maps, fusion.encode_depth(scene.d_lr, 8), "zero", 4)
+    rgb_maps = fusion.rgb_order_maps(fusion.encode_rgb(scene.rgb, 4, 8), fusion.PipelineConfig(orders=orders))
+    f_d = fusion.encode_depth(scene.d_lr, 8)
+    for order in orders:
+        streamed += matcher.match_order(rgb_maps, f_d, order, 4)
 rng = np.random.default_rng(0)
 cfg = fusion.PipelineConfig(
     w_fuse=fusion.default_fuse_weights(8) + 0.1 * rng.normal(size=(8, 32)),
@@ -106,7 +107,7 @@ def test_outputs_do_not_depend_on_thread_count():
             env=env, capture_output=True, text=True, check=True, timeout=300,
         )
         digests.append(run.stdout.split())
-    assert len(digests[0]) == 8
+    assert len(digests[0]) == 12
     assert digests[0] == digests[1]
 
 

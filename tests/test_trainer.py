@@ -14,7 +14,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 from helpers import tiny_config
 from oracles import central_difference, scene_loss_gradient
 
-from depthsr import fusion, trainer
+from depthsr import fusion, losses, trainer
 from depthsr.fusion import default_fuse_weights, run_pipeline
 from depthsr.grid import DepthMap
 from depthsr.losses import add_noise, loss_total
@@ -129,6 +129,24 @@ class TestNumericGrad:
         orders = len(cfg.orders)
         assert orders == 3
         assert len(calls) == orders + orders * (cfg.moma_iters - 1) * (rematch_probes + 1)
+
+    def test_gt_loss_planes_computed_once_per_scene(self, small_scene, monkeypatch):
+        # Each report computes its prediction's gradient and Hessian planes;
+        # the GT's are computed once, when the evaluator is built.
+        planes_of = []
+        loss_planes = losses.loss_planes
+
+        def counted(d):
+            planes_of.append(d)
+            return loss_planes(d)
+
+        monkeypatch.setattr(losses, "loss_planes", counted)
+        monkeypatch.setattr(trainer, "loss_planes", counted)
+        cfg, tcfg = tiny_config(), TrainConfig()
+        loss = SceneLoss(small_scene, cfg, tcfg)
+        for _ in range(3):
+            loss.report(pack_params(cfg, tcfg))
+        assert [d is small_scene.d_gt for d in planes_of] == [True, False, False, False]
 
     @pytest.mark.parametrize("fit_fuse", [False, True])
     def test_fused_features_computed_once_per_fuse_weights(self, small_scene, monkeypatch,
