@@ -11,22 +11,8 @@ reproduces bicubic exactly.
 
 A run is three stages: encode_scene, moma_features and reconstruct, which
 is all run_pipeline does; the trainer and `depthsr match` call the same
-stages. reconstruct adds the head's residual to a bicubic base its caller
-upsamples once: run_pipeline per run, the trainer per scene. encode_scene
-gives the depth features and the run's one rgb_maps value
-(rgb_order_maps, a matcher.RgbSide): the RGB features under "zero" and
-their order map for every enabled order, which no iteration changes.
-When their patch matrices and unit rows fit in matcher.HOLD_BYTES (0.88 MB
-at LR 16^2 with 8 channels and all three orders), the value holds them, so
-a three-iteration LR 16^2 run extracts patches 12 times instead of 33. At
-LR 64^2 they would take 14.2 MB, more than a whole run's tracemalloc peak
-under the fitted config (9.4 MB matching on one thread, 11.8 MB on two),
-so nothing is held. moma_features runs every iteration: each order's
-(eta, psi) (order_matches), the selection at those matches with the
-detector gating (gated_blocks) and the 1x1 fuse (aggregate). Given the
-first iteration's gated blocks, it fuses them without matching again, so
-a caller whose config scalars stay fixed, such as the trainer, matches,
-selects and gates once and fuses many weight settings.
+stages. No iteration changes the run's RgbSide or its bicubic base, so a
+caller makes each once: run_pipeline per run, the trainer per scene.
 """
 
 from __future__ import annotations
@@ -195,16 +181,14 @@ def encode_scene(img: FeatureMap, d_lr: DepthMap, cfg: PipelineConfig) -> tuple[
 
 def rgb_order_maps(f_r: FeatureMap, cfg: PipelineConfig) -> RgbSide:
     """The run's RGB side: the features `f_r` under "zero", plus order_map
-    of them for every enabled order. The RGB features stay fixed across
-    MOMA iterations, so a run maps them once."""
+    of them for every enabled order."""
     return RgbSide({"zero": f_r} | {order: order_map(f_r, order) for order in cfg.orders})
 
 
 def order_matches(
     rgb_maps: RgbSide, f_d: FeatureMap, cfg: PipelineConfig
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """match_order's (eta, psi) of every enabled order. `rgb_maps` is the
-    run's rgb_order_maps."""
+    """match_order's (eta, psi) of every enabled order."""
     return {order: match_order(rgb_maps, f_d, order, cfg.k) for order in cfg.orders}
 
 
@@ -254,9 +238,8 @@ def moma_features(
     """The depth features after all cfg.moma_iters MOMA iterations from `f_d`.
     Each iteration fuses (aggregate) the gated_blocks at its order_matches;
     `first_blocks`, when given, are the first iteration's gated_blocks,
-    fused without matching again. `rgb_maps` is the run's rgb_order_maps;
-    its RGB features must have the depth features' shape, which is checked
-    even when no order is enabled."""
+    fused without matching again. The RGB features must have the depth
+    features' shape, which is checked even when no order is enabled."""
     if f_d.shape != rgb_maps["zero"].shape:
         raise ValueError(f"feature shape mismatch: depth {f_d.shape}, rgb {rgb_maps['zero'].shape}")
     for i in range(cfg.moma_iters):

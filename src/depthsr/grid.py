@@ -10,19 +10,13 @@ caller must not write to an array after wrapping it. `cubic_taps` (the
 Catmull-Rom taps) and `standardize` serve every resampler and encoder,
 so each rule is stated once.
 
-What is computed per call and per shape: every 3x3 window user
-(extract_patches, conv2d, the diffops stencils) copies its input once per
-call into an edge-padded array, filled by slice assignment, and reads a
-strided view of it. fold_patches' index plan (the pixel each patch element
-came from, and each pixel's contribution count) depends only on (h, w), so
-it is computed once per shape and kept, read-only, in a small cache; each
-call sums one channel at a time over it. Every result is independent of
-the thread count. The contractions here go through
-``np.einsum``, which runs numpy's own one-thread loops, and fold_patches
-sums with ``np.bincount``, which adds in input order. The one BLAS product,
-the matcher's cosine GEMM, runs over fixed-shape tiles, each written by the
-one thread that takes it, and OpenBLAS splits no dot product across
-threads (see the matcher docstring for the tests that guard both).
+Every 3x3 window user (extract_patches, conv2d, the diffops stencils) reads
+_windows' view of one edge-padded copy per call; fold_patches' index plan
+depends only on (h, w) and is cached per shape (_fold_plan). No result here
+depends on the thread count: contractions go through ``np.einsum``, which
+runs numpy's own one-thread loops, and fold_patches sums with
+``np.bincount``, which adds in input order. The one BLAS product, the
+matcher's cosine GEMM, keeps that promise by the matcher docstring's rule.
 """
 
 from __future__ import annotations

@@ -1,73 +1,27 @@
 """Cross-modal patch matching: correlation, exact top-k, and selection.
 
 The correlation between two c x h x w maps is an hw x hw matrix of cosine
-similarities over flattened, L2-normalized 3x3 patches. Matching streams it
-one tile of MATCH_TILE_ROWS target rows at a time and keeps each tile's
-top-k, so it never holds hw^2 floats: per matching thread, one
-(MATCH_TILE_ROWS, hw) cosine buffer, reused by every tile it runs, plus
-what top_k takes from it, which is at most about 9 times the tile's bytes
-when every score ties and top_k gathers the whole tile. A match is the
+similarities over flattened, L2-normalized 3x3 patches. A match is the
 plain array pair (eta, psi), each (hw, k): per target patch, the source
 indices of its k best patches and their cosines, scores non-increasing
-along each row. The naive double-loop oracles live permanently in
+along each row. match_order retrieves one order's match, and top_k_rows
+streams its cosines tile by tile, so matching never holds hw^2 floats.
+matching_selection blends one map's patch matrix at a match. The RGB side
+is fixed for a run, so matching takes it as one RgbSide value and maps
+only the depth side. The naive double-loop oracles live permanently in
 tests/oracles.py.
 
-The two stages: match_order retrieves one order's (eta, psi), the only
-thing matching hands on, and matching_selection blends one map's patch
-matrix at a match (fusion.gated_blocks selects the RGB features and the
-order's prior at each order's match). The RGB side is fixed for a run, so
-match_order takes it as one RgbSide value (fusion.rgb_order_maps) and maps
-only the depth side. A small RgbSide holds each map's patch matrix and
-unit rows (see HOLD_BYTES); otherwise each stage extracts the patch matrix
-it reads and frees it when it returns, so the matching's are gone before
-the selection's are made, which lowers the peak; extracting a map once
-more costs about what selecting from a matrix gone cold in cache would.
-The selection gathers matched patches for SELECT_ROWS target rows at a
-time instead of holding the (hw, k, 9c) gather.
+Bits: each tile's cosines are one BLAS GEMM call of one shape. Tiles start
+at multiples of MATCH_TILE_ROWS and the last one is zero-padded, since a
+product of another row count would reach gemv or edge kernels and differ
+in the last bit. OpenBLAS splits a GEMM across threads by output rows and
+columns, never inside one dot product, so the thread count changes no bit
+either; tests/test_package.py guards that at the LR 64^2 shape and at a
+padded tail tile.
 
-Each tile's cosines are one BLAS GEMM call of one shape: tiles start at
-multiples of the tile size and the last one is zero-padded (a product of
-another row count would reach gemv or edge kernels and differ in the last
-bit). OpenBLAS splits a GEMM across threads by output rows and columns,
-never inside one dot product, so the thread count changes no bit either;
-tests/test_package.py guards that at the LR 64^2 shape and at a padded
-tail tile.
-
-From THREAD_MIN_ROWS target rows on, top_k_rows shares its tiles among
-threads, as many as the caller's BLAS budget. Each thread takes whole
-tiles off one queue and runs both steps of each, the GEMM into its own
-buffer on a one-thread BLAS and top_k, then writes the tile's rows of the
-result; the calling thread is one of them, and no bit depends on which
-thread ran a tile. numpy's OpenBLAS exports openblas_set_num_threads_local,
-bound once through ctypes. Setting one thread hands back the caller's
-count, which is the budget: 2 under OPENBLAS_NUM_THREADS=2, 1 in a fit
-probe worker. Without that symbol (another BLAS) or with a budget of 1,
-and on smaller maps, where starting threads cost more than they saved, the
-calling thread runs every tile. Matching holds one cosine buffer and one
-top_k's temporaries per thread, O(threads x tile x hw): at LR 64^2 with 8
-channels, 2 threads take 9 c x h x w maps more than one (the test_fusion
-stage peaks). The per-thread tile is the lever at LR 64^2: the GEMM, about
-half of a tile's time, already ran on both cores, but top_k ran on one. A
-helper thread that overlapped top_k with a two-thread GEMM gained nothing,
-since it put three busy threads, the GEMM's OpenBLAS workers spinning, on
-two cores; whole tiles per thread keep one busy thread per core.
-
-Top-k has two exact kernels, chosen by the width m of the rows of cosines
-(see SWEEP_MAX_M). Short rows take k argmax sweeps over a clipped copy of the
-tile: each sweep takes every row's first maximum and sets it to -inf.
-Longer rows are read once, by column groups. Column j lies in group
-j mod g, g the largest divisor of hw in [k, max(64, 4 isqrt(hw))] (hw when
-there is none): 64 groups at hw 256, 128 at 1024, 256 at 4096 and 512 at
-16384. The k-th largest group maximum of a row bounds its k-th largest
-cosine from below, so only the groups that reach it are gathered and
-sorted. A row thus costs one pass for its g group maxima, a partition of
-those g maxima and a gather of at least k groups of hw/g cosines; a g that
-grows as sqrt(hw) keeps both the partition and the gather short. In a
-fully tied tile every group reaches the bound, so top_k gathers the whole
-tile, once: the 9 tiles' bytes above. Both kernels return the top-k of the
-tile clipped to [-1, 1] (the group kernel clips the gathered groups only)
-and break ties to the lowest index, keeping the sign of -0.0, so the first
-k columns of a top-k' result (k' > k) equal top-k.
+Ties: every top-k kernel returns the top-k of the scores clipped to
+[-1, 1] and breaks ties to the lowest index, keeping the sign of -0.0, so
+the first k columns of a top-k' result (k' > k) equal top-k.
 """
 
 from __future__ import annotations
@@ -95,30 +49,22 @@ MATCH_TILE_ROWS = 64
 # at once (a block's gather takes rows * k * 9c * 8 bytes).
 SELECT_ROWS = 256
 
-# top_k sweeps rows of at most this many cosines, and reads longer rows by
-# column groups. A sweep pass reads the whole row, so the width decides.
-# Per 64-row tile of boxes cosines, one BLAS thread, numpy 2.4, x86-64,
-# sweep against group: at m <= 1024 the sweep was faster for every k from
-# 1 to 128 (m 1024, k 16: 255 against 325 us), at m 4096 the group kernel
-# (k 2: 418 against 249 us); at m 2048 which won changed with k. The one
-# exception timed: at m 1024 with k 256 the sweep took 18% longer.
+# top_k sweeps rows of at most this many cosines and reads longer rows by
+# column groups: a sweep pass reads the whole row, so the row width decides
+# which kernel is faster. Timings: the CHANGES.md entry that turned
+# SWEEP_MAX_KM into this bound.
 SWEEP_MAX_M = 1024
 
-# top_k_rows shares its tiles among threads from this many target rows on.
-# Per top_k_rows call on the boxes pair at k 4, zero and first order, 2 BLAS
-# threads, numpy 2.4, x86-64, one thread against two: 256 rows (LR 16^2)
-# 0.36 against 0.50 ms, 576 rows 1.39 against 1.58 ms, 784 rows a tie at
-# 2.4 ms, 1024 rows (LR 32^2) 3.5 against 3.2 ms, 4096 rows (LR 64^2) 46
-# against 37 ms. Below about 800 rows the threads cost more than they save.
+# top_k_rows shares its tiles among threads from this many target rows on;
+# on smaller maps starting the threads costs more than they save. Timings:
+# the CHANGES.md entry that put LR 64^2 matching on both cores.
 THREAD_MIN_ROWS = 1024
 
 # An RgbSide holds its maps' patch matrices and unit rows when they take at
-# most this many bytes: 0.88 MB at LR 16^2 with 8 channels and three
-# orders, where the holding saves 21 of the 33 patch extractions of a
-# three-iteration run. At LR 64^2 they would take 14.2 MB: holding them
-# there raised the tracemalloc peak of one run_pipeline under the fitted
-# config from 12.5 to 24.3 MB and ru_maxrss from 58 to 66 MB (numpy 2.4),
-# where matching, not extraction, takes the time.
+# most this many bytes. Holding saves most extractions of a small run; on
+# large maps it would raise the run's memory peak, and there matching, not
+# extraction, takes the time. Sizes and peaks: the CHANGES.md entry that
+# introduced RgbSide.
 HOLD_BYTES = 2 * 1024 * 1024
 
 
@@ -142,23 +88,24 @@ def top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-row top-k of clip(values, -1, 1) as (eta, psi), each (rows, k).
 
     eta holds source indices and psi their clipped scores, non-increasing
-    per row, ties in index order. Rows of at most SWEEP_MAX_M scores are
-    swept (_top_k_sweep). Otherwise column j lies in group
-    j mod g, where g is the largest divisor of m in [k, max(64, 4 isqrt(m))],
-    or m if there is none. A row has at least k groups whose maximum
-    reaches the k-th largest group maximum, so that value bounds the row's
-    k-th largest score from below. Only the groups that reach the bound are
-    gathered and clipped, and their entries that reach it are the
-    candidates. The bound is clamped to 1 (-inf at or below -1), so a score
-    that clips to the bound still ties. One stable sort by (row, descending
-    score, column) keeps tied scores index-ascending, and each row keeps
-    its first k candidates: the full-sort oracle, bit for bit.
+    per row, ties as the module docstring says. Rows of at most SWEEP_MAX_M
+    scores are swept (_top_k_sweep). Longer rows are read once, by column
+    groups: column j lies in group j mod g, where g is the largest divisor
+    of m in [k, max(64, 4 isqrt(m))], or m if there is none. A row has at
+    least k groups whose maximum reaches the k-th largest group maximum, so
+    that value bounds the row's k-th largest score from below. Only the
+    groups that reach the bound are gathered and clipped, and their entries
+    that reach it are the candidates. The bound is clamped to 1 (-inf at or
+    below -1), so a score that clips to the bound still ties. One stable
+    sort by (row, descending score, column) keeps tied scores
+    index-ascending, and each row keeps its first k candidates: the
+    full-sort oracle, bit for bit.
 
-    A larger g shortens the gather of m/g scores per hit group and gives
-    the group-maximum pass fewer, longer slices; a smaller g shortens the
-    partition. g near 4 sqrt(m) was the fastest divisor when timed on
-    64-row tiles of m = 1024 to 16384 (numpy 2.4, x86-64). A fully tied
-    tile is gathered whole, once.
+    A larger g shortens the gather of m/g scores per hit group; a smaller g
+    shortens the partition of the g group maxima. So g grows as sqrt(m)
+    (timings per g: the CHANGES.md entry that added _group_count). In a
+    fully tied tile every group reaches the bound, so the tile is gathered
+    whole, once: at most about 9 times the tile's bytes.
     """
     n, m = values.shape
     if not 1 <= k <= m:
@@ -204,13 +151,18 @@ def top_k_rows(t: np.ndarray, s: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     source rows s (both from unit_rows), one tile of MATCH_TILE_ROWS target
     rows at a time.
 
-    Each tile is one GEMM written in place into its thread's buffer, then
-    top_k; the tile never shares memory with the source matrix, so numpy
-    does not switch to SYRK. From THREAD_MIN_ROWS target rows on, the tiles
-    are shared among as many threads as the caller's BLAS budget allows,
-    each on a one-thread BLAS (see the module docstring); the calling
-    thread is one of them. Each thread writes the rows of its tiles, so
-    which thread runs a tile changes no bit.
+    Each tile is one GEMM written in place into its thread's cosine buffer,
+    then top_k; the tile never shares memory with the source matrix, so
+    numpy does not switch to SYRK. From THREAD_MIN_ROWS target rows on, the
+    tiles are shared among as many threads as the caller's BLAS budget: the
+    count that setting one thread through _openblas_set_local hands back,
+    such as 2 under OPENBLAS_NUM_THREADS=2 or 1 in a fit probe worker. Each
+    thread, the calling one among them, takes whole tiles off one queue and
+    runs both steps of each on a one-thread BLAS, so each core runs one
+    busy thread. On smaller maps, without the binding or with a budget of
+    1, the calling thread runs every tile. Each thread writes only its
+    tiles' rows, so which thread runs a tile changes no bit. Matching holds
+    one cosine buffer and one top_k's temporaries per thread.
     """
     n = t.shape[0]
     eta, psi = np.empty((n, k), dtype=np.intp), np.empty((n, k))
@@ -390,8 +342,7 @@ def match_order(
     rgb_maps: RgbSide, depth: FeatureMap, order: str, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k (eta, psi) of one order, each (hw, k): the patches of
-    order_map(depth, order) against those of rgb_maps[order] (top_k_rows).
-    `rgb_maps` is the run's RGB side (fusion.rgb_order_maps)."""
+    order_map(depth, order) against those of rgb_maps[order] (top_k_rows)."""
     target, source = order_map(depth, order), rgb_maps[order]
     if target.shape != source.shape:
         raise ValueError(f"target shape {target.shape} != source shape {source.shape}")

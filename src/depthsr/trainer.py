@@ -10,35 +10,9 @@ weight matrices start from a seeded fan-in-scaled random init (set
 ``init_scale = 0`` to fit from the config's weights as-is).
 
 Every loss evaluation, probe or not, is one `SceneLoss.report`, which runs
-the stages of the real pipeline. Per scene, under the starting config:
-`fusion.encode_scene`, the bicubic base and the GT's loss planes
-(`losses.loss_planes`), which read no fitted parameter. Every later
-stage's result is kept while its key holds, and each key covers all the
-config scalars (`PipelineConfig.scalars`), so no setting, fitted or not,
-can leave a stale result. Per config scalars: the
-first iteration's matches, selected and gated blocks
-(`fusion.gated_blocks`). Per config scalars and fuse weights: the fused
-features, `fusion.moma_features` given those blocks. Per evaluation:
-`fusion.reconstruct` with `losses.loss_total`. So a head-weight probe
-costs one reconstruct and loss, a fuse probe re-runs the matching
-iterations after the first, and a detector-scalar probe runs them all.
-Every value equals a full pipeline run's.
-
-`fit` builds one `SceneLoss` and evaluates each gradient's probes on it in
-spawned worker processes, one pool for the whole call and the same path for
-any CPU count. There are max(1, min(CPUs this process may run on,
-coordinates)) workers, each started with one BLAS thread. Each task carries
-the `SceneLoss` with the vector and one chunk, and a worker keeps nothing
-between tasks. The rgb_maps value travels as its maps alone; a worker's
-copy holds their patch matrices again (matcher.RgbSide), so a task is no
-larger for them. Of n workers, chunk w holds coordinates w, w + n, ..., so
-every chunk gets the same mix of head and re-matching probes; a chunk goes
-to whichever worker is free, and the gradient is bit-identical either way,
-since every probe runs the same code on the same inputs. The line search,
-best-so-far tracking and the log stay in the calling process. Because the
-workers are spawned, a script that calls `fit` must guard its entry point
-with ``if __name__ == "__main__"``; without the guard the workers cannot
-start and `fit` raises `concurrent.futures.process.BrokenProcessPool`.
+the stages of the real pipeline and reuses what the probed parameter cannot
+change (see SceneLoss). `fit` evaluates each gradient's probes in spawned
+worker processes (see fit).
 """
 
 from __future__ import annotations
@@ -150,8 +124,21 @@ def unpack_params(vec: np.ndarray, cfg: PipelineConfig, tcfg: TrainConfig) -> Pi
 
 
 class SceneLoss:
-    """Loss evaluator for one scene; `report` is its one public method. It
-    reuses stage results by the module docstring's rule."""
+    """Loss evaluator for one scene; `report` is its one public method.
+
+    It runs the stages of the real pipeline and keeps each stage's result
+    while its key holds. Per scene, under the starting config:
+    `fusion.encode_scene`, the bicubic base and the GT's loss planes
+    (`losses.loss_planes`), which read no fitted parameter. Per config
+    scalars (`PipelineConfig.scalars`, so that no setting, fitted or not,
+    can leave a stale result): the first iteration's matches, selected and
+    gated blocks (`fusion.gated_blocks`). Per config scalars and fuse
+    weights: the fused features, `fusion.moma_features` given those blocks.
+    Per report: `fusion.reconstruct` with `losses.loss_total`. So a
+    head-weight probe costs one reconstruct and loss, a fuse probe re-runs
+    the matching iterations after the first, and a detector-scalar probe
+    runs them all. Every value equals a full pipeline run's.
+    """
 
     def __init__(self, scene: Scene, cfg: PipelineConfig, tcfg: TrainConfig):
         self.cfg = cfg
@@ -164,10 +151,9 @@ class SceneLoss:
         self._fused: tuple[bytes, FeatureMap] | None = None
 
     def _fused_features(self, cfg: PipelineConfig) -> FeatureMap:
-        """The MOMA iterations' output under `cfg`. The first iteration's
-        gated blocks are kept per config scalars, the fused features also
-        per fuse weights, keyed on their exact bytes so that -0.0 and 0.0
-        never share an entry."""
+        """The MOMA iterations' output under `cfg`, reused by the class's
+        rule. Fuse weights are keyed on their exact bytes, so that -0.0 and
+        0.0 never share an entry."""
         scalars = cfg.scalars()
         if self._first_gated is None or self._first_gated[0] != scalars:
             matches = order_matches(self.rgb_maps, self.f_d0, cfg)
@@ -258,12 +244,20 @@ def fit(scene: Scene, tcfg: TrainConfig, cfg: PipelineConfig) -> FitResult:
     """Descent on the enabled parameters; returns the best parameters seen.
 
     Every loss it evaluates, probes included, is a `report` of the one
-    `SceneLoss` it builds; the probes run in spawned worker processes, see
-    the module docstring. Fitting `alpha_det` or `beta` with the detector
-    off raises ValueError before any worker starts. A script that calls
-    `fit` must guard its entry point with ``if __name__ == "__main__"``; a
-    worker that cannot start raises `BrokenProcessPool`. No worker outlives
-    the call.
+    `SceneLoss` it builds. The probes run in one pool of spawned worker
+    processes for the whole call, the same path for any CPU count: max(1,
+    min(CPUs, coordinates)) workers, each started with one BLAS thread.
+    CPUs are those this process may run on, or os.cpu_count() where the OS
+    has no os.sched_getaffinity. Of n workers, chunk w holds coordinates w,
+    w + n, ..., so every chunk gets the same mix of head and re-matching
+    probes; a chunk goes to whichever worker is free, and the gradient is
+    bit-identical either way, since every probe runs the same code on the
+    same inputs. The line search, best-so-far tracking and the log stay in
+    the calling process. Because the workers are spawned, a script that
+    calls `fit` must guard its entry point with ``if __name__ ==
+    "__main__"``; a worker that cannot start raises `BrokenProcessPool`. No
+    worker outlives the call. Fitting `alpha_det` or `beta` with the
+    detector off raises ValueError before any worker starts.
 
     When `tcfg.log_path` is set, writes a step,l_rec,l_grad,l_hes,l_total
     CSV covering the whole trajectory. Aborts with DivergenceError
@@ -276,7 +270,8 @@ def fit(scene: Scene, tcfg: TrainConfig, cfg: PipelineConfig) -> FitResult:
 
     params = _initial_params(cfg, tcfg)
     loss = SceneLoss(scene, cfg, tcfg)
-    workers = max(1, min(len(os.sched_getaffinity(0)), params.size))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = max(1, min(cpus, params.size))
     chunks = [np.arange(w, params.size, workers) for w in range(workers)]
     spawn = multiprocessing.get_context("spawn")
     # The executor spawns its workers at the first gradient's submits, so
@@ -310,7 +305,7 @@ def _descend(loss: SceneLoss, gradient, params: np.ndarray) -> tuple[np.ndarray,
         grad = _guarded(step, gradient, params)
         scale = np.abs(grad).max()
         if scale == 0.0:
-            history.append(_guarded(step, loss.report, params))
+            history.append(history[-1])  # the report at these same params
             continue
         direction = grad / scale
         # Fresh line search from the base step: halve until the move

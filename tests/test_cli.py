@@ -8,7 +8,7 @@ import pytest
 from helpers import tiny_config
 
 from depthsr import cli, configio, fusion, matcher, scenes, structdet, trainer
-from depthsr.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _build_parser, _load_pipeline_config, main
+from depthsr.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _build_parser, _load_pipeline_config, main
 from depthsr.scenes import SceneSpec
 from depthsr.configio import dump_config, load_config
 from depthsr.fileio import read_depth_pfm, read_pfm, read_ppm8, write_depth_pfm, write_pfm, write_ppm8
@@ -273,6 +273,15 @@ class TestSr:
              "--out", str(tmp_path)]
         )
         assert code == EXIT_IO
+
+    def test_color_pfm_as_depth_is_io_error(self, scene_dir, tmp_path, capsys):
+        color = tmp_path / "color.pfm"
+        write_pfm(color, FeatureMap(np.ones((3, 8, 8))))
+        code = main(["sr", "--rgb", str(scene_dir / "rgb.ppm"), "--d-lr", str(color),
+                     "--d-gt", str(scene_dir / "d_gt.pfm"), "--out", str(tmp_path / "out")])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == "i/o error: depth PFM must be single channel (Pf)\n"
+        assert not (tmp_path / "out").exists()
 
     def test_size_mismatch_is_usage_error(self, scene_dir, tmp_path):
         code = main(
@@ -658,6 +667,15 @@ class TestFitCommand:
         assert main(["sr", *inputs, "--out", str(tmp_path / "sr")]) == EXIT_USAGE
         assert fit_err == capsys.readouterr().err == f"usage error: {message}\n"
         assert calls == []
+        assert not out_cfg.exists()
+
+    def test_divergent_probe_is_numeric_error(self, scene_dir, tmp_path, capsys):
+        # A colossal probe step overflows in the first gradient's probes.
+        out_cfg = tmp_path / "fit.cfg"
+        code = main(["fit", *scene_inputs(scene_dir), *TINY, "--steps", "1",
+                     "--fd-eps", "1e200", "--out-config", str(out_cfg)])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("numeric error: non-finite loss at step 1")
         assert not out_cfg.exists()
 
     def test_gt_without_valid_pixels_rejected_before_fitting(

@@ -60,6 +60,24 @@ class TestPfm:
         with pytest.raises(MalformedHeaderError):
             read_pfm(path)
 
+    def test_non_numeric_scale_rejected(self, tmp_path):
+        path = tmp_path / "s.pfm"
+        path.write_bytes(b"Pf\n2 2\nminus\n" + b"\x00" * 16)
+        with pytest.raises(MalformedHeaderError, match="non-numeric scale"):
+            read_pfm(path)
+
+    def test_color_pfm_rejected_as_depth(self, tmp_path):
+        path = tmp_path / "c.pfm"
+        write_pfm(path, FeatureMap(np.ones((3, 2, 2))))
+        with pytest.raises(MalformedHeaderError, match="single channel"):
+            read_depth_pfm(path)
+
+    def test_two_channel_map_rejected_on_write(self, tmp_path):
+        path = tmp_path / "two.pfm"
+        with pytest.raises(ValueError, match="PFM needs 1 or 3 channels, map has 2"):
+            write_pfm(path, FeatureMap(np.ones((2, 2, 2))))
+        assert not path.exists()
+
     def test_nonfinite_payload_rejected(self, tmp_path):
         path = tmp_path / "n.pfm"
         payload = np.array([np.inf, 0, 0, 0], dtype="<f4").tobytes()
@@ -121,6 +139,25 @@ class TestPpm8:
         path = tmp_path / "g.ppm"
         path.write_bytes(b"P6\n1 1\n255\n" + b"\x00" * 4)
         with pytest.raises(MalformedHeaderError):
+            read_ppm8(path)
+
+    @pytest.mark.parametrize(
+        "data, error, message",
+        [
+            (b"P5\n1 1\n255\n\x00\x00\x00", MalformedHeaderError, "bad magic"),
+            (b"P6\n1 x\n255\n\x00\x00\x00", MalformedHeaderError, "non-integer dimensions"),
+            (b"P6\n0 1\n255\n", MalformedHeaderError, "non-positive dimensions 0x1"),
+            (b"P6\n1 1\n25.5\n\x00\x00\x00", MalformedHeaderError, "non-integer maxval"),
+            (b"P6\n1 1\n65535\n" + b"\x00" * 6, UnsupportedMaxvalError, "maxval 65535 unsupported"),
+            (b"P6\n1 1\n", MalformedHeaderError, "truncated header"),
+            (b"P6\n1 1\n255#\n\x00\x00\x00", MalformedHeaderError, "missing separator"),
+        ],
+        ids=["magic", "dims", "zero-dims", "maxval", "maxval-16bit", "cut-short", "no-separator"],
+    )
+    def test_bad_header_raises_typed_error(self, tmp_path, data, error, message):
+        path = tmp_path / "h.ppm"
+        path.write_bytes(data)
+        with pytest.raises(error, match=message):
             read_ppm8(path)
 
     def test_wrong_channels_on_write(self, tmp_path):

@@ -1,11 +1,13 @@
 import ast
 import importlib
 import inspect
+import io
 import os
 import pkgutil
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import depthsr
@@ -135,4 +137,28 @@ def test_no_module_has_a_global_statement():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Global)
     ]
+    assert found == []
+
+
+# A number with a time unit: s, ms, µs or us.
+_MEASURED_TIME = re.compile(r"(?<![\w.])\d+(?:\.\d+)?\s?(?:s|ms|µs|us)\b")
+
+
+def test_no_src_prose_holds_a_measured_time():
+    """Timings go stale with the machine, so they live in CHANGES.md: a src
+    docstring or comment keeps the rule, one sentence of why and a pointer."""
+    sample = "29 µs, 0.50 ms, 1.9 s, 12us; 2 steps, LR 64^2, 9 maps, 1e-3"
+    assert _MEASURED_TIME.findall(sample) == ["29 µs", "0.50 ms", "1.9 s", "12us"]
+    pkg = Path(depthsr.__file__).parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        text = path.read_text()
+        tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+        prose = [tok.string for tok in tokens if tok.type == tokenize.COMMENT]
+        prose += [
+            ast.get_docstring(node, clean=False) or ""
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        found += [f"{path.stem}: {time}" for line in prose for time in _MEASURED_TIME.findall(line)]
     assert found == []

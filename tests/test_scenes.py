@@ -39,6 +39,15 @@ class TestSceneSpec:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SceneSpec(**{name: value})
 
+    @pytest.mark.parametrize("name", ["width", "height", "scale", "texture_seed"])
+    @pytest.mark.parametrize("value", [4.0, True, 4.5, "4"], ids=repr)
+    def test_integer_settings_reject_other_types(self, name, value):
+        # scale=True once rendered a scale-1 scene; width=64.0 failed in numpy.
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SceneSpec(**{name: value})
+        spec = SceneSpec(**{name: np.int64(4)})
+        assert type(getattr(spec, name)) is int and spec == SceneSpec(**{name: 4})
+
 
 class TestRenderDepth:
     @pytest.mark.parametrize("preset", PRESETS)

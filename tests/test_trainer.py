@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import multiprocessing
 import os
@@ -210,6 +211,23 @@ class TestProbeWorkers:
         assert two.history == one.history
         assert two.config == one.config
 
+    @pytest.mark.parametrize("cpu_count", [os.cpu_count(), None], ids=["cpu_count", "unknown"])
+    def test_fit_without_sched_getaffinity(self, small_scene, monkeypatch, cpu_count):
+        # macOS and Windows have no os.sched_getaffinity; os.cpu_count() may be None.
+        cfg = tiny_config()
+        tcfg = TrainConfig(steps=1, seed=1)
+        expected = fit(small_scene, tcfg, cfg)
+        pools = []
+        executor = concurrent.futures.ProcessPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda workers, **kwargs: pools.append(workers) or executor(workers, **kwargs))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        result = fit(small_scene, tcfg, cfg)
+        assert pools == [min(cpu_count or 1, pack_params(cfg, tcfg).size)]
+        assert result.history == expected.history
+        assert result.config == expected.config
+
     def test_unguarded_script_raises_instead_of_hanging(self, tmp_path):
         script = tmp_path / "unguarded.py"
         script.write_text(_UNGUARDED_SCRIPT)
@@ -366,6 +384,36 @@ class TestFit:
         result = fit(small_scene, tcfg, cfg)
         totals = [r.l_total for r in result.history]
         assert min(totals) < totals[0]
+
+    def test_line_search_halves_until_the_loss_improves(self, small_scene):
+        # A first step of 10 overshoots: the search halves it six times.
+        cfg = tiny_config()
+        tcfg = TrainConfig(steps=1, lr=10.0, init_scale=0.0)
+        loss = SceneLoss(small_scene, cfg, tcfg)
+        params = pack_params(cfg, tcfg)
+        grad = scene_loss_gradient(loss, params)
+        direction = grad / np.abs(grad).max()
+        start = loss.report(params)
+        trial = tcfg.lr
+        while (report := loss.report(params - trial * direction)).l_total >= start.l_total:
+            trial *= 0.5
+        assert tcfg.lr * 2.0**-trainer._MAX_HALVINGS < trial < tcfg.lr / 2
+        result = fit(small_scene, tcfg, cfg)
+        assert result.history == [start, report]
+        assert result.config == unpack_params(params - trial * direction, cfg, tcfg)
+
+    def test_zero_gradient_step_repeats_the_last_report(self, small_scene, monkeypatch):
+        # With no order enabled, alpha_det gates nothing: its gradient is 0.
+        cfg = tiny_config(orders=())
+        tcfg = TrainConfig(steps=2, fit_params=("alpha",))
+        start = SceneLoss(small_scene, cfg, tcfg).report(pack_params(cfg, tcfg))
+        calls = []
+        report = SceneLoss.report
+        monkeypatch.setattr(SceneLoss, "report", lambda self, vec: calls.append(vec) or report(self, vec))
+        result = fit(small_scene, tcfg, cfg)
+        assert len(calls) == 1  # in this process; the probes run in the workers
+        assert result.history == [start] * 3
+        assert result.config == cfg
 
     def test_csv_log_schema(self, small_scene, tmp_path):
         log_path = tmp_path / "loss.csv"
