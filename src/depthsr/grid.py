@@ -11,7 +11,8 @@ Catmull-Rom taps) and `standardize` serve every resampler and encoder,
 so each rule is stated once.
 
 Every 3x3 window user (extract_patches, conv2d, the diffops stencils) reads
-_windows' view of one edge-padded copy per call; fold_patches' index plan
+_windows' view of one edge-padded copy per call, and _patch_rows gathers
+single patches from a copy its caller keeps; fold_patches' index plan
 depends only on (h, w) and is cached per shape (_fold_plan). No result here
 depends on the thread count: contractions go through ``np.einsum``, which
 runs numpy's own one-thread loops, and fold_patches sums with
@@ -144,16 +145,10 @@ class DepthMap:
         return FeatureMap.from_plane(self.depth)
 
 
-def _windows(data: np.ndarray) -> np.ndarray:
-    """The (c, h, w, 3, 3) view of every 3x3 window of a (c, h, w) array,
-    centered on each pixel, with replicate border padding.
-
-    The padded copy is filled by slice assignment: edge rows first, then
-    edge columns from the padded rows, so the corners take the corner
-    pixels. The view is read-only. It is built with the ndarray
-    constructor, the same view as numpy's as_strided at a fifth of its
-    per-call cost.
-    """
+def _edge_pad(data: np.ndarray) -> np.ndarray:
+    """The (c, h + 2, w + 2) replicate-padded copy of a (c, h, w) array,
+    filled by slice assignment: edge rows first, then edge columns from the
+    padded rows, so the corners take the corner pixels."""
     c, h, w = data.shape
     pad = np.empty((c, h + 2, w + 2), dtype=data.dtype)
     pad[:, 1:-1, 1:-1] = data
@@ -161,6 +156,18 @@ def _windows(data: np.ndarray) -> np.ndarray:
     pad[:, -1, 1:-1] = data[:, -1]
     pad[:, :, 0] = pad[:, :, 1]
     pad[:, :, -1] = pad[:, :, -2]
+    return pad
+
+
+def _windows(data: np.ndarray) -> np.ndarray:
+    """The (c, h, w, 3, 3) view of every 3x3 window of a (c, h, w) array,
+    centered on each pixel, with replicate border padding (_edge_pad).
+
+    The view is read-only. It is built with the ndarray constructor, the
+    same view as numpy's as_strided at a fifth of its per-call cost.
+    """
+    c, h, w = data.shape
+    pad = _edge_pad(data)
     _, row, col = pad.strides
     shape = (c, h, w, PATCH_SIZE, PATCH_SIZE)
     view = np.ndarray(shape, pad.dtype, pad, 0, pad.strides + (row, col))
@@ -177,6 +184,24 @@ def extract_patches(f: FeatureMap) -> np.ndarray:
     c, h, w = f.shape
     vec = _windows(f.data).transpose(1, 2, 0, 3, 4).reshape(h * w, c * PATCH_SIZE * PATCH_SIZE)
     return np.ascontiguousarray(vec)
+
+
+def _patch_rows(pad: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows `rows` of extract_patches(f), gathered by one take from `pad`,
+    the _edge_pad copy of f.data, so a caller that keeps `pad` reads a few
+    patches without the (h*w, 9*c) matrix."""
+    c, hp, wp = pad.shape
+    return np.take(pad, (rows + 2 * (rows // (wp - 2)))[:, None] + _window_offsets(c, hp, wp))
+
+
+@lru_cache(maxsize=16)
+def _window_offsets(c: int, hp: int, wp: int) -> np.ndarray:
+    """Offsets of a patch row's 9*c entries in a flat (c, hp, wp) padded
+    copy, from its top-left entry; computed once per shape, read-only."""
+    ch, dy, dx = np.ogrid[:c, :PATCH_SIZE, :PATCH_SIZE]
+    offsets = ((ch * hp + dy) * wp + dx).ravel()
+    offsets.setflags(write=False)
+    return offsets
 
 
 def fold_patches(vectors: np.ndarray, shape: tuple[int, int, int]) -> FeatureMap:

@@ -11,13 +11,31 @@ is fixed for a run, so matching takes it as one RgbSide value and maps
 only the depth side. The naive double-loop oracles live permanently in
 tests/oracles.py.
 
-Bits: each tile's cosines are one BLAS GEMM call of one shape. Tiles start
-at multiples of MATCH_TILE_ROWS and the last one is zero-padded, since a
-product of another row count would reach gemv or edge kernels and differ
-in the last bit. OpenBLAS splits a GEMM across threads by output rows and
-columns, never inside one dot product, so the thread count changes no bit
-either; tests/test_package.py guards that at the LR 64^2 shape and at a
-padded tail tile.
+Bits: every cosine the matcher returns is one element of a float64 BLAS
+GEMM whose row and column counts are multiples of MATCH_TILE_ROWS (64).
+In such a call OpenBLAS computes an element from its row and column
+vectors alone, so a product of gathered source rows, padded to a multiple
+of 64, has the full tile's bits. A product of another shape would reach
+gemv or edge kernels and differ in the last bit, so a short tile is
+zero-padded and a gathered source list is padded with source 0. OpenBLAS
+splits a GEMM across threads by output rows and columns, never inside one
+dot product, so the thread count changes no bit either.
+tests/test_matcher.py pins the gather rule and tests/test_package.py the
+thread count.
+
+Screen and confirm: on rows longer than SWEEP_MAX_M sources a float32 GEMM
+screens first. For unit rows of d entries rounded to float32, a float32
+cosine lies within (d + 2) 2^-24 of the float64 one in any summation
+order, up to terms of order d^2 2^-48 and the float64 GEMM's own rounding;
+clipping keeps that. So a row's k-th float32 score is at most that much
+above its k-th float64 score, and every source whose float64 score
+reaches the latter, each top-k member and each tie, scores within twice
+that of the k-th float32 score. The screen keeps every source within
+slack = 2 (d + 3) 2^-24 of it, the extra 2^-23 covering those small terms
+and the float32 rounding of the threshold. The float64 GEMM above then
+confirms the candidates, and their top-k is the row's, bit for bit. A
+zero target row scores every source 0, so its candidates are the first k
+sources. The screen decides no score.
 
 Ties: every top-k kernel returns the top-k of the scores clipped to
 [-1, 1] and breaks ties to the lowest index, keeping the sign of -0.0, so
@@ -35,7 +53,7 @@ from math import isqrt
 import numpy as np
 
 from . import diffops
-from .grid import PATCH_SIZE, FeatureMap, extract_patches, fold_patches
+from .grid import PATCH_SIZE, FeatureMap, _edge_pad, _patch_rows, extract_patches, fold_patches
 
 ORDERS = ("zero", "first", "second")
 
@@ -44,6 +62,10 @@ MIN_PATCH_NORM = 1e-12
 
 # Target rows per cosine GEMM call and per top_k call.
 MATCH_TILE_ROWS = 64
+
+# Source rows per confirm GEMM call of a long-row match: the rows it
+# gathers take GATHER_ROWS * 9c * 8 bytes, however many sources tie.
+GATHER_ROWS = 512
 
 # Target rows whose matched patches matching_selection gathers and blends
 # at once (a block's gather takes rows * k * 9c * 8 bytes).
@@ -70,11 +92,35 @@ HOLD_BYTES = 2 * 1024 * 1024
 
 def unit_rows(patches: np.ndarray) -> np.ndarray:
     """L2-normalized copy of patch rows; rows below MIN_PATCH_NORM become zero."""
-    norms = np.sqrt(np.einsum("id,id->i", patches, patches))
+    return _divide_rows(patches, np.sqrt(np.einsum("id,id->i", patches, patches)))
+
+
+def _divide_rows(patches: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """unit_rows of `patches` given their row norms."""
     degenerate = norms < MIN_PATCH_NORM
     unit = patches / np.where(degenerate, 1.0, norms)[:, None]
     unit[degenerate] = 0.0
     return unit
+
+
+class _MapRows:
+    """unit_rows(extract_patches(f)) without the (hw, 9c) matrix: indexing
+    gathers the rows from f's edge-padded copy and divides them by norms
+    computed once from the whole matrix, so each row equals the matrix's
+    row bit for bit. match_order passes a long row's target as one, since
+    top_k_rows reads the target a tile at a time."""
+
+    def __init__(self, f: FeatureMap):
+        patches = extract_patches(f)
+        self._norms = np.sqrt(np.einsum("id,id->i", patches, patches))
+        self._pad = _edge_pad(f.data)
+
+    def __len__(self) -> int:
+        return len(self._norms)
+
+    def __getitem__(self, index) -> np.ndarray:
+        rows = np.arange(len(self))[index]
+        return _divide_rows(_patch_rows(self._pad, rows), self._norms[rows])
 
 
 @lru_cache(maxsize=64)
@@ -108,22 +154,35 @@ def top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     whole, once: at most about 9 times the tile's bytes.
     """
     n, m = values.shape
-    if not 1 <= k <= m:
-        raise ValueError(f"k must be in [1, {m}], got {k}")
+    _check_k(k, m)
     if m <= SWEEP_MAX_M:
         return _top_k_sweep(values, k)
+    rows, cols, scores = _top_k_candidates(values, k)
+    order = np.lexsort((cols, -scores, rows))
+    pick = order[np.searchsorted(rows, np.arange(n))[:, None] + np.arange(k)]
+    return cols[pick], scores[pick]
+
+
+def _check_k(k: int, m: int) -> None:
+    if not 1 <= k <= m:
+        raise ValueError(f"k must be in [1, {m}], got {k}")
+
+
+def _top_k_candidates(
+    values: np.ndarray, k: int, slack: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """top_k's group pass: (rows, cols, clipped scores) of every entry that
+    reaches its row's bound lowered by `slack`, rows ascending."""
+    n, m = values.shape
     g = _group_count(m, k)
     groups = values.reshape(n, m // g, g)
     peaks = groups.max(axis=1)
     bound = np.partition(peaks, g - k, axis=1)[:, g - k]
-    bound = np.where(bound > -1.0, np.minimum(bound, 1.0), -np.inf)
+    bound = np.where(bound > -1.0, np.minimum(bound, 1.0), -np.inf) - slack
     hit_rows, hit_groups = np.divmod(np.flatnonzero(peaks >= bound[:, None]), g)
     gathered = np.clip(groups[hit_rows, :, hit_groups], -1.0, 1.0)
     hit, offset = np.divmod(np.flatnonzero(gathered >= bound[hit_rows, None]), m // g)
-    rows, cols, scores = hit_rows[hit], offset * g + hit_groups[hit], gathered[hit, offset]
-    order = np.lexsort((cols, -scores, rows))
-    pick = order[np.searchsorted(rows, np.arange(n))[:, None] + np.arange(k)]
-    return cols[pick], scores[pick]
+    return hit_rows[hit], offset * g + hit_groups[hit], gathered[hit, offset]
 
 
 def _top_k_sweep(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,30 +205,43 @@ def _top_k_sweep(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return eta, psi
 
 
-def top_k_rows(t: np.ndarray, s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k (eta, psi) of the cosines between unit target rows t and unit
-    source rows s (both from unit_rows), one tile of MATCH_TILE_ROWS target
-    rows at a time.
+def top_k_rows(t: np.ndarray | _MapRows, s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k (eta, psi) of the cosines between unit target rows t (from
+    unit_rows, or a _MapRows) and unit source rows s, of any row counts,
+    one tile of target rows at a time.
 
-    Each tile is one GEMM written in place into its thread's cosine buffer,
-    then top_k; the tile never shares memory with the source matrix, so
-    numpy does not switch to SYRK. From THREAD_MIN_ROWS target rows on, the
-    tiles are shared among as many threads as the caller's BLAS budget: the
-    count that setting one thread through _openblas_set_local hands back,
-    such as 2 under OPENBLAS_NUM_THREADS=2 or 1 in a fit probe worker. Each
-    thread, the calling one among them, takes whole tiles off one queue and
-    runs both steps of each on a one-thread BLAS, so each core runs one
-    busy thread. On smaller maps, without the binding or with a budget of
-    1, the calling thread runs every tile. Each thread writes only its
-    tiles' rows, so which thread runs a tile changes no bit. Matching holds
-    one cosine buffer and one top_k's temporaries per thread.
+    On rows of at most SWEEP_MAX_M sources each tile of MATCH_TILE_ROWS
+    target rows is one float64 GEMM written in place into its thread's
+    cosine buffer, then top_k; the tile never shares memory with the
+    source matrix, so numpy does not switch to SYRK. Longer rows are
+    screened and confirmed by the module docstring's rule (_screen_tiles).
+    Such a call holds s in float32 besides its arguments, and each thread
+    one buffer of a 64-row float64 tile's bytes, which holds the screen's
+    float32 tile of 2 * MATCH_TILE_ROWS rows and then the confirm's
+    cosines, and one confirm's gathered rows.
+
+    From THREAD_MIN_ROWS target rows on, the tiles are shared among as
+    many threads as the caller's BLAS budget: the count that setting one
+    thread through _openblas_set_local hands back, such as 2 under
+    OPENBLAS_NUM_THREADS=2 or 1 in a fit probe worker. Each thread, the
+    calling one among them, takes whole tiles off one queue and runs every
+    step of each on a one-thread BLAS, so each core runs one busy thread.
+    On smaller maps, without the binding or with a budget of 1, the
+    calling thread runs every tile. Each thread writes only its tiles'
+    rows, so which thread runs a tile changes no bit.
     """
-    n = t.shape[0]
+    n, m = len(t), len(s)
+    _check_k(k, m)
     eta, psi = np.empty((n, k), dtype=np.intp), np.empty((n, k))
-    tiles = deque(range(0, n, MATCH_TILE_ROWS))
+    if m > SWEEP_MAX_M:
+        work, size, rows = _screen_tiles, 2 * MATCH_TILE_ROWS, (t, s, s.astype(np.float32))
+    else:
+        work, size, rows = _match_tiles, MATCH_TILE_ROWS, (t, s)
+    tiles = deque(range(0, n, size))
+    args = (*rows, k, tiles, eta, psi)
     set_local = _openblas_set_local() if n >= THREAD_MIN_ROWS else None
     if set_local is None:
-        _match_tiles(t, s, k, tiles, eta, psi, top_k)
+        work(*args, top_k)
         return eta, psi
     errors: list[BaseException] = []
     helpers = []
@@ -177,10 +249,10 @@ def top_k_rows(t: np.ndarray, s: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
         budget = set_local(1)
         try:
             for _ in range(min(budget, len(tiles)) - 1):
-                helper = threading.Thread(target=_helper, args=(set_local, errors, t, s, k, tiles, eta, psi))
+                helper = threading.Thread(target=_helper, args=(set_local, errors, work, *args))
                 helper.start()
                 helpers.append(helper)
-            _match_tiles(t, s, k, tiles, eta, psi, top_k)
+            work(*args, top_k)
         finally:
             for helper in helpers:
                 helper.join()
@@ -199,8 +271,8 @@ def _match_tiles(
     module's top_k, so a tracer that replaces module functions
     (perfbench/tracer.py keeps one span stack per process) times only its
     tiles."""
-    n, size = t.shape[0], MATCH_TILE_ROWS
-    cosines = np.empty((size, n))
+    size = MATCH_TILE_ROWS
+    cosines = np.empty((size, len(s)))
     while True:
         try:
             r0 = tiles.popleft()
@@ -214,14 +286,76 @@ def _match_tiles(
         eta[r0 : r0 + rows], psi[r0 : r0 + rows] = select(cosines[:rows], k)
 
 
-def _helper(set_local, errors: list, *args) -> None:
-    """A helper thread of top_k_rows: _match_tiles(*args) on a one-thread
-    BLAS (setting it is a no-op where the count is the process's, which
-    the calling thread has already set). An exception goes to `errors`,
-    which top_k_rows raises from."""
+def _screen_tiles(
+    t: np.ndarray | _MapRows,
+    s: np.ndarray,
+    narrow: np.ndarray,
+    k: int,
+    tiles: deque,
+    eta: np.ndarray,
+    psi: np.ndarray,
+    select=top_k,
+) -> None:
+    """_match_tiles on rows longer than SWEEP_MAX_M, with tiles of
+    2 * MATCH_TILE_ROWS target rows and `narrow`, s in float32.
+
+    The tile's nonzero rows in float32 are screened against `narrow` in
+    one GEMM, and _top_k_candidates with the module docstring's slack
+    names their candidates. The tile then confirms the union of its rows'
+    candidates, in index order (with the first k sources if a row is
+    zero): float64 GEMMs of GATHER_ROWS sources at a time, the last list
+    padded with source 0, into the buffer the screen used, and `select`
+    on the union's columns. A union too wide for the buffer is confirmed
+    by 64-row halves instead, each with its own union.
+    """
+    size, m = MATCH_TILE_ROWS, len(s)
+    buffer = np.empty(size * -(-m // size) * size)
+    screen = buffer.view(np.float32)[: 2 * size * m].reshape(2 * size, m)
+    slack = 2 * (narrow.shape[1] + 3) * 2.0**-24
+    while True:
+        try:
+            r0 = tiles.popleft()
+        except IndexError:
+            return
+        tile = t[r0 : r0 + 2 * size]
+        zero = ~tile.any(axis=1)
+        live = np.flatnonzero(~zero)
+        np.matmul(tile[live].astype(np.float32), narrow.T, out=screen[: len(live)])
+        hit_rows, hit_cols, _ = _top_k_candidates(screen[: len(live)], k, slack)
+        hit_rows = live[hit_rows]
+        spans = [(0, len(tile))]
+        while spans:
+            b0, b1 = spans.pop()
+            lo, hi = np.searchsorted(hit_rows, (b0, b1))
+            keep = np.zeros(m, dtype=bool)
+            keep[hit_cols[lo:hi]] = True
+            keep[:k] |= zero[b0:b1].any()
+            cand = np.flatnonzero(keep)
+            rows, cols = b1 - b0, len(cand)
+            shape = (rows + -rows % size, cols + -cols % size)
+            if shape[0] * shape[1] > len(buffer):
+                spans += [(b0, b0 + size), (b0 + size, b1)]
+                continue
+            block = tile[b0:b1]
+            if rows < shape[0]:
+                block = np.pad(block, ((0, shape[0] - rows), (0, 0)))
+            cand = np.concatenate((cand, np.zeros(shape[1] - cols, dtype=cand.dtype)))
+            cosines = buffer[: shape[0] * shape[1]].reshape(shape)
+            for c0 in range(0, cols, GATHER_ROWS):
+                part = cand[c0 : c0 + GATHER_ROWS]
+                np.matmul(block, s[part].T, out=cosines[:, c0 : c0 + len(part)])
+            at, scores = select(cosines[:rows, :cols], k)
+            eta[r0 + b0 : r0 + b1], psi[r0 + b0 : r0 + b1] = cand[at], scores
+
+
+def _helper(set_local, errors: list, work, *args) -> None:
+    """A helper thread of top_k_rows: work(*args) on a one-thread BLAS
+    (setting it is a no-op where the count is the process's, which the
+    calling thread has already set). An exception goes to `errors`, which
+    top_k_rows raises from."""
     previous = set_local(1)
     try:
-        _match_tiles(*args)
+        work(*args)
     except BaseException as exc:  # re-raised by top_k_rows after the join
         errors.append(exc)
     finally:
@@ -346,5 +480,9 @@ def match_order(
     target, source = order_map(depth, order), rgb_maps[order]
     if target.shape != source.shape:
         raise ValueError(f"target shape {target.shape} != source shape {source.shape}")
-    return top_k_rows(unit_rows(extract_patches(target)), rgb_maps.unit_rows(order), k)
+    if target.height * target.width > SWEEP_MAX_M:
+        t = _MapRows(target)
+    else:
+        t = unit_rows(extract_patches(target))
+    return top_k_rows(t, rgb_maps.unit_rows(order), k)
 

@@ -339,15 +339,16 @@ def lr64_stage_inputs():
 
 class TestStagePeakMemory:
     """Each stage's tracemalloc peak at LR 64^2, 8 channels, in units of one
-    c x h x w map (256 KiB; a patch matrix takes 9, a 64-row cosine tile 8).
-    Measured with numpy 2.4.6 on the one-thread path: gated_blocks 23.8
-    maps, match_order 28.0 at zero order and 29.0 at the others, one
-    moma_features iteration 31.0. Each bound is half a map above, so that
-    one more map held through the peak fails; a numpy build with other
-    temporaries may need new figures. With threads, match_order holds one
-    more tile and one more top_k's temporaries (about one map: the group
-    maxima and np.partition's copy of them) per extra thread: 37.1, 37.8
-    and 38.0 maps with 2 threads."""
+    c x h x w map (256 KiB; a patch matrix takes 9, a 64-row float64 cosine
+    tile 8). Measured with numpy 2.4.6 on the one-thread path: gated_blocks
+    23.8 maps, match_order 25.6 at zero order, 26.9 at first and 27.1 at
+    second, one moma_features iteration 29.1. Each bound is half a map
+    above, so that one more map held through the peak fails; a numpy build
+    with other temporaries may need new figures. With threads, match_order
+    holds one more tile buffer (8 maps) per extra thread, plus that
+    thread's candidate, gather and top_k temporaries, which peak at moments
+    that vary from run to run: 35.1-35.6, 36.1-36.7 and 36.5-37.2 maps with
+    2 threads over 9 runs, so each extra thread is allowed 10.5 maps."""
 
     @pytest.fixture
     def one_thread(self, monkeypatch):
@@ -371,13 +372,13 @@ class TestStagePeakMemory:
         assert peak < 24.5
 
     @pytest.mark.usefixtures("one_thread")
-    @pytest.mark.parametrize("order, bound", [("zero", 28.5), ("first", 29.5), ("second", 29.5)])
+    @pytest.mark.parametrize("order, bound", [("zero", 26.2), ("first", 27.4), ("second", 27.6)], ids=ORDERS)
     def test_match_order(self, lr64_stage_inputs, order, bound):
         cfg, rgb_maps, f_d, _ = lr64_stage_inputs
         peak = self.peak_maps(lambda: match_order(rgb_maps, f_d, order, cfg.k), f_d)
         assert peak < bound
 
-    @pytest.mark.parametrize("order, one_thread_maps", [("zero", 28.0), ("first", 29.0), ("second", 29.0)])
+    @pytest.mark.parametrize("order, one_thread_maps", [("zero", 25.7), ("first", 26.9), ("second", 27.1)], ids=ORDERS)
     def test_threaded_match_order(self, lr64_stage_inputs, order, one_thread_maps):
         set_local = matcher._openblas_set_local()
         if set_local is None:
@@ -386,13 +387,13 @@ class TestStagePeakMemory:
         set_local(budget)
         cfg, rgb_maps, f_d, _ = lr64_stage_inputs
         peak = self.peak_maps(lambda: match_order(rgb_maps, f_d, order, cfg.k), f_d)
-        assert peak < one_thread_maps + 9 * (budget - 1) + 0.5
+        assert peak < one_thread_maps + 10.5 * (budget - 1) + 0.5
 
     @pytest.mark.usefixtures("one_thread")
     def test_one_moma_features_iteration(self, lr64_stage_inputs):
         cfg, rgb_maps, f_d, _ = lr64_stage_inputs
         assert cfg.moma_iters == 1
-        assert self.peak_maps(lambda: moma_features(f_d, rgb_maps, cfg), f_d) < 31.5
+        assert self.peak_maps(lambda: moma_features(f_d, rgb_maps, cfg), f_d) < 29.6
 
 
 class TestReconstruct:

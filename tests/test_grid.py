@@ -110,6 +110,24 @@ class TestWindows:
         for a, b in zip(fast, oracle, strict=True):
             assert np.array_equal(a, b)
 
+    @given(
+        c=st.integers(1, 8),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(c=1, h=1, w=1, seed=0)
+    @example(c=2, h=1, w=7, seed=1)
+    @example(c=3, h=6, w=1, seed=2)
+    @settings(max_examples=100, deadline=None)
+    def test_patch_rows_gather_extracted_rows(self, c, h, w, seed):
+        # Any rows, repeated and out of order, of a kept padded copy.
+        rng = np.random.default_rng(seed)
+        f = FeatureMap(rng.normal(size=(c, h, w)))
+        rows = rng.integers(0, h * w, size=rng.integers(0, 2 * h * w + 1))
+        gathered = grid._patch_rows(grid._edge_pad(f.data), rows)
+        assert np.array_equal(gathered, extract_patches(f)[rows])
+
 
 class TestFoldPatches:
     def test_round_trip_random(self):

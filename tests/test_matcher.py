@@ -275,6 +275,29 @@ def tiled_cosines(t: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.concatenate([np.pad(p, ((0, size - len(p)), (0, 0))) @ s.T for p in tiles])[: len(t)]
 
 
+def tiled_top_k_naive(t: np.ndarray, s: np.ndarray, k: int, chunk: int = 256):
+    """top_k_naive of the clipped tiled_cosines, `chunk` target rows at a
+    time (a multiple of 64, so each chunk has the tiles' bits)."""
+    starts = range(0, len(t), chunk)
+    parts = [top_k_naive(np.clip(tiled_cosines(t[r0 : r0 + chunk], s), -1.0, 1.0), k) for r0 in starts]
+    return np.concatenate([eta for eta, _ in parts]), np.concatenate([psi for _, psi in parts])
+
+
+def assert_same_match(got, ref) -> None:
+    """Equal (eta, psi), the sign of every zero score included."""
+    np.testing.assert_array_equal(got[0], ref[0])
+    np.testing.assert_array_equal(got[1], ref[1])
+    assert np.array_equal(np.signbit(got[1]), np.signbit(ref[1]))
+
+
+def threads_for(monkeypatch, threads) -> None:
+    """Matching on the calling thread alone (None) or with a budget of `threads`."""
+    if threads is None:
+        monkeypatch.setattr(matcher, "_openblas_set_local", lambda: None)
+    else:
+        budget_of(monkeypatch, threads)
+
+
 @pytest.fixture(scope="module")
 def lr64_pair():
     scene = render_scene(SceneSpec(width=256, height=256))
@@ -389,6 +412,114 @@ class TestThreadedTiles:
         assert f.height * f.width < matcher.THREAD_MIN_ROWS
         match_pair(f, f, 4)
         assert calls == []
+
+
+class TestRowCounts:
+    @pytest.mark.parametrize("threads", [None, 2], ids=["one-thread", "2-threads"])
+    @pytest.mark.parametrize("n, m", [(1088, 512), (256, 1024), (1024, 2048), (2112, 1280)])
+    def test_unequal_row_counts_match_full_sort_oracle(self, monkeypatch, n, m, threads):
+        # Sources of at most SWEEP_MAX_M rows take the swept tiles, more
+        # take the screen; from THREAD_MIN_ROWS target rows on, a budget of
+        # 2 shares the tiles between two threads.
+        threads_for(monkeypatch, threads)
+        rng = np.random.default_rng(n + m)
+        t, s = unit_rows(rng.normal(size=(n, 18))), unit_rows(rng.normal(size=(m, 18)))
+        for k in (1, 4):
+            assert_same_match(top_k_rows(t, s, k), tiled_top_k_naive(t, s, k))
+
+
+class TestScreenAndConfirm:
+    """Rows longer than SWEEP_MAX_M are screened in float32 and confirmed in
+    float64 (the module docstring's rule): the same bits as full tiles."""
+
+    @pytest.mark.parametrize("blas_threads", [1, 2])
+    @pytest.mark.parametrize("channels, side", [(8, 64), (3, 36)])
+    def test_gathered_columns_keep_the_full_tile_bits(self, channels, side, blas_threads):
+        # The GEMM rule a confirm relies on. Blocks of 128 target rows (and
+        # the 16-row tail of hw = 1296, padded to 64) against sorted source
+        # gathers padded to a multiple of 64 with source 0, written
+        # GATHER_ROWS columns per call, equal the 64-row full-width tiles
+        # computed on one BLAS thread, bit for bit. K = 9c is 72 or 27.
+        set_local = matcher._openblas_set_local()
+        if set_local is None:
+            pytest.skip("numpy's BLAS exports no openblas_set_num_threads_local")
+        t, s = (unit_rows(extract_patches(textured_map(side, side, c=channels, seed=i))) for i in (1, 9))
+        size, rng = matcher.MATCH_TILE_ROWS, np.random.default_rng(channels)
+        previous = set_local(1)
+        try:
+            full = tiled_cosines(t, s)
+            set_local(blas_threads)
+            for r0 in range(0, len(t), 2 * size):
+                block = t[r0 : r0 + 2 * size]
+                rows = len(block)
+                block = np.pad(block, ((0, -rows % size), (0, 0)))
+                cols = np.sort(rng.choice(len(s), size=rng.integers(1, 1100), replace=False))
+                cand = np.concatenate((cols, np.zeros(-len(cols) % size, dtype=cols.dtype)))
+                cosines = np.empty((len(block), len(cand)))
+                for c0 in range(0, len(cand), matcher.GATHER_ROWS):
+                    part = cand[c0 : c0 + matcher.GATHER_ROWS]
+                    np.matmul(block, s[part].T, out=cosines[:, c0 : c0 + len(part)])
+                got, want = cosines[:rows, : len(cols)], full[r0 : r0 + rows, cols]
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        finally:
+            set_local(previous)
+
+    @pytest.mark.parametrize("threads", [None, 2], ids=["one-thread", "2-threads"])
+    def test_planted_near_ties(self, monkeypatch, threads):
+        # 160 of 2048 sources lie 1e-9 to 1e-6 off one direction b, and the
+        # 300 targets (a 44-row tail) near b, so every row's top 65 lie in
+        # that cluster, with neighbours of its k-th score 1e-12 to 1e-6 away.
+        threads_for(monkeypatch, threads)
+        rng = np.random.default_rng(21)
+        b = unit_rows(rng.normal(size=(1, 18)))
+        offsets = np.repeat([1e-9, 1e-8, 1e-7, 1e-6], 40)[:, None] * unit_rows(rng.normal(size=(160, 18)))
+        order = rng.permutation(2048)
+        s = unit_rows(np.concatenate((b + offsets, rng.normal(size=(1888, 18)))))[order]
+        t = unit_rows(b + 0.05 * rng.normal(size=(300, 18)))
+        for k in (1, 4, 65):
+            ref = tiled_top_k_naive(t, s, k + 1)
+            gaps = ref[1][:, k - 1] - ref[1][:, k]
+            assert (order[ref[0]] < 160).all() and gaps.max() < 1e-6 and gaps.min() < 1e-9
+            assert_same_match(top_k_rows(t, s, k), (ref[0][:, :k], ref[1][:, :k]))
+
+    @pytest.mark.parametrize("threads", [None, 2], ids=["one-thread", "2-threads"])
+    def test_exact_ties_and_the_fully_tied_pair(self, monkeypatch, threads):
+        # hw = 1296, a 16-row tail. Quantized maps tie many cosines exactly,
+        # on both sides of the candidate bound. The constant pair ties every
+        # cosine, so every source is a candidate of every row: too wide to
+        # confirm 128 rows at once, so each 64-row half gathers all 1296.
+        threads_for(monkeypatch, threads)
+        rng = np.random.default_rng(22)
+        pairs = (
+            (quantized_map(rng, 2, 36, 36), quantized_map(rng, 2, 36, 36)),
+            (FeatureMap(np.full((2, 36, 36), 0.5)),) * 2,
+        )
+        for target, source in pairs:
+            t, s = (unit_rows(extract_patches(f)) for f in (target, source))
+            for k in (1, 4, 65):
+                assert_same_match(top_k_rows(t, s, k), tiled_top_k_naive(t, s, k))
+
+    def test_zero_target_rows_of_planes_at_second_order(self):
+        # The planes scene's Hessian is zero on 2682 of 4096 depth patches:
+        # each such row ties every source at 0 and keeps the first k.
+        scene = render_scene(SceneSpec(width=256, height=256, preset="planes"))
+        rgb_maps, f_d = encode_scene(scene.rgb, scene.d_lr, PipelineConfig())
+        t, s = (unit_rows(extract_patches(f)) for f in (order_map(f_d, "second"), rgb_maps["second"]))
+        assert (~t.any(axis=1)).sum() == 2682
+        for k in (1, 4, 16):
+            assert_same_match(match_order(rgb_maps, f_d, "second", k), tiled_top_k_naive(t, s, k))
+
+    def test_map_rows_equal_unit_rows(self):
+        # A 20 x 37 map whose flat corner has zero patches, by index array
+        # and by slice.
+        data = textured_map(20, 37, c=3).data.copy()
+        data[:, :6, :6] = 0.0
+        f = FeatureMap(data)
+        ref, rows = unit_rows(extract_patches(f)), matcher._MapRows(f)
+        assert len(rows) == len(ref) and (~ref.any(axis=1)).sum() == 25
+        index = np.random.default_rng(23).integers(0, len(ref), 500)
+        for got, want in ((rows[index], ref[index]), (rows[5:300], ref[5:300])):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestMatchingSelection:

@@ -12,23 +12,30 @@ from pathlib import Path
 
 import depthsr
 
-# Prints digests of the streamed matches on LR 64^2 (every order), 32^2 and
-# 12^2 scenes and of a weighted LR 16^2 pipeline run. At LR 12^2 (hw = 144)
-# the last of three 64-row tiles holds 16 rows and is zero-padded.
+# Prints digests of the streamed matches on LR 64^2 (every order at k 4,
+# zero order at k 16, and planes at second order), 32^2 and 12^2 scenes and
+# of a weighted LR 16^2 pipeline run. At LR 12^2 (hw = 144) the last of
+# three 64-row tiles holds 16 rows and is zero-padded. At LR 64^2 matching
+# is screened and confirmed: k 16 confirms several hundred sources per
+# tile, and planes' second order has 2682 zero target rows.
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
 from depthsr import fusion, matcher, scenes, trainer
 
 streamed = []
-for hr, orders in ((256, matcher.ORDERS), (128, ("zero",)), (48, ("zero",))):
+for hr, preset, order, k in (
+    *((256, "boxes", order, 4) for order in matcher.ORDERS),
+    (256, "boxes", "zero", 16),
+    (256, "planes", "second", 4),
+    (128, "boxes", "zero", 4),
+    (48, "boxes", "zero", 4),
+):
     # At LR 64^2 and 32^2 a budget of two BLAS threads shares the tiles
     # between two threads; with one, the calling thread runs every tile.
-    scene = scenes.render_scene(scenes.SceneSpec(width=hr, height=hr))
-    rgb_maps = fusion.rgb_order_maps(fusion.encode_rgb(scene.rgb, 4, 8), fusion.PipelineConfig(orders=orders))
-    f_d = fusion.encode_depth(scene.d_lr, 8)
-    for order in orders:
-        streamed += matcher.match_order(rgb_maps, f_d, order, 4)
+    scene = scenes.render_scene(scenes.SceneSpec(width=hr, height=hr, preset=preset))
+    rgb_maps = fusion.rgb_order_maps(fusion.encode_rgb(scene.rgb, 4, 8), fusion.PipelineConfig(orders=(order,)))
+    streamed += matcher.match_order(rgb_maps, fusion.encode_depth(scene.d_lr, 8), order, k)
 rng = np.random.default_rng(0)
 cfg = fusion.PipelineConfig(
     w_fuse=fusion.default_fuse_weights(8) + 0.1 * rng.normal(size=(8, 32)),
@@ -109,7 +116,7 @@ def test_outputs_do_not_depend_on_thread_count():
             env=env, capture_output=True, text=True, check=True, timeout=300,
         )
         digests.append(run.stdout.split())
-    assert len(digests[0]) == 12
+    assert len(digests[0]) == 16
     assert digests[0] == digests[1]
 
 
